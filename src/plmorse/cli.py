@@ -16,6 +16,7 @@ from .network import (
     NetworkFormatError,
     build_coarse_bound_network,
     build_fan_network,
+    fraction_to_json,
     load_network,
     network_to_json,
     random_network,
@@ -120,7 +121,7 @@ def _cmd_oracle(args) -> int:
     doc = {
         "mode": args.mode,
         "betti": list(result.betti),
-        "margin": f"{result.margin.numerator}/{result.margin.denominator}",
+        "margin": fraction_to_json(result.margin),
         "squares": result.squares,
     }
     _write(json.dumps(doc, indent=1) + "\n", args.out)

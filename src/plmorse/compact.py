@@ -18,8 +18,7 @@ from .complexes import (
     CanonicalComplex,
     FlatComponent,
     Label,
-    _contained,
-    _label_refines,
+    components,
     flat_cells,
 )
 from .geometry import (
@@ -79,46 +78,26 @@ class RefinedComplex:
         )
 
     def containment_pairs(self, keys):
-        """(inner, outer) over the given keys, inner a proper subset of outer."""
+        """(inner, outer) over the given keys, inner in the closure of outer.
+
+        Piece (a, I) lies in the closure of piece (b, J) exactly when a is b
+        or a face of b, and I is inside J; the faces come from the face poset.
+        """
         keys = list(keys)
-        deep = self.source.network.depth > 1
+        by_label: dict[Label, list[PieceKey]] = {}
+        for k in keys:
+            by_label.setdefault(k[0], []).append(k)
         pairs = []
         for a in keys:
-            pa = self.cells[a]
-            for b in keys:
-                if a == b:
-                    continue
-                pb = self.cells[b]
-                if pa.geometry.dim >= pb.geometry.dim:
-                    continue
-                if not _label_refines(a[0], b[0]):
-                    continue
-                if not _interval_subset(a[1], b[1]):
-                    continue
-                if deep and a[0] != b[0] and not _contained(pa.geometry, pb.geometry):
-                    continue
-                pairs.append((a, b))
+            for lab in [a[0], *self.source.cofaces_of(a[0])]:
+                for b in by_label.get(lab, ()):
+                    if b != a and _interval_subset(a[1], b[1]):
+                        pairs.append((a, b))
         return pairs
 
     def components(self, keys) -> list[list[PieceKey]]:
-        keys = list(keys)
-        parent = {k: k for k in keys}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.containment_pairs(keys):
-            parent[find(a)] = find(b)
-        groups: dict[PieceKey, list[PieceKey]] = {}
-        for k in keys:
-            groups.setdefault(find(k), []).append(k)
-        return [
-            sorted(g, key=piece_sort_key)
-            for _, g in sorted(groups.items(), key=lambda kv: piece_sort_key(kv[0]))
-        ]
+        keys = sorted(keys, key=piece_sort_key)
+        return components(keys, self.containment_pairs(keys))
 
 
 def _interval_subset(inner: Interval, outer: Interval) -> bool:
@@ -246,8 +225,6 @@ def essentialize(pieces, n: int):
 class ModelCell:
     verts: frozenset[int]
     dimension: int
-    gradient: Vec
-    constant: Fraction
     sources: frozenset[PieceKey]
 
 
@@ -275,25 +252,9 @@ class CompactModel:
     def components(self) -> list[frozenset]:
         """Connected components, as sets of cell ids, via shared vertices."""
         ids = sorted(self.cells, key=sorted)
-        parent = {cid: cid for cid in ids}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        by_vert: dict[int, frozenset] = {}
-        for cid in ids:
-            for v in cid:
-                if v in by_vert:
-                    parent[find(by_vert[v])] = find(cid)
-                else:
-                    by_vert[v] = cid
-        groups: dict[frozenset, set] = {}
-        for cid in ids:
-            groups.setdefault(find(cid), set()).add(cid)
-        return [frozenset(g) for g in groups.values()]
+        first: dict[int, frozenset] = {}
+        edges = [(first.setdefault(v, cid), cid) for cid in ids for v in cid]
+        return [frozenset(g) for g in components(ids, edges)]
 
 
 def _affine_rank(verts) -> int:
@@ -349,7 +310,6 @@ def compact_part(pieces) -> CompactModel:
     """
     memo: dict[frozenset[Vec], set[frozenset[Vec]]] = {}
     sources: dict[frozenset[Vec], set[PieceKey]] = {}
-    forms: dict[frozenset[Vec], tuple[Vec, Fraction]] = {}
     for p in pieces:
         if not p.geometry.pointed:
             raise ValueError(
@@ -359,18 +319,12 @@ def compact_part(pieces) -> CompactModel:
         vs = p.geometry.vertices
         for face in _polytope_faces(tuple(vs), memo):
             sources.setdefault(face, set()).add(p.key)
-            forms.setdefault(face, (p.gradient, p.constant))
     all_verts = sorted({v for face in sources for v in face})
     vid = {v: i for i, v in enumerate(all_verts)}
     cells: dict[frozenset[int], ModelCell] = {}
     for face, src in sources.items():
-        g, k = forms[face]
         cells[frozenset(vid[v] for v in face)] = ModelCell(
-            frozenset(vid[v] for v in face),
-            _affine_rank(sorted(face)),
-            g,
-            k,
-            frozenset(src),
+            frozenset(vid[v] for v in face), _affine_rank(sorted(face)), frozenset(src)
         )
     return CompactModel(tuple(all_verts), cells)
 
@@ -388,10 +342,12 @@ def _selected_model(cx: CanonicalComplex, levels, lo, hi):
         ess_pieces.extend(ess)
     if lo is not None and hi is not None:
         for p in ess_pieces:
-            for l in p.geometry.lineality_basis:
-                assert dot(p.gradient, l) == 0, "strip recession is not F-constant"
-            for r in p.geometry.rays:
-                assert dot(p.gradient, r) == 0, "strip recession is not F-constant"
+            for d in p.geometry.lineality_basis + p.geometry.rays:
+                if dot(p.gradient, d) != 0:
+                    raise RuntimeError(
+                        f"F is not constant along the recession direction {d} of "
+                        f"cell {p.source} over F-interval {p.interval}"
+                    )
     model = compact_part(ess_pieces)
     return model, rcx, keys
 
@@ -458,6 +414,8 @@ def strip_pair_model(cx: CanonicalComplex, a, lower) -> StripModel:
         if comp.level != a:
             continue
         k_keys = [(lab, (a, a)) for lab in comp.labels]
-        assert all(k in key_set for k in k_keys)
+        for k in k_keys:
+            if k not in key_set:
+                raise RuntimeError(f"flat cell {k[0]} has no piece at level {a} in the strip")
         marks.append((comp, model.cells_with_source(k_keys)))
     return StripModel(model, a, lower, floor, tuple(marks))

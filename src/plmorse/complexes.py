@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .geometry import (
@@ -30,12 +30,10 @@ from .geometry import (
     canonical_line_direction,
     dot,
     feasible,
-    form_value,
     in_span,
     primitive_direction,
     rank,
     solve_linear,
-    vec,
 )
 from .network import Network
 
@@ -53,7 +51,8 @@ class LabeledCell:
 
     def value_on_cell(self) -> Fraction:
         """F on the cell, defined when flat (F is then constant there)."""
-        assert self.flat, "value_on_cell on a nonflat cell"
+        if not self.flat:
+            raise ValueError(f"F is not constant on the nonflat cell {self.label}")
         p = self.geometry.affine_hull_point
         return dot(self.gradient, p) + self.constant
 
@@ -116,9 +115,6 @@ class CanonicalComplex:
         for sub, sup in self.face_pairs:
             out[sub].append(sup)
         return out
-
-    def faces_of(self, label: Label) -> list[Label]:
-        return [sub for sub, sup in self.face_pairs if sup == label]
 
     def cofaces_of(self, label: Label, codim: int | None = None) -> list[Label]:
         out = self._cofaces[label]
@@ -220,12 +216,24 @@ def _split_by_layer(work, layer, n: int):
     return post
 
 
+def _layer_stages(net: Network):
+    """(layer, cells of the partial complex before it) for every layer in
+    order, each cell carrying its restricted affine input map.  Each hidden
+    layer splits the cells only once the next stage is asked for."""
+    n = net.n0
+    work = [_initial_cell(n)]
+    for layer in net.layers[:-1]:
+        yield layer, work
+        work = _split_by_layer(work, layer, n)
+    yield net.layers[-1], work
+
+
 def build_complex(net: Network) -> CanonicalComplex:
     """Subdivide input space layer by layer into sign-labeled cells."""
     n = net.n0
-    work = [_initial_cell(n)]
     witnesses: list[str] = []
-    for li, layer in enumerate(net.layers[:-1]):
+    stages = _layer_stages(net)
+    for li, (layer, work) in enumerate(islice(stages, net.depth)):
         # node-map transversality against the complex built so far
         for label, eqs, ineqs, rows, offs in work:
             eq_normals = [c for c, _ in eqs]
@@ -238,14 +246,10 @@ def build_complex(net: Network) -> CanonicalComplex:
                             f"node {ni} of hidden layer {li} is identically zero "
                             f"on the cell labeled {label}"
                         )
-        work = _split_by_layer(work, layer, n)
-
-    out = net.layers[-1]
-    wrow, b0 = out.weights[0], out.bias[0]
+    out, work = next(stages)
     cells: dict[Label, LabeledCell] = {}
     for label, eqs, ineqs, rows, offs in work:
-        grad = tuple(dot(wrow, col) for col in zip(*rows))
-        const = dot(wrow, offs) + b0
+        grad, const = _node_form(out.weights[0], out.bias[0], rows, offs)
         poly = Polyhedron(n, eqs=eqs, ges=ineqs, relint=(eqs, ineqs))
         flat = in_span(grad, [c for c, _ in poly.hull_eqs])
         cells[label] = LabeledCell(label, poly, grad, const, flat, poly.dim)
@@ -264,11 +268,13 @@ def zero_cells(cx: CanonicalComplex) -> list[tuple[Vec, Fraction]]:
     return sorted(out)
 
 
-def flat_cells(cx: CanonicalComplex) -> list[FlatComponent]:
-    """Flat subcomplex, split into connected components at each level."""
-    flats = list(cx.flat_labels)
-    level = {lab: cx.cells[lab].value_on_cell() for lab in flats}
-    parent = {lab: lab for lab in flats}
+def components(nodes, edges) -> list[list]:
+    """Connected components of a graph by union-find.
+
+    Components come in the order of their first node, and each lists its
+    nodes in the given order.
+    """
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -276,15 +282,21 @@ def flat_cells(cx: CanonicalComplex) -> list[FlatComponent]:
             x = parent[x]
         return x
 
-    flat_set = set(flats)
-    for sub, sup in cx.face_pairs:
-        if sub in flat_set and sup in flat_set:
-            parent[find(sub)] = find(sup)
-    groups: dict[Label, list[Label]] = {}
-    for lab in flats:
-        groups.setdefault(find(lab), []).append(lab)
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups: dict = {}
+    for x in nodes:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
+def flat_cells(cx: CanonicalComplex) -> list[FlatComponent]:
+    """Flat subcomplex, split into connected components at each level."""
+    flats = set(cx.flat_labels)
+    edges = [(sub, sup) for sub, sup in cx.face_pairs if sub in flats and sup in flats]
     comps = [
-        FlatComponent(level[root], tuple(sorted(labs))) for root, labs in groups.items()
+        FlatComponent(cx.cells[labs[0]].value_on_cell(), tuple(sorted(labs)))
+        for labs in components(cx.flat_labels, edges)
     ]
     return sorted(comps, key=lambda c: (c.level, c.labels))
 
@@ -363,16 +375,14 @@ def is_generic(net: Network) -> Check:
 def _deep_genericity(net: Network) -> Check | None:
     """Per-cell solution-set checks for layers past the first."""
     n = net.n0
-    partial = _partial_complexes(net)
-    for li in range(1, net.depth):
-        layer = net.layers[li]
-        for label, eqs, ineqs, rows, offs in partial[li]:
+    stages = islice(_layer_stages(net), 1, net.depth)
+    for li, (layer, work) in enumerate(stages, start=1):
+        for label, eqs, ineqs, rows, offs in work:
             eq_normals = [c for c, _ in eqs]
             base = rank(eq_normals)
-            forms = []
-            for wrow, b in zip(layer.weights, layer.bias):
-                g = tuple(dot(wrow, col) for col in zip(*rows))
-                forms.append((g, dot(wrow, offs) + b))
+            forms = [
+                _node_form(wrow, b, rows, offs) for wrow, b in zip(layer.weights, layer.bias)
+            ]
             for size in range(1, min(layer.out_dim, n + 1) + 1):
                 for T in combinations(range(layer.out_dim), size):
                     sub_eqs = tuple(
@@ -391,48 +401,9 @@ def _deep_genericity(net: Network) -> Check | None:
     return None
 
 
-def _partial_complexes(net: Network):
-    """Cells (with restricted affine input maps) before each hidden layer."""
-    n = net.n0
-    work = [_initial_cell(n)]
-    stages = [work]
-    for layer in net.layers[:-2]:
-        work = _split_by_layer(work, layer, n)
-        stages.append(work)
-    return stages
-
-
 def is_transversal(net: Network) -> Check:
     """No node map is identically zero on a cell of the complex before its layer."""
     cx = build_complex(net)
     if cx.transversality_witnesses:
         return Check(False, cx.transversality_witnesses[0])
     return Check(True)
-
-
-def complex_summary(cx: CanonicalComplex) -> dict:
-    """Diagnostic JSON-ready dump of the complex."""
-    def fr(x):
-        return f"{x.numerator}/{x.denominator}"
-
-    cells = []
-    for lab in sorted(cx.cells):
-        c = cx.cells[lab]
-        entry = {
-            "label": list(lab),
-            "dimension": c.dimension,
-            "flat": c.flat,
-            "bounded": c.geometry.bounded,
-            "gradient": [fr(g) for g in c.gradient],
-            "constant": fr(c.constant),
-        }
-        if c.geometry.pointed:
-            entry["vertices"] = [[fr(x) for x in v] for v in c.geometry.vertices]
-        if c.dimension == 1:
-            entry["orientation"] = cx.oriented_one_skeleton[lab]
-        cells.append(entry)
-    return {
-        "cell_count": len(cx.cells),
-        "nontransversal_thresholds": [fr(t) for t in cx.nontransversal_thresholds],
-        "cells": cells,
-    }

@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import rank, strict_feasible
-from .network import Network, _snap, random_network
+from .geometry import rank
+from .network import Network, _snap, fraction_to_json, has_inactive_region, random_network
 
 _SEED_STRIDE = 1_000_003
 
@@ -74,6 +73,8 @@ def _run_trials(worker, args_list) -> int:
     threads = _threads()
     if threads == 1:
         return sum(1 for args in args_list if worker(args))
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         chunk = max(1, len(args_list) // (threads * 8))
         return sum(1 for hit in pool.map(worker, args_list, chunksize=chunk) if hit)
@@ -82,9 +83,7 @@ def _run_trials(worker, args_list) -> int:
 def _plmorse_trial(args) -> bool:
     n, n1, seed, scheme, index = args
     net = random_network((n, n1, 1), trial_seed(seed, index), scheme=scheme)
-    layer = net.layers[0]
-    ineqs = [(tuple(-w for w in row), -b) for row, b in zip(layer.weights, layer.bias)]
-    return not strict_feasible(n, ineqs)
+    return not has_inactive_region(net.layers[0])
 
 
 def montecarlo_plmorse(
@@ -183,14 +182,9 @@ def montecarlo_flat_cell(
     )
 
 
-def _fr(x: Fraction | None) -> str | None:
-    if x is None:
-        return None
-    return f"{x.numerator}/{x.denominator}"
-
-
 def summary_to_json(summary: TrialSummary) -> dict:
     lo, hi = summary.confidence
+    cf, bound = summary.closed_form, summary.bound
     return {
         "kind": summary.kind,
         "architecture": list(summary.architecture),
@@ -198,9 +192,9 @@ def summary_to_json(summary: TrialSummary) -> dict:
         "seed": summary.seed,
         "scheme": summary.scheme,
         "successes": summary.successes,
-        "empirical_rate": _fr(summary.empirical_rate),
-        "closed_form": _fr(summary.closed_form),
-        "bound": _fr(summary.bound),
+        "empirical_rate": fraction_to_json(summary.empirical_rate),
+        "closed_form": None if cf is None else fraction_to_json(cf),
+        "bound": None if bound is None else fraction_to_json(bound),
         "confidence": [lo, hi],
     }
 

@@ -269,10 +269,6 @@ class Polyhedron:
             )
         self._relint = relint
 
-    @classmethod
-    def whole_space(cls, n: int) -> "Polyhedron":
-        return cls(n, (), (), relint=((), ()))
-
     def __repr__(self):
         return f"Polyhedron(n={self.n}, eqs={len(self.eqs)}, ges={len(self.ges)}, dim={self.dim})"
 
@@ -427,13 +423,6 @@ class Polyhedron:
     def with_constraints(self, eqs=(), ges=(), relint=None) -> "Polyhedron":
         return Polyhedron(
             self.n, list(self.eqs) + list(eqs), list(self.ges) + list(ges), relint=relint
-        )
-
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        if other.n != self.n:
-            raise ValueError("ambient dimensions differ")
-        return Polyhedron(
-            self.n, list(self.eqs) + list(other.eqs), list(self.ges) + list(other.ges)
         )
 
 

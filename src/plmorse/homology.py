@@ -123,21 +123,32 @@ def _trim(bs) -> tuple[int, ...]:
     return tuple(bs)
 
 
-def betti(sc: SimplicialComplex) -> tuple[int, ...]:
-    """Rational Betti numbers (b0, b1, ...), trailing zeros dropped."""
-    if not sc.simplices:
-        return ()
-    d = sc.dim
-    by_k = [sc.k_simplices(k) for k in range(d + 1)]
+def _chain_betti(simplices) -> list[int]:
+    """Betti numbers of the chain complex spanned by the given simplices, with
+    every face outside them taken as zero (a quotient by the rest)."""
+    d = max(len(s) for s in simplices) - 1
+    by_k: list[list[Simplex]] = [[] for _ in range(d + 1)]
+    for s in simplices:
+        by_k[len(s) - 1].append(s)
+    for group in by_k:
+        group.sort()
     ranks = [0] * (d + 2)
     for k in range(1, d + 1):
         index = {s: i for i, s in enumerate(by_k[k - 1])}
         ranks[k] = sparse_rank(_boundary_rows(by_k[k], index))
     bs = [len(by_k[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1)]
-    assert sum((-1) ** k * b for k, b in enumerate(bs)) == sum(
-        (-1) ** k * len(by_k[k]) for k in range(d + 1)
-    )
-    return _trim(bs)
+    euler = sum((-1) ** k * len(group) for k, group in enumerate(by_k))
+    if sum((-1) ** k * b for k, b in enumerate(bs)) != euler:
+        raise RuntimeError(
+            f"Betti numbers {bs} miss the Euler characteristic {euler} of the chain "
+            f"complex with {[len(group) for group in by_k]} simplices by dimension"
+        )
+    return bs
+
+
+def betti(sc: SimplicialComplex) -> tuple[int, ...]:
+    """Rational Betti numbers (b0, b1, ...), trailing zeros dropped."""
+    return _trim(_chain_betti(sc.simplices)) if sc.simplices else ()
 
 
 def check_subcomplex(sc: SimplicialComplex, sub) -> None:
@@ -165,17 +176,8 @@ def relative_betti(pair: SimplicialPair) -> tuple[int, ...]:
     """
     sc, sub = pair.complex, frozenset(pair.sub)
     check_subcomplex(sc, sub)
-    rel = sorted(sc.simplices - sub, key=lambda s: (len(s), s))
-    if not rel:
-        return ()
-    d = max(len(s) - 1 for s in rel)
-    by_k = [[s for s in rel if len(s) == k + 1] for k in range(d + 1)]
-    ranks = [0] * (d + 2)
-    for k in range(1, d + 1):
-        index = {s: i for i, s in enumerate(by_k[k - 1])}
-        ranks[k] = sparse_rank(_boundary_rows(by_k[k], index))
-    bs = [len(by_k[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1)]
-    return _trim(bs)
+    rel = sc.simplices - sub
+    return _trim(_chain_betti(rel)) if rel else ()
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,8 @@ def triangulate(model) -> Triangulation:
             if f.dimension == d - 1 and fid < cid and v0 not in fid:
                 for s in tops[fid]:
                     out.add(tuple(sorted((v0,) + s)))
-        assert out, f"cell {sorted(cid)} has no facet missing its minimal vertex"
+        if not out:
+            raise RuntimeError(f"cell {sorted(cid)} has no facet missing its minimal vertex")
         tops[cid] = tuple(sorted(out))
     all_tops = [s for ts in tops.values() for s in ts]
     sc = SimplicialComplex.from_maximal(model.vertices, all_tops)

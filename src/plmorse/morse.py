@@ -38,7 +38,7 @@ from .homology import (
     relative_betti,
     triangulate,
 )
-from .network import Network
+from .network import Network, fraction_to_json, has_inactive_region
 
 REGULAR = "Regular"
 NONDEGENERATE = "NondegenerateCritical"
@@ -272,13 +272,7 @@ def is_pl_morse_depth2(net: Network) -> bool:
     ok = is_generic(net)
     if not ok:
         raise UnsupportedNetworkError(f"network is not generic: {ok.witness}")
-    from .geometry import strict_feasible
-
-    layer = net.layers[0]
-    ineqs = [
-        (tuple(-w for w in row), -b) for row, b in zip(layer.weights, layer.bias)
-    ]
-    return not strict_feasible(net.n0, ineqs)
+    return not has_inactive_region(net.layers[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +303,7 @@ def analyze(net: Network) -> ComplexityReport:
     except UnsupportedNetworkError:
         vertices = None
     flags = {
-        "coarse_le_global": coarse.sublevel_total <= glob
-        and coarse.superlevel_total <= glob,
+        "coarse_le_global": coarse.sublevel_total <= glob,
         "global_le_vertex_count": glob <= len(cx.cells_of_dim(0)),
     }
     return ComplexityReport(
@@ -325,25 +318,21 @@ def analyze(net: Network) -> ComplexityReport:
     )
 
 
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def report_to_json(report: ComplexityReport) -> dict:
     """JSON-ready dict with the stable field names."""
     vertices = None
     if report.vertices is not None:
         vertices = []
         for v in report.vertices:
-            entry = {"point": [_fr(x) for x in v.point], "class": v.kind}
+            entry = {"point": [fraction_to_json(x) for x in v.point], "class": v.kind}
             if v.index is not None:
                 entry["index"] = v.index
             vertices.append(entry)
     return {
-        "thresholds": [_fr(t) for t in report.thresholds],
+        "thresholds": [fraction_to_json(t) for t in report.thresholds],
         "components": [
             {
-                "level": _fr(rec.level),
+                "level": fraction_to_json(rec.level),
                 "cells": [list(lab) for lab in rec.labels],
                 "ranks": list(rec.ranks),
                 "total": rec.total,
@@ -353,7 +342,7 @@ def report_to_json(report: ComplexityReport) -> dict:
         ],
         "global_h_complexity": report.global_h_complexity,
         "stable": {
-            "M": _fr(report.stable.m),
+            "M": fraction_to_json(report.stable.m),
             "sub_minus": list(report.stable.sub_minus),
             "sub_plus": list(report.stable.sub_plus),
             "super_minus": list(report.stable.super_minus),

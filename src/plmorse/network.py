@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Polyhedron, Vec, dot, vec
+from .geometry import Polyhedron, Vec, dot, strict_feasible, vec
 
 RELU = "relu"
 NONE = "none"
@@ -158,6 +158,11 @@ def _fraction_from_json(x, where: str) -> Fraction:
     raise RationalParseError(f"{where}: expected number or 'p/q' string, got {type(x).__name__}")
 
 
+def fraction_to_json(x: Fraction) -> str:
+    """Exact 'p/q' text of a rational, as network files and reports store it."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _reject_constant(text: str):
     raise RationalParseError(f"non-finite number {text!r} is not a rational")
 
@@ -196,10 +201,8 @@ def network_to_json(net: Network) -> dict:
     return {
         "layers": [
             {
-                "weights": [
-                    [f"{w.numerator}/{w.denominator}" for w in row] for row in layer.weights
-                ],
-                "bias": [f"{b.numerator}/{b.denominator}" for b in layer.bias],
+                "weights": [[fraction_to_json(w) for w in row] for row in layer.weights],
+                "bias": [fraction_to_json(b) for b in layer.bias],
                 "activation": layer.activation,
             }
             for layer in net.layers
@@ -287,6 +290,12 @@ def build_coarse_bound_network(m: int) -> Network:
     w[m - 1] = Fraction((-1) ** m)
     out = AffineLayer((tuple(w),), (Fraction(0),), NONE)
     return Network((hidden, out))
+
+
+def has_inactive_region(layer: AffineLayer) -> bool:
+    """Whether some open region has every unit of the layer strictly inactive."""
+    walls = [(tuple(-w for w in row), -b) for row, b in zip(layer.weights, layer.bias)]
+    return strict_feasible(layer.in_dim, walls)
 
 
 def prescribe_edge_orientations(layer1: AffineLayer, signs) -> tuple[Fraction, ...]:

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from plmorse.complexes import build_complex, flat_cells
+from plmorse.complexes import _contained, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
     RefinedCell,
+    _interval_subset,
     _polytope_faces,
     compact_part,
     essentialize,
@@ -27,7 +28,13 @@ from plmorse.homology import (
     relative_betti,
     triangulate,
 )
-from plmorse.network import AffineLayer, Network, build_fan_network
+from plmorse.network import (
+    AffineLayer,
+    Network,
+    build_coarse_bound_network,
+    build_fan_network,
+    random_network,
+)
 
 F = Fraction
 
@@ -340,3 +347,67 @@ def test_models_are_polytopal_complexes():
     smaller = [t for t in fan1.nontransversal_thresholds if t < 0]
     lower = max(smaller) / 2 if smaller else F(-1)
     _assert_polytopal_complex(strip_pair_model(fan1, F(0), lower).model)
+
+
+def deep_flat_net():
+    """relu(relu(x) + relu(y)): the second-layer node map dies on a quadrant."""
+    return Network(
+        (
+            AffineLayer.make([[1, 0], [0, 1]], [0, 0], "relu"),
+            AffineLayer.make([[1, 1]], [0], "relu"),
+            AffineLayer.make([[1]], [0], "none"),
+        )
+    )
+
+
+def _pairwise_containment(rcx, keys):
+    """Reference rule: every ordered pair of pieces tested on its own.  The
+    inner label refines the outer one, the inner piece has lower dimension,
+    its F-interval lies in the outer one, and on deep nets the closed pieces
+    nest (exact Fourier-Motzkin test)."""
+    deep = rcx.source.network.depth > 1
+    pairs = set()
+    for a in keys:
+        pa = rcx.cells[a]
+        for b in keys:
+            pb = rcx.cells[b]
+            if a == b or pa.geometry.dim >= pb.geometry.dim:
+                continue
+            if not all(x == y or x == 0 for x, y in zip(a[0], b[0])):
+                continue
+            if not _interval_subset(a[1], b[1]):
+                continue
+            if deep and a[0] != b[0] and not _contained(pa.geometry, pb.geometry):
+                continue
+            pairs.add((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_fan_network(1),
+        lambda: build_coarse_bound_network(4),
+        lambda: random_network((2, 2, 2, 1), 5),
+        lambda: random_network((3, 3, 1), 10004),
+        deep_flat_net,
+    ],
+    ids=["fan1", "coarse_bound4", "random_2_2_2_1_seed5", "random_3_3_1_seed10004", "deep_flat"],
+)
+def test_containment_pairs_match_pairwise_rule(make):
+    cx = build_complex(make())
+    values = sorted({c.form_at(c.geometry.affine_hull_point) for c in cx.cells_of_dim(0)})
+    c = values[len(values) // 2] if values else F(0)
+    queries = [
+        ([c], None, c),
+        ([c], c, None),
+        ([c - F(1, 2), c], c - F(1, 2), c),
+        ([c], c, c),
+        ([], None, None),
+    ]
+    for levels, lo, hi in queries:
+        rcx = refine_at_levels(cx, levels)
+        keys = rcx.keys_in(lo, hi)
+        got = rcx.containment_pairs(keys)
+        assert len(got) == len(set(got))
+        assert set(got) == _pairwise_containment(rcx, keys), (levels, lo, hi)

@@ -226,6 +226,13 @@ def test_all_zero_cells_flat_and_thresholds_cover_them():
         assert c.value_on_cell() in cx.nontransversal_thresholds
 
 
+def test_value_on_nonflat_cell_raises_and_names_the_cell():
+    cx = build_complex(n1_network())
+    assert not cx.cells[(1, 1)].flat
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        cx.cells[(1, 1)].value_on_cell()
+
+
 def test_genericity_verdicts():
     assert not is_generic(build_fan_network(2))
     dup = Network(

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import jsonschema
@@ -145,6 +148,16 @@ def test_thread_env_var(monkeypatch):
     monkeypatch.setenv("PLMORSE_THREADS", "soon")
     with pytest.raises(ValueError, match="PLMORSE_THREADS"):
         ens.montecarlo_plmorse(2, 3, 10, 1)
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = "import sys, plmorse.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_trial_validation():
