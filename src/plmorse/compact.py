@@ -2,8 +2,8 @@
 
 Sublevel, superlevel, level, and strip sets of a network are unions of cells
 of the canonical complex refined along finitely many values of F.  Each such
-set is modeled by a compact polytopal complex: essentialize every connected
-component (project out the common lineality by intersecting with the span of
+set is modeled by a compact polytopal complex: essentialize the selected
+pieces (project out the common lineality by intersecting with the span of
 the constraint normals), then take convex hulls of vertex sets together with
 all of their faces.  The model carries provenance back to the refined pieces,
 so distinguished subcomplexes (flat components, strip floors) can be marked.
@@ -190,11 +190,13 @@ class Essentialization:
 
 
 def essentialize(pieces, n: int):
-    """Intersect a connected group of cells with the span of their normals.
+    """Intersect a group of cells with the span of their normals.
 
     The kernel directions are common lineality of every cell, so this is a
     homotopy equivalence onto cells whose dimension drops by n - rank; when
-    the normals already span, the input is returned unchanged.
+    the normals already span, the input is returned unchanged.  Each cell of a
+    network's complex has a constraint for every nonzero first-layer row and
+    no normal outside their span, so the kernel is ker(W1) for any group.
     """
     normals = []
     for p in pieces:
@@ -248,13 +250,6 @@ class CompactModel:
     def cells_with_source(self, keys) -> frozenset:
         keys = frozenset(keys)
         return frozenset(cid for cid, c in self.cells.items() if c.sources & keys)
-
-    def components(self) -> list[frozenset]:
-        """Connected components, as sets of cell ids, via shared vertices."""
-        ids = sorted(self.cells, key=sorted)
-        first: dict[int, frozenset] = {}
-        edges = [(first.setdefault(v, cid), cid) for cid in ids for v in cid]
-        return [frozenset(g) for g in components(ids, edges)]
 
 
 def _affine_rank(verts) -> int:
@@ -333,51 +328,45 @@ def compact_part(pieces) -> CompactModel:
 # level-split models
 
 
-def _selected_model(cx: CanonicalComplex, levels, lo, hi):
-    rcx = refine_at_levels(cx, levels)
+def _selected_model(rcx: RefinedComplex, lo, hi):
     keys = rcx.keys_in(lo, hi)
-    ess_pieces = []
-    for comp in rcx.components(keys):
-        ess, _ = essentialize([rcx.cells[k] for k in comp], cx.network.n0)
-        ess_pieces.extend(ess)
+    pieces, _ = essentialize([rcx.cells[k] for k in keys], rcx.source.network.n0)
     if lo is not None and hi is not None:
-        for p in ess_pieces:
+        for p in pieces:
             for d in p.geometry.lineality_basis + p.geometry.rays:
                 if dot(p.gradient, d) != 0:
                     raise RuntimeError(
                         f"F is not constant along the recession direction {d} of "
                         f"cell {p.source} over F-interval {p.interval}"
                     )
-    model = compact_part(ess_pieces)
-    return model, rcx, keys
+    return compact_part(pieces), keys
 
 
 def sublevel_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F <= c."""
     c = Fraction(c)
-    return _selected_model(cx, [c], None, c)[0]
+    return _selected_model(refine_at_levels(cx, [c]), None, c)[0]
 
 
 def superlevel_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F >= c."""
     c = Fraction(c)
-    return _selected_model(cx, [c], c, None)[0]
+    return _selected_model(refine_at_levels(cx, [c]), c, None)[0]
 
 
 def level_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F = c."""
     c = Fraction(c)
-    return _selected_model(cx, [c], c, c)[0]
+    return _selected_model(refine_at_levels(cx, [c]), c, c)[0]
 
 
-def modeled_pair(cx: CanonicalComplex, levels, outer, inner):
+def modeled_pair(rcx: RefinedComplex, outer, inner):
     """Model of the pieces in the outer F-range, with the inner range marked.
 
     Returns (model, ids of model cells coming from the inner range).
     """
-    model, rcx, keys = _selected_model(cx, levels, outer[0], outer[1])
-    inner_keys = [k for k in rcx.keys_in(inner[0], inner[1]) if k in set(keys)]
-    return model, model.cells_with_source(inner_keys)
+    model, _ = _selected_model(rcx, *outer)
+    return model, model.cells_with_source(rcx.keys_in(*inner))
 
 
 @dataclass(frozen=True)
@@ -404,11 +393,9 @@ def strip_pair_model(cx: CanonicalComplex, a, lower) -> StripModel:
             raise ValueError(
                 f"nontransversal threshold {t} inside the strip [{lower}, {a})"
             )
-    model, rcx, keys = _selected_model(cx, [lower, a], lower, a)
+    model, keys = _selected_model(refine_at_levels(cx, [lower, a]), lower, a)
     key_set = set(keys)
-    floor = model.cells_with_source(
-        [k for k in key_set if k[1] == (lower, lower)]
-    )
+    floor = model.cells_with_source(k for k in keys if k[1] == (lower, lower))
     marks = []
     for comp in flat_cells(cx):
         if comp.level != a:

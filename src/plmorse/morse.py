@@ -3,11 +3,11 @@
 Local H-complexity of a flat component K at level a is the relative homology
 H_*(F<=a, F<=a minus K), computed on a compact strip model just below a via
 excision and a barycentric complement.  Global complexity sums the local
-totals; stable and coarse complexities look only at levels beyond every
-nontransversal threshold.  For single-hidden-layer (depth-2) generic
-transversal networks, vertices classify as regular, nondegenerate critical
-with an index, or degenerate critical from the gradient orientations of
-their paired edge cofaces.
+totals; stable and coarse complexities and component counts come from two
+marked models of one refinement at -M and M, beyond every nontransversal
+threshold.  For single-hidden-layer (depth-2) generic transversal networks,
+vertices classify as regular, nondegenerate critical (with an index) or
+degenerate critical by the gradient orientations of their paired edge cofaces.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compact import (
-    modeled_pair,
-    strip_pair_model,
-    sublevel_model,
-    superlevel_model,
-)
+from .compact import RefinedComplex, modeled_pair, refine_at_levels, strip_pair_model
 from .complexes import (
     CanonicalComplex,
     FlatComponent,
@@ -30,6 +25,7 @@ from .complexes import (
 )
 from .geometry import Vec, dot, primitive_direction
 from .homology import (
+    SimplicialComplex,
     SimplicialPair,
     barycentric_pair,
     betti,
@@ -152,42 +148,55 @@ def global_h_complexity(cx: CanonicalComplex) -> int:
     return sum(rec.total for rec in local_records(cx))
 
 
-def _stable_models(cx: CanonicalComplex):
-    m = big_m(cx)
-    return m, (
-        sublevel_model(cx, -m),
-        sublevel_model(cx, m),
-        superlevel_model(cx, -m),
-        superlevel_model(cx, m),
+def _marked_measures(rcx: RefinedComplex, outer, inner):
+    """Betti numbers of the outer F-range, of the inner one, and of the pair."""
+    model, ids = modeled_pair(rcx, outer, inner)
+    tri = triangulate(model)
+    marked = carried_simplices(tri, ids)
+    return (
+        betti(tri.complex),
+        betti(SimplicialComplex(tri.complex.vertices, marked)),
+        relative_betti(SimplicialPair(tri.complex, marked)),
     )
 
 
-def stable_complexities(cx: CanonicalComplex) -> StableComplexities:
-    """Betti vectors of F<=-M, F<=M, F>=-M, F>=M."""
-    m, models = _stable_models(cx)
-    vecs = tuple(betti(triangulate(md).complex) for md in models)
-    return StableComplexities(m, *vecs)
+def _checked_count(rcx: RefinedComplex, lo, hi, vec: tuple[int, ...]) -> int:
+    """Connected components of the pieces in [lo, hi], which must equal b_0."""
+    n = len(rcx.components(rcx.keys_in(lo, hi)))
+    if n != (vec[0] if vec else 0):
+        where = f"F <= {hi}" if lo is None else f"F >= {lo}"
+        raise RuntimeError(f"{where} has {n} connected components but Betti numbers {vec}")
+    return n
 
 
-def component_counts(cx: CanonicalComplex) -> tuple[int, int, int, int]:
-    """Connected components of the four stable models, by shared vertices."""
-    _, models = _stable_models(cx)
-    return tuple(len(md.components()) for md in models)
+def stable_measures(
+    cx: CanonicalComplex,
+) -> tuple[StableComplexities, CoarseComplexities, tuple[int, int, int, int]]:
+    """Stable Betti vectors, coarse ranks and component counts beyond +-M.
 
-
-def _pair_ranks(cx: CanonicalComplex, levels, outer, inner) -> tuple[int, ...]:
-    model, ids = modeled_pair(cx, levels, outer, inner)
-    tri = triangulate(model)
-    return relative_betti(SimplicialPair(tri.complex, carried_simplices(tri, ids)))
+    One refinement at {-M, M} gives two models: F <= M with F <= -M marked,
+    and F >= -M with F >= M marked.  Each yields the Betti numbers of the
+    whole, of the marked part, and of the pair (the coarse ranks).  The
+    counts of F <= -M, F <= M, F >= -M and F >= M come from the refined
+    pieces, and each must equal b_0 of the same set.
+    """
+    m = big_m(cx)
+    rcx = refine_at_levels(cx, [-m, m])
+    sub_plus, sub_minus, sub_pair = _marked_measures(rcx, (None, m), (None, -m))
+    super_minus, super_plus, super_pair = _marked_measures(rcx, (-m, None), (m, None))
+    counts = (
+        _checked_count(rcx, None, -m, sub_minus),
+        _checked_count(rcx, None, m, sub_plus),
+        _checked_count(rcx, -m, None, super_minus),
+        _checked_count(rcx, m, None, super_plus),
+    )
+    stable = StableComplexities(m, sub_minus, sub_plus, super_minus, super_plus)
+    return stable, CoarseComplexities(sub_pair, super_pair), counts
 
 
 def coarse_complexities(cx: CanonicalComplex) -> CoarseComplexities:
     """Ranks of H_*(F<=M, F<=-M) and H_*(F>=-M, F>=M)."""
-    m = big_m(cx)
-    mp = m + 1
-    sub = _pair_ranks(cx, [-mp, -m, m], (-mp, m), (-mp, -m))
-    sup = _pair_ranks(cx, [-m, m, mp], (-m, mp), (m, mp))
-    return CoarseComplexities(sub, sup)
+    return stable_measures(cx)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +301,7 @@ def analyze(net: Network) -> ComplexityReport:
         )
     records = local_records(cx)
     glob = sum(rec.total for rec in records)
-    m, models = _stable_models(cx)
-    vecs = tuple(betti(triangulate(md).complex) for md in models)
-    stable = StableComplexities(m, *vecs)
-    counts = tuple(len(md.components()) for md in models)
-    coarse = coarse_complexities(cx)
+    stable, coarse, counts = stable_measures(cx)
     vertices: tuple[VertexClass, ...] | None
     try:
         vertices = classify_vertices(cx)

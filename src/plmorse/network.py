@@ -236,16 +236,19 @@ def _cross(p: Vec, q: Vec) -> Fraction:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def _assert_cyclic_tangency_points(points: list[Vec], wraparound: bool = True):
+def _check_cyclic_tangency_points(points: list[Vec], wraparound: bool = True):
     for p in points:
-        assert p[0] * p[0] + p[1] * p[1] == 1
+        if p[0] * p[0] + p[1] * p[1] != 1:
+            raise ValueError(f"tangency point {p} is off the unit circle")
     last = len(points) if wraparound else len(points) - 1
     for i in range(last):
         q = points[(i + 1) % len(points)]
-        assert _cross(points[i], q) < 0, "tangency points out of clockwise order"
+        if not _cross(points[i], q) < 0:
+            raise ValueError(f"tangency points {points[i]} and {q} are out of clockwise order")
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
-            assert dot(p, q) < 1, "coincident tangency points"
+            if not dot(p, q) < 1:
+                raise ValueError(f"coincident tangency points {p} and {q}")
 
 
 def build_fan_network(n: int) -> Network:
@@ -256,7 +259,7 @@ def build_fan_network(n: int) -> Network:
         raise ValueError("need n >= 1")
     count = 2 * n + 2
     points = [_circle_point(math.pi * j / (n + 1)) for j in range(1, count + 1)]
-    _assert_cyclic_tangency_points(points)
+    _check_cyclic_tangency_points(points)
     hidden = AffineLayer(
         tuple((p[0], p[1]) for p in points),
         tuple(Fraction(-1) for _ in points),
@@ -277,7 +280,7 @@ def build_coarse_bound_network(m: int) -> Network:
     if m < 3:
         raise ValueError("need m >= 3")
     points = [_circle_point(math.pi * i / (m + 1)) for i in range(1, m + 1)]
-    _assert_cyclic_tangency_points(points, wraparound=False)
+    _check_cyclic_tangency_points(points, wraparound=False)
     hidden = AffineLayer(
         tuple((-p[0], -p[1]) for p in points),
         tuple(Fraction(1) for _ in points),

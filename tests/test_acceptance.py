@@ -64,7 +64,8 @@ def survey():
     for i, arch in enumerate(archs):
         net = generic_nets(arch, 1, ACC_SEED + 100 * i)[0]
         cx = build_complex(net)
-        rows.append((arch, cx, morse.coarse_complexities(cx), morse.component_counts(cx)))
+        _, coarse, counts = morse.stable_measures(cx)
+        rows.append((arch, cx, coarse, counts))
     return rows
 
 
@@ -330,15 +331,14 @@ def test_criterion_10_negation_duality():
     for net in nets:
         cx = build_complex(net)
         cx_neg = build_complex(net.negate())
-        st, st_neg = morse.stable_complexities(cx), morse.stable_complexities(cx_neg)
+        st, co, counts = morse.stable_measures(cx)
+        st_neg, co_neg, counts_neg = morse.stable_measures(cx_neg)
         assert st_neg.sub_minus == st.super_plus
         assert st_neg.sub_plus == st.super_minus
         assert st_neg.super_minus == st.sub_plus
         assert st_neg.super_plus == st.sub_minus
-        co, co_neg = morse.coarse_complexities(cx), morse.coarse_complexities(cx_neg)
         assert co_neg.sublevel == co.superlevel
         assert co_neg.superlevel == co.sublevel
-        counts, counts_neg = morse.component_counts(cx), morse.component_counts(cx_neg)
         assert counts_neg == (counts[3], counts[2], counts[1], counts[0])
         sk, sk_neg = cx.oriented_one_skeleton, cx_neg.oriented_one_skeleton
         assert set(sk) == set(sk_neg)

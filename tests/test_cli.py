@@ -135,6 +135,14 @@ def test_oracle_band_flag_count(tmp_path, capsys):
     assert "rational" in capsys.readouterr().err
 
 
+def test_oracle_refuses_huge_grid(tmp_path, capsys):
+    net_file = tmp_path / "net.json"
+    _two_relu_json(net_file)
+    assert main(["oracle", str(net_file), "--threshold", "1/3",
+                 "--resolution", "1/100000", "--box", "100"]) == 2
+    assert "more than the limit of 1000000" in capsys.readouterr().err
+
+
 def test_export_svg(tmp_path):
     net_file = tmp_path / "fan2.json"
     assert main(["generate", "--fan", "2", "--out", str(net_file)]) == 0

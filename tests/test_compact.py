@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from plmorse import morse
 from plmorse.complexes import _contained, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
@@ -301,7 +302,8 @@ def test_strip_pair_separation():
 def test_modeled_pair_sublevel_pair_of_nonnegative_net():
     # F >= 0 everywhere, so the F <= -1 part of the pair is empty
     cx = build_complex(two_relu_net())
-    model, inner = modeled_pair(cx, [F(-2), F(-1), F(1)], (F(-2), F(1)), (F(-2), F(-1)))
+    rcx = refine_at_levels(cx, [F(-2), F(-1), F(1)])
+    model, inner = modeled_pair(rcx, (F(-2), F(1)), (F(-2), F(-1)))
     assert inner == frozenset()
     tri = triangulate(model)
     pair = SimplicialPair(tri.complex, carried_simplices(tri, inner))
@@ -411,3 +413,51 @@ def test_containment_pairs_match_pairwise_rule(make):
         got = rcx.containment_pairs(keys)
         assert len(got) == len(set(got))
         assert set(got) == _pairwise_containment(rcx, keys), (levels, lo, hi)
+
+
+def _pair_ranks(rcx, outer, inner):
+    model, ids = modeled_pair(rcx, outer, inner)
+    tri = triangulate(model)
+    return relative_betti(SimplicialPair(tri.complex, carried_simplices(tri, ids)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_fan_network(1),
+        lambda: build_coarse_bound_network(4),
+        lambda: random_network((2, 2, 2, 1), 5),
+        lambda: random_network((3, 3, 1), 10004),
+        lambda: random_network((3, 2, 1), 1),
+        half_plane_net,
+    ],
+    ids=["fan1", "coarse_bound4", "random_2_2_2_1_seed5", "random_3_3_1_seed10004",
+         "random_3_2_1_seed1", "half_plane"],
+)
+def test_stable_measures_match_separate_models(make):
+    """One refinement at +-M with marked models gives what the separate
+    sub/superlevel models and the excised [-M-1, M] strip pairs give."""
+    cx = build_complex(make())
+    st, co, counts = morse.stable_measures(cx)
+    m = st.m
+    separate = tuple(
+        betti(triangulate(model(cx, c)).complex)
+        for model, c in ((sublevel_model, -m), (sublevel_model, m),
+                         (superlevel_model, -m), (superlevel_model, m))
+    )
+    vecs = (st.sub_minus, st.sub_plus, st.super_minus, st.super_plus)
+    assert vecs == separate
+    assert counts == tuple(v[0] if v else 0 for v in vecs)
+    mp = m + 1
+    assert co.sublevel == _pair_ranks(
+        refine_at_levels(cx, [-mp, -m, m]), (-mp, m), (-mp, -m)
+    )
+    assert co.superlevel == _pair_ranks(
+        refine_at_levels(cx, [-m, m, mp]), (-m, mp), (m, mp)
+    )
+    rcx = refine_at_levels(cx, [-m, m])
+    keys = rcx.keys_in(None, None)
+    n = cx.network.n0
+    whole = essentialize([rcx.cells[k] for k in keys], n)[1]
+    for comp in rcx.components(keys):
+        assert essentialize([rcx.cells[k] for k in comp], n)[1] == whole

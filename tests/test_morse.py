@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import jsonschema
 import pytest
 
-from plmorse import morse
+from plmorse import homology, morse
 from plmorse.compact import strip_pair_model, sublevel_model, superlevel_model
 from plmorse.complexes import build_complex, flat_cells
 from plmorse.homology import (
@@ -130,7 +130,7 @@ def test_epsilon_choice_does_not_change_ranks():
 
 
 def test_stable_complexities_two_relu():
-    st = morse.stable_complexities(build_complex(two_relu_net()))
+    st = morse.stable_measures(build_complex(two_relu_net()))[0]
     assert st.m == 1
     assert st.sub_minus == ()
     assert st.sub_plus == (1,)
@@ -140,7 +140,7 @@ def test_stable_complexities_two_relu():
 
 def test_stable_complexities_fans():
     for n in (1, 2):
-        st = morse.stable_complexities(build_complex(build_fan_network(n)))
+        st = morse.stable_measures(build_complex(build_fan_network(n)))[0]
         assert st.sub_minus == (2,)
         assert st.sub_plus == (1,)
         assert st.super_minus == (1,)
@@ -149,7 +149,7 @@ def test_stable_complexities_fans():
 
 def test_stable_invariant_under_larger_cutoff():
     cx = build_complex(build_fan_network(1))
-    st = morse.stable_complexities(cx)
+    st = morse.stable_measures(cx)[0]
     m = morse.big_m(cx) + 5
     vecs = tuple(
         betti(triangulate(md).complex)
@@ -182,8 +182,7 @@ def test_coarse_bound_networks():
 def test_component_counts_match_stable_betti():
     for net in (two_relu_net(), build_fan_network(1), three_line_net([2, -3, 1])):
         cx = build_complex(net)
-        counts = morse.component_counts(cx)
-        st = morse.stable_complexities(cx)
+        st, _, counts = morse.stable_measures(cx)
         for got, vec in zip(counts, (st.sub_minus, st.sub_plus, st.super_minus, st.super_plus)):
             b0 = vec[0] if vec else 0
             assert got == b0
@@ -191,10 +190,16 @@ def test_component_counts_match_stable_betti():
 
 def test_component_count_bounds_fan2():
     cx = build_complex(build_fan_network(2))
-    n_minus, n_plus, n_super_minus, n_super_plus = morse.component_counts(cx)
-    co = morse.coarse_complexities(cx)
+    _, co, (n_minus, n_plus, n_super_minus, n_super_plus) = morse.stable_measures(cx)
     assert abs(n_minus - n_plus) <= co.sublevel_total
     assert abs(n_super_plus - n_super_minus) <= co.superlevel_total
+
+
+def test_stable_measures_check_counts_against_b0(monkeypatch):
+    real = homology.sparse_rank
+    monkeypatch.setattr(homology, "sparse_rank", lambda rows: real(rows) + 1)
+    with pytest.raises(RuntimeError, match="connected components but Betti numbers"):
+        morse.stable_measures(build_complex(build_fan_network(1)))
 
 
 def test_classify_vertex_threeline():

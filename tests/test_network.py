@@ -14,6 +14,7 @@ from plmorse.network import (
     NetworkFormatError,
     NetworkShapeError,
     RationalParseError,
+    _check_cyclic_tangency_points,
     build_coarse_bound_network,
     build_fan_network,
     load_network,
@@ -112,6 +113,24 @@ def test_fan_tangency_rows_on_unit_circle():
     for row in net.layers[0].weights:
         assert row[0] ** 2 + row[1] ** 2 == 1
     assert net.layers[1].weights[0] == tuple(F((-1) ** j) for j in range(1, 7))
+
+
+NORTH, EAST, SOUTH, WEST = (F(0), F(1)), (F(1), F(0)), (F(0), F(-1)), (F(-1), F(0))
+
+
+@pytest.mark.parametrize(
+    "points, match",
+    [
+        ([NORTH, (F(1, 2), F(1, 2))], "off the unit circle"),
+        ([EAST, NORTH], "out of clockwise order"),
+        ([NORTH, EAST, SOUTH, WEST, NORTH], "coincident"),
+    ],
+    ids=["off_circle", "counterclockwise", "coincident"],
+)
+def test_tangency_point_check_raises(points, match):
+    _check_cyclic_tangency_points([NORTH, EAST, SOUTH, WEST])
+    with pytest.raises(ValueError, match=match):
+        _check_cyclic_tangency_points(points, wraparound=False)
 
 
 def test_coarse_bound_output_weights():
