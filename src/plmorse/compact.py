@@ -3,21 +3,26 @@
 Sublevel, superlevel, level, and strip sets of a network are unions of cells
 of the canonical complex refined along finitely many values of F.  Each such
 set is modeled by a compact polytopal complex: essentialize the selected
-pieces (project out the common lineality by intersecting with the span of
-the constraint normals), then take convex hulls of vertex sets together with
-all of their faces.  The model carries provenance back to the refined pieces,
-so distinguished subcomplexes (flat components, strip floors) can be marked.
+pieces (project out the common lineality ker(W1) by intersecting with the
+row space of W1), then take convex hulls of their vertex sets together with
+all of their faces.  A piece's vertices are read off its parent cell's 0-
+and 1-faces, and a piece is kept where F's range over its parent cell meets
+the interval.  The model carries provenance back to the refined pieces, so
+distinguished subcomplexes (flat components, strip floors) can be marked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (
     CanonicalComplex,
+    CellFaces,
     FlatComponent,
     Label,
+    LabeledCell,
     components,
     flat_cells,
 )
@@ -26,7 +31,6 @@ from .geometry import (
     Vec,
     canon_constraint,
     dot,
-    feasible,
     nullspace_basis,
     rank,
     row_space_basis,
@@ -48,15 +52,84 @@ def piece_sort_key(key: PieceKey):
 
 @dataclass(frozen=True)
 class RefinedCell:
-    source: Label
+    """The part of a cell of the complex where F lies in ``interval``.
+
+    ``faces`` are the cell's 0- and 1-faces; ``kernel`` holds the directions
+    that ``essentialize`` cut away (none before it).
+    """
+
+    cell: LabeledCell
     interval: Interval
-    geometry: Polyhedron
-    gradient: Vec
-    constant: Fraction
+    faces: CellFaces
+    kernel: tuple[Vec, ...] = ()
+
+    @property
+    def source(self) -> Label:
+        return self.cell.label
 
     @property
     def key(self) -> PieceKey:
         return (self.source, self.interval)
+
+    @cached_property
+    def pointed(self) -> bool:
+        """Whether the closed piece has no lines: every line of the cell is
+        cut by an end of the interval or by the kernel."""
+        lines = self.cell.geometry.lineality_basis
+        cuts = list(self.kernel)
+        if self.interval != (None, None):
+            cuts.append(self.cell.gradient)
+        return rank([[dot(c, b) for b in lines] for c in cuts]) == len(lines)
+
+    def contains(self, point) -> bool:
+        """Whether the point lies in the closed piece."""
+        lo, hi = self.interval
+        f = self.cell.form_at(point)
+        return (
+            (lo is None or f >= lo)
+            and (hi is None or f <= hi)
+            and all(dot(d, point) == 0 for d in self.kernel)
+            and self.cell.geometry.contains(point)
+        )
+
+    @cached_property
+    def geometry(self) -> Polyhedron:
+        """The closed piece: the cell with F in the interval, cut by the
+        hyperplanes orthogonal to the kernel."""
+        c, poly = self.cell, self.cell.geometry
+        eqs, ges = [], []
+        if not c.flat:
+            eqs, ges = _interval_constraints(c.gradient, c.constant, self.interval)
+        eqs += [canon_constraint(d, 0, equality=True) for d in self.kernel]
+        if not (eqs or ges):
+            return poly
+        req, rst = poly.relint_system
+        return Polyhedron(
+            poly.n,
+            eqs=poly.eqs + tuple(eqs),
+            ges=poly.ges + tuple(ges),
+            relint=(req + tuple(eqs), rst + tuple(ges)),
+        )
+
+    @cached_property
+    def vertices(self) -> list[Vec]:
+        """Vertices of the piece cut by the row space of W1, sorted: the
+        parent's 0-faces with F in the closed interval, and the points where
+        its 1-faces cross a finite end of the interval."""
+        lo, hi = self.interval
+        found = {
+            p
+            for p, f in self.faces.points
+            if (lo is None or f >= lo) and (hi is None or f <= hi)
+        }
+        for t in {lo, hi} - {None}:
+            for e in self.faces.edges:
+                if e.slope == 0:
+                    continue
+                s = (t - e.value) / e.slope
+                if s >= 0 and (not e.bounded or s <= 1):
+                    found.add(tuple(a + s * d for a, d in zip(e.start, e.direction)))
+        return sorted(found)
 
 
 class RefinedComplex:
@@ -110,6 +183,17 @@ def _interval_subset(inner: Interval, outer: Interval) -> bool:
     return True
 
 
+def _relints_meet(a: Interval, b: Interval) -> bool:
+    """Whether the relative interiors of two closed intervals meet."""
+    if a[0] is not None and a[0] == a[1]:
+        return _scalar_in_relint(a[0], b)
+    if b[0] is not None and b[0] == b[1]:
+        return _scalar_in_relint(b[0], a)
+    return (a[0] is None or b[1] is None or a[0] < b[1]) and (
+        b[0] is None or a[1] is None or b[0] < a[1]
+    )
+
+
 def _scalar_in_relint(v: Fraction, iv: Interval) -> bool:
     lo, hi = iv
     if lo is not None and hi is not None and lo == hi:
@@ -140,6 +224,8 @@ def refine_at_levels(cx: CanonicalComplex, thresholds) -> RefinedComplex:
 
     A piece (C, I) is kept when the relative interior of C meets the relative
     interior of F^{-1}(I), so each point of |C| lands in exactly one piece.
+    F maps the relative interior of C onto the relative interior of F(closure
+    of C), whose ends the cell's faces give.
     """
     ts = sorted({Fraction(t) for t in thresholds})
     intervals: list[Interval] = []
@@ -153,27 +239,13 @@ def refine_at_levels(cx: CanonicalComplex, thresholds) -> RefinedComplex:
                 intervals.append((t, ts[i + 1]))
         intervals.append((ts[-1], None))
 
-    n = cx.network.n0
     pieces: dict[PieceKey, RefinedCell] = {}
     for lab, c in cx.cells.items():
-        req, rst = c.geometry.relint_system
-        if c.flat:
-            v = c.value_on_cell()
-            for iv in intervals:
-                if _scalar_in_relint(v, iv):
-                    pieces[(lab, iv)] = RefinedCell(lab, iv, c.geometry, c.gradient, c.constant)
-            continue
+        faces = cx.skeleton[lab]
+        f_range = faces.f_range
         for iv in intervals:
-            eqc, inc = _interval_constraints(c.gradient, c.constant, iv)
-            if not feasible(n, eqs=list(req) + eqc, gts=list(rst) + inc):
-                continue
-            geo = Polyhedron(
-                n,
-                eqs=list(c.geometry.eqs) + eqc,
-                ges=list(c.geometry.ges) + inc,
-                relint=(tuple(req) + tuple(eqc), tuple(rst) + tuple(inc)),
-            )
-            pieces[(lab, iv)] = RefinedCell(lab, iv, geo, c.gradient, c.constant)
+            if _relints_meet(f_range, iv):
+                pieces[(lab, iv)] = RefinedCell(c, iv, faces)
     return RefinedComplex(cx, ts, pieces)
 
 
@@ -189,34 +261,17 @@ class Essentialization:
     kernel: tuple[Vec, ...]
 
 
-def essentialize(pieces, n: int):
-    """Intersect a group of cells with the span of their normals.
+def essentialize(pieces, cx: CanonicalComplex):
+    """Intersect pieces of the complex with the row space of W1.
 
-    The kernel directions are common lineality of every cell, so this is a
-    homotopy equivalence onto cells whose dimension drops by n - rank; when
-    the normals already span, the input is returned unchanged.  Each cell of a
-    network's complex has a constraint for every nonzero first-layer row and
-    no normal outside their span, so the kernel is ker(W1) for any group.
+    Every cell and F are invariant along ker(W1), the common lineality of the
+    cells, so this is a homotopy equivalence onto cells whose dimension drops
+    by dim ker(W1); when W1 has full column rank the input is returned
+    unchanged.
     """
-    normals = []
-    for p in pieces:
-        normals.extend(p.geometry.all_normals)
-    r = rank(normals)
-    if r == n:
-        return list(pieces), Essentialization(r, ())
-    kernel = nullspace_basis(normals, n)
-    eq_cons = [canon_constraint(d, 0, equality=True) for d in kernel]
-    out = []
-    for p in pieces:
-        req, rst = p.geometry.relint_system
-        geo = Polyhedron(
-            n,
-            eqs=list(p.geometry.eqs) + eq_cons,
-            ges=p.geometry.ges,
-            relint=(tuple(req) + tuple(eq_cons), rst),
-        )
-        out.append(RefinedCell(p.source, p.interval, geo, p.gradient, p.constant))
-    return out, Essentialization(r, tuple(kernel))
+    kernel = cx.kernel
+    out = [replace(p, kernel=kernel) for p in pieces] if kernel else list(pieces)
+    return out, Essentialization(cx.network.n0 - len(kernel), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +354,19 @@ def _polytope_faces(verts: tuple[Vec, ...], memo) -> set[frozenset[Vec]]:
 def compact_part(pieces) -> CompactModel:
     """Union of vertex hulls and all their faces, deduplicated by vertex set.
 
-    Every input cell must be pointed; unbounded directions are dropped, which
-    is a deformation retraction for complexes whose components have full
-    normal span.
+    Every input piece must be pointed; its polytope is the hull of its
+    ``vertices``, so unbounded directions are dropped, which is a deformation
+    retraction for complexes whose components have full normal span.
     """
     memo: dict[frozenset[Vec], set[frozenset[Vec]]] = {}
     sources: dict[frozenset[Vec], set[PieceKey]] = {}
     for p in pieces:
-        if not p.geometry.pointed:
+        if not p.pointed:
             raise ValueError(
                 f"cell {p.source} over F-interval {p.interval} is unpointed; "
                 "essentialize the component first"
             )
-        vs = p.geometry.vertices
-        for face in _polytope_faces(tuple(vs), memo):
+        for face in _polytope_faces(tuple(p.vertices), memo):
             sources.setdefault(face, set()).add(p.key)
     all_verts = sorted({v for face in sources for v in face})
     vid = {v: i for i, v in enumerate(all_verts)}
@@ -330,15 +384,14 @@ def compact_part(pieces) -> CompactModel:
 
 def _selected_model(rcx: RefinedComplex, lo, hi):
     keys = rcx.keys_in(lo, hi)
-    pieces, _ = essentialize([rcx.cells[k] for k in keys], rcx.source.network.n0)
-    if lo is not None and hi is not None:
-        for p in pieces:
-            for d in p.geometry.lineality_basis + p.geometry.rays:
-                if dot(p.gradient, d) != 0:
-                    raise RuntimeError(
-                        f"F is not constant along the recession direction {d} of "
-                        f"cell {p.source} over F-interval {p.interval}"
-                    )
+    pieces, _ = essentialize([rcx.cells[k] for k in keys], rcx.source)
+    for p in pieces:
+        for v in p.vertices:
+            if not p.contains(v):
+                raise RuntimeError(
+                    f"derived vertex {v} of cell {p.source} over F-interval "
+                    f"{p.interval} lies outside the piece"
+                )
     return compact_part(pieces), keys
 
 

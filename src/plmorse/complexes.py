@@ -16,7 +16,7 @@ the 1-skeleton, and cell counts by dimension and boundedness.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +31,7 @@ from .geometry import (
     dot,
     feasible,
     in_span,
+    nullspace_basis,
     primitive_direction,
     rank,
     solve_linear,
@@ -77,6 +78,35 @@ class FlatComponent:
     labels: tuple[Label, ...]
 
 
+# Named tuples, not dataclasses: a frozen dataclass takes about 1 ms to
+# define, and every CLI call pays for it at import.
+class Edge(namedtuple("Edge", "start value direction slope bounded")):
+    """Ray ``start + s * direction`` for s >= 0 (s <= 1 too when bounded),
+    along which F changes by ``slope`` per unit of s from ``value``."""
+
+    __slots__ = ()
+
+
+class CellFaces(namedtuple("CellFaces", "points edges")):
+    """0- and 1-faces of a cell's closure cut by the row space of W1.
+
+    ``points`` holds each 0-face as a (point, F-value) pair; ``edges`` holds
+    each 1-face as an ``Edge``, a segment or a ray (a line with no 0-face is
+    two rays).
+    """
+
+    __slots__ = ()
+
+    @property
+    def f_range(self) -> tuple[Fraction | None, Fraction | None]:
+        """F(closure), None marking an unbounded end."""
+        values = [f for _, f in self.points]
+        rays = [e for e in self.edges if not e.bounded]
+        lo = None if any(e.slope < 0 for e in rays) else min(values)
+        hi = None if any(e.slope > 0 for e in rays) else max(values)
+        return lo, hi
+
+
 class CanonicalComplex:
     """All labeled cells of a network, with face poset and 1-skeleton data."""
 
@@ -108,6 +138,62 @@ class CanonicalComplex:
                         continue
                     pairs.add((sub.label, sup.label))
         return pairs
+
+    @cached_property
+    def kernel(self) -> tuple[Vec, ...]:
+        """Basis of ker(W1): every cell and F are invariant along it."""
+        return tuple(nullspace_basis(self.network.layers[0].weights, self.network.n0))
+
+    @cached_property
+    def skeleton(self) -> dict[Label, CellFaces]:
+        """Each cell's 0- and 1-faces, read off the face poset.
+
+        The minimal cells have dimension k = dim ker(W1); each, cut by the
+        row space of W1, is one point.  The cells one dimension higher are
+        the 1-faces: a segment between their two minimal faces, or a ray
+        from their one minimal face along their hull, oriented into the cell.
+        """
+        k = len(self.kernel)
+        faces: dict[Label, list[Label]] = {lab: [lab] for lab in self.cells}
+        for sub, sup in self.face_pairs:
+            if self.cells[sub].dimension <= k + 1:
+                faces[sup].append(sub)
+        points: dict[Label, tuple[Vec, Fraction]] = {}
+        for lab, c in self.cells.items():
+            if c.dimension == k:
+                p = self._cut(c)[0]
+                points[lab] = (p, c.form_at(p))
+        edges: dict[Label, tuple[Edge, ...]] = {}
+        for lab, c in self.cells.items():
+            if c.dimension != k + 1:
+                continue
+            ends = [points[f] for f in faces[lab] if f in points]
+            if len(ends) == 2:
+                (p, fp), (q, fq) = ends
+                d = tuple(b - a for a, b in zip(p, q))
+                edges[lab] = (Edge(p, fp, d, fq - fp, True),)
+                continue
+            base, (d,) = self._cut(c)
+            if any(dot(g, d) < 0 for g, _ in c.geometry.relint_system[1]):
+                d = tuple(-x for x in d)
+            rays = [d] if ends else [d, tuple(-x for x in d)]
+            p, fp = ends[0] if ends else (base, c.form_at(base))
+            edges[lab] = tuple(Edge(p, fp, r, dot(c.gradient, r), False) for r in rays)
+        return {
+            lab: CellFaces(
+                tuple(points[f] for f in fs if f in points),
+                tuple(e for f in fs for e in edges.get(f, ())),
+            )
+            for lab, fs in faces.items()
+        }
+
+    def _cut(self, cell: LabeledCell) -> tuple[Vec, list[Vec]]:
+        """A point and a direction basis of the cell's affine hull cut by
+        the row space of W1."""
+        eqs = cell.geometry.hull_eqs
+        rows = [c for c, _ in eqs] + list(self.kernel)
+        rhs = [-o for _, o in eqs] + [0] * len(self.kernel)
+        return solve_linear(rows, rhs, self.network.n0)
 
     @cached_property
     def _cofaces(self) -> dict[Label, list[Label]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -327,8 +327,15 @@ class Polyhedron:
         return not self.lineality_basis
 
     def contains(self, point) -> bool:
-        return all(form_value(c, o, point) == 0 for c, o in self.eqs) and all(
-            form_value(c, o, point) >= 0 for c, o in self.ges
+        # Scale the point to integers once; the constraints are integer.
+        den = lcm(*(x.denominator for x in point))
+        ints = [x.numerator * (den // x.denominator) for x in point]
+
+        def value(coef, off):
+            return sum(c * x for c, x in zip(coef, ints)) + off * den
+
+        return all(value(c, o) == 0 for c, o in self.eqs) and all(
+            value(c, o) >= 0 for c, o in self.ges
         )
 
     def in_relint(self, point) -> bool:

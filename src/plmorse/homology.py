@@ -332,7 +332,6 @@ def grid_oracle(net: Network, mode: str, c, resolution, box) -> OracleResult:
             f"a grid over box {b} at resolution {r} has {(steps + 1) ** 2} points, "
             f"more than the limit of {MAX_GRID_POINTS}"
         )
-    vals: dict[tuple[int, int], Fraction] = {}
     ok: dict[tuple[int, int], bool] = {}
     margin = None
     for i in range(steps + 1):
@@ -340,7 +339,6 @@ def grid_oracle(net: Network, mode: str, c, resolution, box) -> OracleResult:
         for j in range(steps + 1):
             y = -b + j * r
             v = net.evaluate((x, y))[0]
-            vals[(i, j)] = v
             ok[(i, j)] = passes(v)
             d = dist(v)
             if margin is None or d < margin:

@@ -1,12 +1,14 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from plmorse import morse
-from plmorse.complexes import _contained, build_complex, flat_cells
+from plmorse.complexes import CellFaces, LabeledCell, _contained, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
     RefinedCell,
+    _interval_constraints,
     _interval_subset,
     _polytope_faces,
     compact_part,
@@ -18,7 +20,7 @@ from plmorse.compact import (
     sublevel_model,
     superlevel_model,
 )
-from plmorse.geometry import Polyhedron, feasible
+from plmorse.geometry import Polyhedron, canon_constraint, feasible, nullspace_basis
 from plmorse.homology import (
     SimplicialComplex,
     SimplicialPair,
@@ -122,7 +124,7 @@ def test_essentialize_half_plane_complex_onto_axis():
     rcx = refine_at_levels(cx, [])
     pieces = [rcx.cells[k] for k in rcx.keys_in(None, None)]
     assert all(not p.geometry.pointed for p in pieces)
-    ess, desc = essentialize(pieces, 2)
+    ess, desc = essentialize(pieces, cx)
     assert desc.rank == 1
     assert desc.kernel == ((F(0), F(1)),)
     dims = sorted(p.geometry.dim for p in ess)
@@ -138,7 +140,7 @@ def test_essentialize_pointed_component_is_identity():
     cx = build_complex(two_relu_net())
     rcx = refine_at_levels(cx, [])
     pieces = [rcx.cells[k] for k in rcx.keys_in(None, None)]
-    ess, desc = essentialize(pieces, 2)
+    ess, desc = essentialize(pieces, cx)
     assert desc.rank == 2
     assert desc.kernel == ()
     assert [p.geometry.eqs for p in ess] == [p.geometry.eqs for p in pieces]
@@ -172,7 +174,9 @@ def test_compact_part_unit_square_is_itself():
         2,
         ges=[((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 1)],
     )
-    piece = RefinedCell((1,), (None, None), square, (F(0), F(0)), F(0))
+    cell = LabeledCell((1,), square, (F(0), F(0)), F(0), True, 2)
+    faces = CellFaces(tuple((v, F(0)) for v in square.vertices), ())
+    piece = RefinedCell(cell, (None, None), faces)
     model = compact_part([piece])
     assert len(model.vertices) == 4
     by_dim = sorted(c.dimension for c in model.cells.values())
@@ -351,6 +355,20 @@ def test_models_are_polytopal_complexes():
     _assert_polytopal_complex(strip_pair_model(fan1, F(0), lower).model)
 
 
+def _level_queries(cx):
+    """(levels, lo, hi) of a sublevel, superlevel, strip, level-only and
+    no-threshold model, cut at the median 0-cell value."""
+    values = sorted({c.form_at(c.geometry.affine_hull_point) for c in cx.cells_of_dim(0)})
+    c = values[len(values) // 2] if values else F(0)
+    return [
+        ([c], None, c),
+        ([c], c, None),
+        ([c - F(1, 2), c], c - F(1, 2), c),
+        ([c], c, c),
+        ([], None, None),
+    ]
+
+
 def deep_flat_net():
     """relu(relu(x) + relu(y)): the second-layer node map dies on a quadrant."""
     return Network(
@@ -398,16 +416,7 @@ def _pairwise_containment(rcx, keys):
 )
 def test_containment_pairs_match_pairwise_rule(make):
     cx = build_complex(make())
-    values = sorted({c.form_at(c.geometry.affine_hull_point) for c in cx.cells_of_dim(0)})
-    c = values[len(values) // 2] if values else F(0)
-    queries = [
-        ([c], None, c),
-        ([c], c, None),
-        ([c - F(1, 2), c], c - F(1, 2), c),
-        ([c], c, c),
-        ([], None, None),
-    ]
-    for levels, lo, hi in queries:
+    for levels, lo, hi in _level_queries(cx):
         rcx = refine_at_levels(cx, levels)
         keys = rcx.keys_in(lo, hi)
         got = rcx.containment_pairs(keys)
@@ -455,9 +464,111 @@ def test_stable_measures_match_separate_models(make):
     assert co.superlevel == _pair_ranks(
         refine_at_levels(cx, [-m, m, mp]), (-m, mp), (m, mp)
     )
+    # the kernel taken from W1 is the one each component's normals give
     rcx = refine_at_levels(cx, [-m, m])
     keys = rcx.keys_in(None, None)
     n = cx.network.n0
-    whole = essentialize([rcx.cells[k] for k in keys], n)[1]
     for comp in rcx.components(keys):
-        assert essentialize([rcx.cells[k] for k in comp], n)[1] == whole
+        pieces = [rcx.cells[k] for k in comp]
+        normals = [c for p in pieces for c in p.geometry.all_normals]
+        assert essentialize(pieces, cx)[1].kernel == tuple(nullspace_basis(normals, n))
+
+
+def _reference_pieces(cx, levels):
+    """Reference rule: one Fourier-Motzkin feasibility test per (cell,
+    interval), keeping the piece when the relative interior of the cell meets
+    F^-1 of the relative interior of the interval; then the vertices of each
+    kept piece, cut by the span of all kept pieces' normals, by subset
+    enumeration.  Returns {piece key: vertices}."""
+    ts = sorted(set(levels))
+    intervals = [(None, None)]
+    if ts:
+        intervals = [(None, ts[0])]
+        for a, b in zip(ts, ts[1:]):
+            intervals += [(a, a), (a, b)]
+        intervals += [(ts[-1], ts[-1]), (ts[-1], None)]
+    n = cx.network.n0
+    kept = {}
+    for lab, c in cx.cells.items():
+        req, rst = c.geometry.relint_system
+        for iv in intervals:
+            eqc, inc = _interval_constraints(c.gradient, c.constant, iv)
+            if feasible(n, eqs=list(req) + eqc, gts=list(rst) + inc):
+                kept[(lab, iv)] = (c.geometry, eqc, inc)
+    normals = [
+        coef for geo, eqc, inc in kept.values() for coef, _ in [*geo.eqs, *geo.ges, *eqc, *inc]
+    ]
+    cut = [canon_constraint(d, 0, equality=True) for d in nullspace_basis(normals, n)]
+    out = {}
+    for key, (geo, eqc, inc) in kept.items():
+        req, rst = geo.relint_system
+        poly = Polyhedron(
+            n,
+            eqs=[*geo.eqs, *eqc, *cut],
+            ges=[*geo.ges, *inc],
+            relint=([*req, *eqc, *cut], [*rst, *inc]),
+        )
+        out[key] = poly.vertices
+    return out
+
+
+REFERENCE_NETS = {
+    "fan1": lambda: build_fan_network(1),
+    "fan2": lambda: build_fan_network(2),
+    "coarse_bound4": lambda: build_coarse_bound_network(4),
+    "random_2_3_1_seed3": lambda: random_network((2, 3, 1), 3),
+    "random_2_2_2_1_seed5": lambda: random_network((2, 2, 2, 1), 5),
+    "random_2_3_2_1_seed3": lambda: random_network((2, 3, 2, 1), 3),
+    "random_3_3_1_seed10004": lambda: random_network((3, 3, 1), 10004),
+    "random_3_2_1_seed1": lambda: random_network((3, 2, 1), 1),
+    "half_plane": half_plane_net,
+    "random_2_1_1_seed1": lambda: random_network((2, 1, 1), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_NETS))
+def test_pieces_and_vertices_match_feasibility_and_enumeration(name):
+    """Pieces kept by the F-range rule and vertices read off the parent
+    cell's 0- and 1-faces equal what Fourier-Motzkin and subset enumeration
+    give, on full-rank and rank-deficient first layers alike."""
+    cx = build_complex(REFERENCE_NETS[name]())
+    for levels, lo, hi in _level_queries(cx):
+        rcx = refine_at_levels(cx, levels)
+        want = _reference_pieces(cx, levels)
+        assert set(rcx.cells) == set(want), levels
+        for key, piece in rcx.cells.items():
+            assert piece.vertices == want[key], (levels, key)
+            assert piece.pointed == piece.geometry.pointed
+        keys = rcx.keys_in(lo, hi)
+        for piece in essentialize([rcx.cells[k] for k in keys], cx)[0]:
+            assert piece.pointed and piece.geometry.pointed
+            assert all(piece.geometry.contains(v) for v in piece.vertices)
+
+
+def test_affine_net_pieces_are_cut_from_a_line():
+    """With no hidden layer the one cell, cut by the row space of W1, is a
+    line with no 0-face; its pieces' vertices are where it crosses levels."""
+    cx = build_complex(
+        Network((AffineLayer.make([[1, 2]], [3], "none"),))
+    )
+    rcx = refine_at_levels(cx, [F(-2), F(3)])
+    origin, below = (F(0), F(0)), (F(-1), F(-2))
+    assert {k[1]: p.vertices for k, p in rcx.cells.items()} == {
+        (None, F(-2)): [below],
+        (F(-2), F(-2)): [below],
+        (F(-2), F(3)): [below, origin],
+        (F(3), F(3)): [origin],
+        (F(3), None): [origin],
+    }
+    for model in (sublevel_model, superlevel_model, level_model):
+        assert betti(triangulate(model(cx, F(1))).complex) == (1,)
+
+
+def test_selected_model_rejects_derived_vertex_outside_its_piece():
+    cx = build_complex(two_relu_net())
+    lab = cx.cells_of_dim(0)[0].label
+    ((p, f),) = cx.skeleton[lab].points
+    cx.skeleton[lab] = CellFaces((((p[0] + 1, p[1]), f),), ())
+    rcx = refine_at_levels(cx, [F(1)])
+    with pytest.raises(RuntimeError, match=re.escape(f"of cell {lab} over F-interval")):
+        modeled_pair(rcx, (None, F(1)), (None, F(0)))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmorse.compact import RefinedCell, compact_part
+from plmorse.complexes import CellFaces, LabeledCell
 from plmorse.geometry import Polyhedron
 from plmorse.homology import (
     NotFullError,
@@ -27,7 +28,9 @@ F = Fraction
 
 
 def model_of(poly: Polyhedron):
-    piece = RefinedCell((1,), (None, None), poly, (F(0),) * poly.n, F(0))
+    cell = LabeledCell((1,), poly, (F(0),) * poly.n, F(0), True, poly.dim)
+    faces = CellFaces(tuple((v, F(0)) for v in poly.vertices), ())
+    piece = RefinedCell(cell, (None, None), faces)
     return compact_part([piece])
 
 
