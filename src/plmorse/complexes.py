@@ -358,21 +358,25 @@ def components(nodes, edges) -> list[list]:
     """Connected components of a graph by union-find.
 
     Components come in the order of their first node, and each lists its
-    nodes in the given order.
+    nodes in the given order.  Nodes are numbered once, so find steps hash
+    nothing (piece keys hold Fractions, whose hash is costly).
     """
-    parent = {x: x for x in nodes}
+    nodes = list(nodes)
+    index: dict = {}
+    ids = [index.setdefault(x, len(index)) for x in nodes]
+    parent = list(range(len(index)))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
     for a, b in edges:
-        parent[find(a)] = find(b)
-    groups: dict = {}
-    for x in nodes:
-        groups.setdefault(find(x), []).append(x)
+        parent[find(index[a])] = find(index[b])
+    groups: dict[int, list] = {}
+    for x, k in zip(nodes, ids):
+        groups.setdefault(find(k), []).append(x)
     return list(groups.values())
 
 

@@ -139,6 +139,27 @@ class Network:
         return Network(self.layers[:-1] + (flipped,))
 
 
+def integer_layers(net: Network, q: int = 1):
+    """The network on inputs x = X/q as integer layers: F(X/q) = G(X)/sigma.
+
+    Each layer (W, c) is scaled by e, the lcm of its denominators.  Because
+    ReLU commutes with a positive scale, Y = sigma*x passes through it as
+    max(A*Y + B, 0) with A = e*W and B = sigma*e*c, after which sigma becomes
+    sigma*e; the last layer, without ReLU, gives G.  Returns the integer
+    (A, B) pairs and the final sigma.
+    """
+    sigma = q
+    out = []
+    for layer in net.layers:
+        e = math.lcm(*(x.denominator for row in layer.weights for x in row),
+                     *(c.denominator for c in layer.bias))
+        a = tuple(tuple(int(w * e) for w in row) for row in layer.weights)
+        b = tuple(int(c * e) * sigma for c in layer.bias)
+        out.append((a, b))
+        sigma *= e
+    return tuple(out), sigma
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

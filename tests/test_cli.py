@@ -143,6 +143,14 @@ def test_oracle_refuses_huge_grid(tmp_path, capsys):
     assert "more than the limit of 1000000" in capsys.readouterr().err
 
 
+def test_oracle_rejects_nonpositive_box(tmp_path, capsys):
+    net_file = tmp_path / "net.json"
+    _two_relu_json(net_file)
+    assert main(["oracle", str(net_file), "--threshold", "1/3",
+                 "--resolution", "1/4", "--box", "-1"]) == 2
+    assert "box must be positive" in capsys.readouterr().err
+
+
 def test_export_svg(tmp_path):
     net_file = tmp_path / "fan2.json"
     assert main(["generate", "--fan", "2", "--out", str(net_file)]) == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plmorse.complexes import (
     build_complex,
     census,
+    components,
     edge_orientation,
     flat_cells,
     generic_line_counts,
@@ -47,6 +48,13 @@ def three_line_network(out=(2, -3, 1)):
             AffineLayer.make([list(out)], [0], "none"),
         )
     )
+
+
+def test_components_keep_node_order():
+    nodes = ["e", "a", "d", "b", "c", "f"]
+    edges = [("a", "c"), ("d", "e"), ("c", "f")]
+    assert components(nodes, edges) == [["e", "d"], ["a", "c", "f"], ["b"]]
+    assert components([], []) == []
 
 
 def test_n1_cell_counts():

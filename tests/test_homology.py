@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from plmorse.complexes import CellFaces, LabeledCell
 from plmorse.geometry import Polyhedron
 from plmorse.homology import (
     NotFullError,
+    OracleResult,
     SimplicialComplex,
     SimplicialPair,
     barycentric,
@@ -22,7 +24,7 @@ from plmorse.homology import (
     sparse_rank,
     triangulate,
 )
-from plmorse.network import AffineLayer, Network, build_fan_network
+from plmorse.network import AffineLayer, Network, build_fan_network, random_network
 
 F = Fraction
 
@@ -268,6 +270,88 @@ def test_grid_oracle_rejects_bad_input():
         grid_oracle(one_bend_net(), "level", 0, F(1, 4), 4)
     with pytest.raises(ValueError, match="resolution"):
         grid_oracle(one_bend_net(), "sublevel", 0, 0, 4)
+    for box in (0, -1):
+        with pytest.raises(ValueError, match="box must be positive"):
+            grid_oracle(one_bend_net(), "sublevel", 0, F(1, 4), box)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        grid_oracle(one_bend_net(), "band", (F(1, 3), F(-1, 3)), F(1, 4), 4)
+
+
+def reference_oracle(net, mode, c, resolution, box) -> OracleResult:
+    """grid_oracle by the direct route: a Fraction value at every grid point,
+    the passing squares triangulated, and Betti numbers by rank."""
+    r, b = F(resolution), F(box)
+    if mode == "band":
+        lo, hi = F(c[0]), F(c[1])
+        passes = lambda v: lo <= v <= hi
+        dist = lambda v: min(abs(v - lo), abs(v - hi))
+    else:
+        t = F(c)
+        passes = (lambda v: v <= t) if mode == "sublevel" else (lambda v: v >= t)
+        dist = lambda v: abs(v - t)
+    steps = math.ceil(2 * b / r)
+    grid = range(steps + 1)
+    values = {(i, j): net.evaluate((-b + i * r, -b + j * r))[0] for i in grid for j in grid}
+    vid: dict = {}
+    tris = []
+    for i in range(steps):
+        for j in range(steps):
+            corners = [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)]
+            if all(passes(values[k]) for k in corners):
+                a, p, q, d = (vid.setdefault(k, len(vid)) for k in corners)
+                tris += [(a, p, d), (a, q, d)]
+    sc = SimplicialComplex.from_maximal(tuple(vid), tris)
+    return OracleResult(betti(sc), min(dist(v) for v in values.values()), len(tris) // 2)
+
+
+def abs_sum_net():
+    """|x| + |y|: its superlevel sets in a box are annuli."""
+    return Network(
+        (
+            AffineLayer.make([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 0, 0], "relu"),
+            AffineLayer.make([[1, 1, 1, 1]], [0], "none"),
+        )
+    )
+
+
+# name: (net, box, resolution, {(mode, threshold): Betti numbers or None})
+ORACLE_CASES = {
+    "fan1": (build_fan_network(1), 2, F(1, 8), {
+        ("sublevel", F(-1, 4)): (2,),
+        ("superlevel", F(-1, 4)): None,
+        ("band", (F(-1, 4), F(1, 4))): None,
+    }),
+    "abs_hole": (abs_sum_net(), 3, F(1, 4), {
+        ("sublevel", F(9, 8)): (1,),
+        ("superlevel", F(9, 8)): (1, 1),
+        ("band", (F(9, 8), F(17, 8))): (1, 1),
+    }),
+    "deep_2_2_2_1_seed5": (random_network((2, 2, 2, 1), 5), 3, F(1, 4), {
+        ("sublevel", F(0)): None,
+        ("superlevel", F(1, 5)): None,
+        ("band", (F(-1, 5), F(1, 5))): None,
+    }),
+    "box_off_grid": (build_fan_network(1), F(7, 3), F(1, 4), {
+        ("sublevel", F(-1, 3)): None,
+        ("superlevel", F(-1, 3)): None,
+        ("band", (F(-1, 3), F(1, 2))): None,
+    }),
+    "empty": (abs_sum_net(), 2, F(1, 4), {
+        ("sublevel", F(-1)): (),
+        ("superlevel", F(5)): (),
+        ("band", (F(5), F(6))): (),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_grid_oracle_matches_triangulated_reference(name):
+    net, box, res, calls = ORACLE_CASES[name]
+    for (mode, c), want in calls.items():
+        got = grid_oracle(net, mode, c, res, box)
+        assert got == reference_oracle(net, mode, c, res, box), (mode, c)
+        if want is not None:
+            assert got.betti == want, (mode, c)
 
 
 _BASE_FACES = face_closure([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5)])

@@ -17,6 +17,7 @@ from plmorse.network import (
     _check_cyclic_tangency_points,
     build_coarse_bound_network,
     build_fan_network,
+    integer_layers,
     load_network,
     prescribe_edge_orientations,
     random_network,
@@ -305,3 +306,23 @@ def test_piecewise_affine_midpoint(seed, x, y):
         return
     mid = tuple((a + b) / 2 for a, b in zip(x, y))
     assert net.evaluate(mid)[0] == (net.evaluate(x)[0] + net.evaluate(y)[0]) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (2, 3, 1), (3, 2, 2, 1), (2, 2, 3, 1)]),
+    st.integers(0, 2**32),
+    st.integers(1, 60),
+    st.lists(st.integers(-200, 200), min_size=3, max_size=3),
+)
+def test_integer_layers_match_evaluate(arch, seed, q, xs):
+    """F(X/q) = G(X)/sigma, with G run through the integer layers."""
+    net = random_network(arch, seed=seed)
+    layers, sigma = integer_layers(net, q)
+    y = xs[: arch[0]]
+    for k, (a, b) in enumerate(layers):
+        if k:
+            y = [max(v, 0) for v in y]
+        y = [sum(w * v for w, v in zip(row, y)) + c for row, c in zip(a, b)]
+    assert all(isinstance(v, int) for v in y)
+    assert F(y[0], sigma) == net.evaluate([F(x, q) for x in xs[: arch[0]]])[0]
