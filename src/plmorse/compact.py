@@ -1,14 +1,18 @@
 """Interval refinement and compact polytopal models of level-split sets.
 
 Sublevel, superlevel, level, and strip sets of a network are unions of cells
-of the canonical complex refined along finitely many values of F.  Each such
-set is modeled by a compact polytopal complex: essentialize the selected
-pieces (project out the common lineality ker(W1) by intersecting with the
-row space of W1), then take convex hulls of their vertex sets together with
-all of their faces.  A piece's vertices are read off its parent cell's 0-
-and 1-faces, and a piece is kept where F's range over its parent cell meets
-the interval.  The model carries provenance back to the refined pieces, so
-distinguished subcomplexes (flat components, strip floors) can be marked.
+of the canonical complex refined along finitely many values of F.  A piece
+is kept where F's range over its parent cell meets the interval, and its
+0- and 1-faces are read off the parent's.  A set's compact model is the
+bounded subcomplex of its pieces' face poset, once essentialization (a cut
+by the row space of W1, projecting out the common lineality ker(W1)) has
+made every piece pointed.  The bounded faces of a pointed polyhedron form a
+contractible complex (Björner, Las Vergnas, Sturmfels, White and Ziegler,
+Oriented Matroids, section 4.5), so, adding pieces in order of dimension,
+the bounded pieces have the homotopy type of the set and of every
+face-closed union of its pieces.  No hull is taken.  The model carries
+provenance back to the refined pieces, so distinguished subcomplexes (flat
+components, strip floors) can be marked.
 """
 
 from __future__ import annotations
@@ -26,16 +30,7 @@ from .complexes import (
     components,
     flat_cells,
 )
-from .geometry import (
-    Polyhedron,
-    Vec,
-    canon_constraint,
-    dot,
-    nullspace_basis,
-    rank,
-    row_space_basis,
-    solve_linear,
-)
+from .geometry import Polyhedron, Vec, canon_constraint, dot, rank
 
 Interval = tuple[Fraction | None, Fraction | None]
 PieceKey = tuple[Label, Interval]
@@ -81,15 +76,31 @@ class RefinedCell:
             cuts.append(self.cell.gradient)
         return rank([[dot(c, b) for b in lines] for c in cuts]) == len(lines)
 
-    def contains(self, point) -> bool:
-        """Whether the point lies in the closed piece."""
+    @property
+    def dimension(self) -> int:
+        """Dimension of the closed piece: the parent's, less the kernel,
+        less one where a point interval cuts a nonflat parent."""
         lo, hi = self.interval
-        f = self.cell.form_at(point)
-        return (
-            (lo is None or f >= lo)
-            and (hi is None or f <= hi)
-            and all(dot(d, point) == 0 for d in self.kernel)
-            and self.cell.geometry.contains(point)
+        cut = lo is not None and lo == hi and not self.cell.flat
+        return self.cell.dimension - len(self.kernel) - cut
+
+    @property
+    def bounded(self) -> bool:
+        """Whether no ray 1-face of the parent survives the interval.
+
+        The rays span the parent's recession cone, and a ray of slope s
+        leaves F >= lo when s < 0 and F <= hi when s > 0.  The one parent
+        with no 0-face, the line of a net with no hidden layer, is two
+        opposite rays, which only two finite ends cut off.
+        """
+        slopes = [e.slope for e in self.faces.edges if not e.bounded]
+        if not slopes:
+            return True
+        lo, hi = self.interval
+        if not self.faces.points:
+            return lo is not None and hi is not None and slopes[0] != 0
+        return (lo is not None and all(s < 0 for s in slopes)) or (
+            hi is not None and all(s > 0 for s in slopes)
         )
 
     @cached_property
@@ -286,7 +297,8 @@ class ModelCell:
 
 
 class CompactModel:
-    """Compact polytopal complex: vertex hulls of cells plus all their faces."""
+    """Compact polytopal complex: cells keyed by their vertex ids, with
+    the vertices' coordinates."""
 
     def __init__(self, vertices, cells):
         self.vertices: tuple[Vec, ...] = tuple(vertices)
@@ -307,75 +319,58 @@ class CompactModel:
         return frozenset(cid for cid, c in self.cells.items() if c.sources & keys)
 
 
-def _affine_rank(verts) -> int:
-    vs = list(verts)
-    v0 = vs[0]
-    return rank([tuple(a - b for a, b in zip(v, v0)) for v in vs[1:]])
+def _where(key: PieceKey) -> str:
+    return f"cell {key[0]} over F-interval {key[1]}"
 
 
-def _polytope_faces(verts: tuple[Vec, ...], memo) -> set[frozenset[Vec]]:
-    """All nonempty faces of conv(verts), each as a frozenset of vertices."""
-    from itertools import combinations
+def compact_part(pieces, pairs) -> CompactModel:
+    """The bounded subcomplex of the given pieces, read off their face poset.
 
-    verts = tuple(sorted(verts))
-    key = frozenset(verts)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    out = {key}
-    d = _affine_rank(verts)
-    if d == 0:
-        memo[key] = out
-        return out
-    n = len(verts[0])
-    v0 = verts[0]
-    basis = row_space_basis([tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]], n)
-    coord_rows = [tuple(b[i] for b in basis) for i in range(n)]
-    lam = {}
-    for v in verts:
-        sol, _ = solve_linear(coord_rows, [a - b for a, b in zip(v, v0)], d)
-        lam[v] = sol
-    for t in combinations(verts, d):
-        dirs = [tuple(a - b for a, b in zip(lam[u], lam[t[0]])) for u in t[1:]]
-        ns = nullspace_basis(dirs, d)
-        if len(ns) != 1:
-            continue
-        eta = ns[0]
-        base = dot(eta, lam[t[0]])
-        svals = [dot(eta, lam[v]) - base for v in verts]
-        if all(s >= 0 for s in svals) or all(s <= 0 for s in svals):
-            face = tuple(v for v, s in zip(verts, svals) if s == 0)
-            if len(face) < len(verts):
-                out |= _polytope_faces(face, memo)
-    memo[key] = out
-    return out
-
-
-def compact_part(pieces) -> CompactModel:
-    """Union of vertex hulls and all their faces, deduplicated by vertex set.
-
-    Every input piece must be pointed; its polytope is the hull of its
-    ``vertices``, so unbounded directions are dropped, which is a deformation
-    retraction for complexes whose components have full normal span.
+    ``pairs`` are the (inner, outer) containment pairs among the pieces'
+    keys.  Every piece must be pointed.  A model cell is a bounded piece:
+    its vertices are the 0-dimensional pieces in its closure, and its
+    sources are the piece and every piece whose closure holds it.  Each
+    0-dimensional piece is one point, each bounded d-piece has at least
+    d + 1 vertices, the faces of its closure alternate to 1 as a polytope's
+    do, and no two cells share a vertex set; a piece that breaks one of
+    these is named in a RuntimeError.
     """
-    memo: dict[frozenset[Vec], set[frozenset[Vec]]] = {}
-    sources: dict[frozenset[Vec], set[PieceKey]] = {}
     for p in pieces:
         if not p.pointed:
-            raise ValueError(
-                f"cell {p.source} over F-interval {p.interval} is unpointed; "
-                "essentialize the component first"
-            )
-        for face in _polytope_faces(tuple(p.vertices), memo):
-            sources.setdefault(face, set()).add(p.key)
-    all_verts = sorted({v for face in sources for v in face})
-    vid = {v: i for i, v in enumerate(all_verts)}
+            raise ValueError(f"{_where(p.key)} is unpointed; essentialize the component first")
+    # pieces by number: their keys hold Fractions, which are slow to hash
+    keys = [p.key for p in pieces]
+    index = {k: i for i, k in enumerate(keys)}
+    closure = [[i] for i in range(len(keys))]
+    sources = [[i] for i in range(len(keys))]
+    for a, b in pairs:
+        i, j = index[a], index[b]
+        closure[j].append(i)
+        sources[i].append(j)
+    dims = {i: p.dimension for i, p in enumerate(pieces) if p.bounded}
+    points = {}
+    for i, d in dims.items():
+        if d == 0:
+            found = pieces[i].vertices
+            if len(found) != 1:
+                raise RuntimeError(f"0-dimensional {_where(keys[i])} has points {found}, not one")
+            points[i] = found[0]
+    order = sorted(points, key=points.__getitem__)
+    vid = {i: n for n, i in enumerate(order)}
     cells: dict[frozenset[int], ModelCell] = {}
-    for face, src in sources.items():
-        cells[frozenset(vid[v] for v in face)] = ModelCell(
-            frozenset(vid[v] for v in face), _affine_rank(sorted(face)), frozenset(src)
-        )
-    return CompactModel(tuple(all_verts), cells)
+    for i, d in dims.items():
+        k = keys[i]
+        faces = [f for f in closure[i] if f in dims]
+        verts = frozenset(vid[f] for f in faces if f in vid)
+        if len(verts) < d + 1:
+            raise RuntimeError(f"bounded {d}-dimensional {_where(k)} has {len(verts)} vertices")
+        chi = sum((-1) ** dims[f] for f in faces)
+        if chi != 1:
+            raise RuntimeError(f"the faces of bounded {_where(k)} alternate to {chi}, not 1")
+        if verts in cells:
+            raise RuntimeError(f"{_where(k)} has the vertex set of another piece")
+        cells[verts] = ModelCell(verts, d, frozenset(keys[j] for j in sources[i]))
+    return CompactModel(tuple(points[i] for i in order), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +380,7 @@ def compact_part(pieces) -> CompactModel:
 def _selected_model(rcx: RefinedComplex, lo, hi):
     keys = rcx.keys_in(lo, hi)
     pieces, _ = essentialize([rcx.cells[k] for k in keys], rcx.source)
-    for p in pieces:
-        for v in p.vertices:
-            if not p.contains(v):
-                raise RuntimeError(
-                    f"derived vertex {v} of cell {p.source} over F-interval "
-                    f"{p.interval} lies outside the piece"
-                )
-    return compact_part(pieces), keys
+    return compact_part(pieces, rcx.containment_pairs(keys)), keys
 
 
 def sublevel_model(cx: CanonicalComplex, c) -> CompactModel:

@@ -1,0 +1,71 @@
+"""The hull model of a selection of refined pieces: the reference that the
+bounded-subcomplex model in ``plmorse.compact`` is compared against.
+
+Each pointed piece is replaced by the convex hull of its vertices, and the
+model is the union of those polytopes and all their faces, deduplicated by
+vertex set.  Unbounded directions are dropped, which is a deformation
+retraction for complexes whose components have full normal span.  Faces
+are found by trying every d-subset of a polytope's vertices as a facet.
+"""
+
+from itertools import combinations
+
+from plmorse.compact import CompactModel, ModelCell
+from plmorse.geometry import dot, nullspace_basis, rank, row_space_basis, solve_linear
+
+
+def affine_rank(verts) -> int:
+    vs = list(verts)
+    return rank([tuple(a - b for a, b in zip(v, vs[0])) for v in vs[1:]])
+
+
+def polytope_faces(verts, memo) -> set:
+    """All nonempty faces of conv(verts), each as a frozenset of vertices."""
+    verts = tuple(sorted(verts))
+    key = frozenset(verts)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    out = {key}
+    d = affine_rank(verts)
+    if d == 0:
+        memo[key] = out
+        return out
+    n = len(verts[0])
+    v0 = verts[0]
+    basis = row_space_basis([tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]], n)
+    coord_rows = [tuple(b[i] for b in basis) for i in range(n)]
+    lam = {v: solve_linear(coord_rows, [a - b for a, b in zip(v, v0)], d)[0] for v in verts}
+    for t in combinations(verts, d):
+        dirs = [tuple(a - b for a, b in zip(lam[u], lam[t[0]])) for u in t[1:]]
+        ns = nullspace_basis(dirs, d)
+        if len(ns) != 1:
+            continue
+        eta = ns[0]
+        base = dot(eta, lam[t[0]])
+        svals = [dot(eta, lam[v]) - base for v in verts]
+        if all(s >= 0 for s in svals) or all(s <= 0 for s in svals):
+            face = tuple(v for v, s in zip(verts, svals) if s == 0)
+            if len(face) < len(verts):
+                out |= polytope_faces(face, memo)
+    memo[key] = out
+    return out
+
+
+def hull_compact_part(pieces) -> CompactModel:
+    """Union of the pieces' vertex hulls and all their faces; every piece
+    must be pointed."""
+    memo: dict = {}
+    sources: dict = {}
+    for p in pieces:
+        if not p.pointed:
+            raise ValueError(f"cell {p.source} over F-interval {p.interval} is unpointed")
+        for face in polytope_faces(tuple(p.vertices), memo):
+            sources.setdefault(face, set()).add(p.key)
+    all_verts = sorted({v for face in sources for v in face})
+    vid = {v: i for i, v in enumerate(all_verts)}
+    cells = {}
+    for face, src in sources.items():
+        ids = frozenset(vid[v] for v in face)
+        cells[ids] = ModelCell(ids, affine_rank(sorted(face)), frozenset(src))
+    return CompactModel(tuple(all_verts), cells)

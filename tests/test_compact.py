@@ -1,16 +1,15 @@
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from plmorse import morse
-from plmorse.complexes import CellFaces, LabeledCell, _contained, build_complex, flat_cells
+from plmorse.complexes import CellFaces, _contained, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
-    RefinedCell,
     _interval_constraints,
     _interval_subset,
-    _polytope_faces,
     compact_part,
     essentialize,
     level_model,
@@ -36,8 +35,11 @@ from plmorse.network import (
     Network,
     build_coarse_bound_network,
     build_fan_network,
+    load_network,
     random_network,
 )
+
+from hull_model import hull_compact_part, polytope_faces
 
 F = Fraction
 
@@ -156,7 +158,7 @@ def test_compact_part_of_quadrant_is_origin():
         if all(s >= 0 for s in k[0])
     ]
     assert len(quadrant) == 4
-    model = compact_part(quadrant)
+    model = compact_part(quadrant, rcx.containment_pairs(p.key for p in quadrant))
     assert model.vertices == ((F(0), F(0)),)
     assert len(model.cells) == 1
 
@@ -164,30 +166,38 @@ def test_compact_part_of_quadrant_is_origin():
 def test_compact_part_of_whole_plane_complex_is_a_point():
     cx = build_complex(two_relu_net())
     rcx = refine_at_levels(cx, [])
-    model = compact_part([rcx.cells[k] for k in rcx.keys_in(None, None)])
+    keys = rcx.keys_in(None, None)
+    model = compact_part([rcx.cells[k] for k in keys], rcx.containment_pairs(keys))
     assert model.vertices == ((F(0), F(0)),)
     assert len(model.cells) == 1
 
 
 def test_compact_part_unit_square_is_itself():
-    square = Polyhedron(
-        2,
-        ges=[((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 1)],
+    # the lines x = 0, x = 1, y = 0, y = 1 bound one cell, the unit square
+    cx = build_complex(
+        Network(
+            (
+                AffineLayer.make([[1, 0], [1, 0], [0, 1], [0, 1]], [0, -1, 0, -1], "relu"),
+                AffineLayer.make([[1, 1, 1, 1]], [0], "none"),
+            )
+        )
     )
-    cell = LabeledCell((1,), square, (F(0), F(0)), F(0), True, 2)
-    faces = CellFaces(tuple((v, F(0)) for v in square.vertices), ())
-    piece = RefinedCell(cell, (None, None), faces)
-    model = compact_part([piece])
-    assert len(model.vertices) == 4
+    rcx = refine_at_levels(cx, [])
+    keys = rcx.keys_in(None, None)
+    model = compact_part([rcx.cells[k] for k in keys], rcx.containment_pairs(keys))
+    assert model.vertices == tuple((F(x), F(y)) for x in (0, 1) for y in (0, 1))
     by_dim = sorted(c.dimension for c in model.cells.values())
     assert by_dim == [0, 0, 0, 0, 1, 1, 1, 1, 2]
+    square = next(c for c in model.cells.values() if c.dimension == 2)
+    assert square.verts == frozenset(range(4))
 
 
 def test_compact_part_rejects_unpointed_cells():
     cx = build_complex(half_plane_net())
     rcx = refine_at_levels(cx, [])
+    keys = rcx.keys_in(None, None)
     with pytest.raises(ValueError, match="essentialize"):
-        compact_part([rcx.cells[k] for k in rcx.keys_in(None, None)])
+        compact_part([rcx.cells[k] for k in keys], rcx.containment_pairs(keys))
 
 
 def test_sublevel_models_of_two_relu_net():
@@ -336,9 +346,7 @@ def _assert_polytopal_complex(model: CompactModel):
             if shared:
                 assert shared in model.cells
                 for cid in (c1, c2):
-                    faces = _polytope_faces(
-                        tuple(sorted(coords[v] for v in cid)), {}
-                    )
+                    faces = polytope_faces(tuple(coords[v] for v in cid), {})
                     assert frozenset(coords[v] for v in shared) in faces
             else:
                 assert not _hulls_intersect(
@@ -564,11 +572,109 @@ def test_affine_net_pieces_are_cut_from_a_line():
         assert betti(triangulate(model(cx, F(1))).complex) == (1,)
 
 
-def test_selected_model_rejects_derived_vertex_outside_its_piece():
+# pieces of two_relu_net refined at F = 1, by name
+O = ((0, 0), (None, F(1)))
+A = ((1, 0), (F(1), F(1)))
+B = ((0, 1), (F(1), F(1)))
+X_SEG = ((1, 0), (None, F(1)))
+Y_SEG = ((0, 1), (None, F(1)))
+TRIANGLE = ((1, 1), (None, F(1)))
+
+
+def _sublevel_with_pairs(drop=(), add=()):
+    """F <= 1 of two_relu_net, with the containment pairs corrupted."""
     cx = build_complex(two_relu_net())
-    lab = cx.cells_of_dim(0)[0].label
-    ((p, f),) = cx.skeleton[lab].points
-    cx.skeleton[lab] = CellFaces((((p[0] + 1, p[1]), f),), ())
     rcx = refine_at_levels(cx, [F(1)])
-    with pytest.raises(RuntimeError, match=re.escape(f"of cell {lab} over F-interval")):
+    true_pairs = rcx.containment_pairs
+    rcx.containment_pairs = lambda keys: [
+        p for p in true_pairs(keys) if p not in drop
+    ] + list(add)
+    return modeled_pair(rcx, (None, F(1)), (None, F(0)))
+
+
+def _where(key):
+    return re.escape(f"cell {key[0]} over F-interval {key[1]}")
+
+
+def test_uncorrupted_sublevel_is_the_triangle():
+    model, marked = _sublevel_with_pairs()
+    assert sorted(c.dimension for c in model.cells.values()) == [0, 0, 0, 1, 1, 1, 2]
+    assert model.vertices == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
+    assert marked == frozenset()
+    assert model.cells[frozenset({0})].sources >= {O, X_SEG, Y_SEG, TRIANGLE}
+
+
+def test_selected_model_rejects_zero_piece_without_one_point():
+    cx = build_complex(two_relu_net())
+    ((p, f),) = cx.skeleton[O[0]].points
+    cx.skeleton[O[0]] = CellFaces(((p, f), ((p[0] + 1, p[1]), f)), ())
+    rcx = refine_at_levels(cx, [F(1)])
+    with pytest.raises(RuntimeError, match=f"0-dimensional {_where(O)} has points"):
         modeled_pair(rcx, (None, F(1)), (None, F(0)))
+
+
+def test_selected_model_rejects_piece_with_too_few_vertices():
+    with pytest.raises(RuntimeError, match=f"bounded 1-dimensional {_where(X_SEG)} has 1 vertices"):
+        _sublevel_with_pairs(drop=[(A, X_SEG)])
+
+
+def test_selected_model_rejects_closure_not_alternating_to_one():
+    with pytest.raises(RuntimeError, match=f"faces of bounded {_where(TRIANGLE)} alternate to 2"):
+        _sublevel_with_pairs(drop=[(X_SEG, TRIANGLE)])
+
+
+def test_selected_model_rejects_pieces_sharing_a_vertex_set():
+    with pytest.raises(RuntimeError, match="has the vertex set of another piece"):
+        _sublevel_with_pairs(drop=[(B, Y_SEG)], add=[(A, Y_SEG)])
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+HULL_NETS = {
+    **{
+        path.name.removesuffix(".net.json"): (lambda path=path: load_network(path))
+        for path in sorted(GOLDEN.glob("*.net.json"))
+    },
+    "random_2_1_seed3": lambda: random_network((2, 1), 3),
+    "random_3_1_seed3": lambda: random_network((3, 1), 3),
+    "random_3_2_1_seed1": lambda: random_network((3, 2, 1), 1),
+    "random_2_1_2_1_seed3": lambda: random_network((2, 1, 2, 1), 3),
+}
+
+
+def _cell_betti(model, ids):
+    tri = triangulate(model)
+    marked = carried_simplices(tri, ids)
+    return (
+        betti(tri.complex),
+        betti(SimplicialComplex(tri.complex.vertices, marked)),
+        relative_betti(SimplicialPair(tri.complex, marked)),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(HULL_NETS))
+def test_bounded_subcomplex_matches_hull_model(name):
+    """The bounded pieces and the vertex hulls of all pieces give the same
+    Betti numbers, of the selection, of a marked part and of the pair, and
+    every bounded piece is a face of the hull model with the same sources."""
+    cx = build_complex(HULL_NETS[name]())
+    values = sorted({c.form_at(c.geometry.affine_hull_point) for c in cx.cells_of_dim(0)})
+    c = values[len(values) // 2] if values else F(0)
+    h = F(1, 2)
+    rcx = refine_at_levels(cx, [c - h, c, c + h])
+    for outer, inner in [
+        ((None, c), (None, c - h)),
+        ((c, None), (c + h, None)),
+        ((c - h, c), (c - h, c - h)),
+    ]:
+        model, ids = modeled_pair(rcx, outer, inner)
+        pieces, _ = essentialize([rcx.cells[k] for k in rcx.keys_in(*outer)], cx)
+        hull = hull_compact_part(pieces)
+        hull_ids = hull.cells_with_source(rcx.keys_in(*inner))
+        assert _cell_betti(model, ids) == _cell_betti(hull, hull_ids), (outer, inner)
+        hull_cells = {
+            frozenset(hull.vertices[v] for v in cid): cell for cid, cell in hull.cells.items()
+        }
+        for cid, cell in model.cells.items():
+            got = hull_cells[frozenset(model.vertices[v] for v in cid)]
+            assert (got.dimension, got.sources) == (cell.dimension, cell.sources)

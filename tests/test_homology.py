@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmorse.compact import RefinedCell, compact_part
+from plmorse.compact import RefinedCell
 from plmorse.complexes import CellFaces, LabeledCell
 from plmorse.geometry import Polyhedron
 from plmorse.homology import (
@@ -13,6 +13,7 @@ from plmorse.homology import (
     OracleResult,
     SimplicialComplex,
     SimplicialPair,
+    _union_counts,
     barycentric,
     barycentric_pair,
     betti,
@@ -26,14 +27,17 @@ from plmorse.homology import (
 )
 from plmorse.network import AffineLayer, Network, build_fan_network, random_network
 
+from hull_model import hull_compact_part
+
 F = Fraction
 
 
 def model_of(poly: Polyhedron):
+    """The polytope with all its faces, by the hull model."""
     cell = LabeledCell((1,), poly, (F(0),) * poly.n, F(0), True, poly.dim)
     faces = CellFaces(tuple((v, F(0)) for v in poly.vertices), ())
     piece = RefinedCell(cell, (None, None), faces)
-    return compact_part([piece])
+    return hull_compact_part([piece])
 
 
 def square_model():
@@ -157,7 +161,7 @@ def test_barycentric_subdivision_counts():
     assert len(sd.k_simplices(2)) == 6
     edge = SimplicialComplex.from_maximal(pts((0, 0), (1, 0)), [(0, 1)])
     sd_edge = barycentric(edge)
-    assert len(sd_edge.vertices) == 3
+    assert sd_edge.vertices == ((0,), (1,), (0, 1))
     assert len(sd_edge.k_simplices(1)) == 2
 
 
@@ -277,6 +281,20 @@ def test_grid_oracle_rejects_bad_input():
         grid_oracle(one_bend_net(), "band", (F(1, 3), F(-1, 3)), F(1, 4), 4)
 
 
+def triangulated_union(ok):
+    """Betti numbers and count of the closed grid squares whose four corners
+    pass in ok, by triangulating the squares and taking ranks."""
+    vid: dict = {}
+    tris = []
+    for i in range(len(ok) - 1):
+        for j in range(len(ok[0]) - 1):
+            corners = [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)]
+            if all(ok[x][y] for x, y in corners):
+                a, p, q, d = (vid.setdefault(k, len(vid)) for k in corners)
+                tris += [(a, p, d), (a, q, d)]
+    return betti(SimplicialComplex.from_maximal(tuple(vid), tris)), len(tris) // 2
+
+
 def reference_oracle(net, mode, c, resolution, box) -> OracleResult:
     """grid_oracle by the direct route: a Fraction value at every grid point,
     the passing squares triangulated, and Betti numbers by rank."""
@@ -289,19 +307,24 @@ def reference_oracle(net, mode, c, resolution, box) -> OracleResult:
         t = F(c)
         passes = (lambda v: v <= t) if mode == "sublevel" else (lambda v: v >= t)
         dist = lambda v: abs(v - t)
-    steps = math.ceil(2 * b / r)
-    grid = range(steps + 1)
+    grid = range(math.ceil(2 * b / r) + 1)
     values = {(i, j): net.evaluate((-b + i * r, -b + j * r))[0] for i in grid for j in grid}
-    vid: dict = {}
-    tris = []
-    for i in range(steps):
-        for j in range(steps):
-            corners = [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)]
-            if all(passes(values[k]) for k in corners):
-                a, p, q, d = (vid.setdefault(k, len(vid)) for k in corners)
-                tris += [(a, p, d), (a, q, d)]
-    sc = SimplicialComplex.from_maximal(tuple(vid), tris)
-    return OracleResult(betti(sc), min(dist(v) for v in values.values()), len(tris) // 2)
+    bs, squares = triangulated_union([[passes(values[i, j]) for j in grid] for i in grid])
+    return OracleResult(bs, min(dist(v) for v in values.values()), squares)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda w: st.lists(st.lists(st.booleans(), min_size=w, max_size=w), min_size=2, max_size=7)
+    )
+)
+def test_union_counts_match_triangulated_squares(ok):
+    """Squares touching at a corner only, holes and empty grids included."""
+    b0, corners, sides, squares = _union_counts(ok)
+    bs, want_squares = triangulated_union(ok)
+    assert squares == want_squares
+    assert (b0, b0 - (corners - sides + squares)) == (*bs, 0, 0)[:2]
 
 
 def abs_sum_net():

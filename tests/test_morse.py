@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmorse import homology, morse
 from plmorse.compact import strip_pair_model, sublevel_model, superlevel_model
@@ -26,6 +29,7 @@ from plmorse.network import (
     Network,
     build_coarse_bound_network,
     build_fan_network,
+    random_network,
 )
 
 
@@ -296,3 +300,28 @@ def test_report_json_matches_schema():
     assert crit == {"point": ["0/1", "0/1"], "class": NONDEGENERATE, "index": 1}
     regular = next(v for v in doc["vertices"] if v["class"] == REGULAR)
     assert "index" not in regular
+
+
+def _euler(ranks):
+    return sum((-1) ** k * r for k, r in enumerate(ranks))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 10**6))
+def test_reports_satisfy_euler_balance_and_weak_morse_inequalities(width, seed):
+    """On random (2, k, 1) nets, chi(F<=M) - chi(F<=-M), the summed local
+    Euler characteristics and chi of the coarse sublevel pair agree, chi of
+    the coarse superlevel pair is chi(F>=-M) - chi(F>=M), and each coarse
+    sublevel rank is at most the local ranks of that degree summed."""
+    report = morse.analyze(random_network((2, width, 1), seed))
+    stable, coarse = report.stable, report.coarse
+    local = [rec.ranks for rec in report.components]
+    assert (
+        _euler(stable.sub_plus) - _euler(stable.sub_minus)
+        == sum(map(_euler, local))
+        == _euler(coarse.sublevel)
+    )
+    assert _euler(coarse.superlevel) == _euler(stable.super_minus) - _euler(stable.super_plus)
+    summed = [sum(col) for col in zip_longest(*local, fillvalue=0)]
+    for k, rank in enumerate(coarse.sublevel):
+        assert rank <= (summed[k] if k < len(summed) else 0)
