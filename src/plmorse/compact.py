@@ -291,9 +291,13 @@ def essentialize(pieces, cx: CanonicalComplex):
 
 @dataclass(frozen=True)
 class ModelCell:
+    """A cell with its vertex ids, the pieces it comes from, and the ids
+    (vertex sets) of its proper faces."""
+
     verts: frozenset[int]
     dimension: int
     sources: frozenset[PieceKey]
+    faces: frozenset[frozenset[int]]
 
 
 class CompactModel:
@@ -328,12 +332,12 @@ def compact_part(pieces, pairs) -> CompactModel:
 
     ``pairs`` are the (inner, outer) containment pairs among the pieces'
     keys.  Every piece must be pointed.  A model cell is a bounded piece:
-    its vertices are the 0-dimensional pieces in its closure, and its
-    sources are the piece and every piece whose closure holds it.  Each
-    0-dimensional piece is one point, each bounded d-piece has at least
-    d + 1 vertices, the faces of its closure alternate to 1 as a polytope's
-    do, and no two cells share a vertex set; a piece that breaks one of
-    these is named in a RuntimeError.
+    its vertices are the 0-dimensional pieces in its closure, its faces
+    the other bounded pieces there, and its sources the piece and every
+    piece whose closure holds it.  Each 0-dimensional piece is one point,
+    each bounded d-piece has at least d + 1 vertices, the faces of its
+    closure alternate to 1 as a polytope's do, and no two cells share a
+    vertex set; a piece that breaks one of these is named in a RuntimeError.
     """
     for p in pieces:
         if not p.pointed:
@@ -357,11 +361,11 @@ def compact_part(pieces, pairs) -> CompactModel:
             points[i] = found[0]
     order = sorted(points, key=points.__getitem__)
     vid = {i: n for n, i in enumerate(order)}
+    verts_of = {i: frozenset(vid[f] for f in closure[i] if f in vid) for i in dims}
     cells: dict[frozenset[int], ModelCell] = {}
     for i, d in dims.items():
-        k = keys[i]
+        k, verts = keys[i], verts_of[i]
         faces = [f for f in closure[i] if f in dims]
-        verts = frozenset(vid[f] for f in faces if f in vid)
         if len(verts) < d + 1:
             raise RuntimeError(f"bounded {d}-dimensional {_where(k)} has {len(verts)} vertices")
         chi = sum((-1) ** dims[f] for f in faces)
@@ -369,7 +373,8 @@ def compact_part(pieces, pairs) -> CompactModel:
             raise RuntimeError(f"the faces of bounded {_where(k)} alternate to {chi}, not 1")
         if verts in cells:
             raise RuntimeError(f"{_where(k)} has the vertex set of another piece")
-        cells[verts] = ModelCell(verts, d, frozenset(keys[j] for j in sources[i]))
+        below = frozenset(verts_of[f] for f in faces if f != i)
+        cells[verts] = ModelCell(verts, d, frozenset(keys[j] for j in sources[i]), below)
     return CompactModel(tuple(points[i] for i in order), cells)
 
 

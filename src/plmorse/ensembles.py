@@ -19,10 +19,6 @@ from .network import Network, _snap, fraction_to_json, has_inactive_region, rand
 _SEED_STRIDE = 1_000_003
 
 
-class _TrialError(ValueError):
-    pass
-
-
 def plmorse_probability_formula(n: int, n1: int) -> Fraction:
     """Probability that a random single-hidden-layer net R^n -> R is PL Morse."""
     if n < 1 or n1 < 1:

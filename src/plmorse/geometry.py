@@ -33,10 +33,6 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def form_value(coef, off, point) -> Fraction:
-    return dot(coef, point) + off
-
-
 def canon_constraint(coef, off, equality: bool = False) -> Constraint:
     """Scale an affine form to primitive integers; orient equalities."""
     entries = [Fraction(c) for c in coef] + [Fraction(off)]
@@ -314,14 +310,6 @@ class Polyhedron:
         basis = nullspace_basis(self.all_normals, self.n)
         return [primitive_direction(v) for v in basis]
 
-    @cached_property
-    def normal_span_basis(self) -> list[Vec]:
-        return row_space_basis(self.all_normals, self.n)
-
-    @property
-    def nspan_rank(self) -> int:
-        return len(self.normal_span_basis)
-
     @property
     def pointed(self) -> bool:
         return not self.lineality_basis
@@ -336,12 +324,6 @@ class Polyhedron:
 
         return all(value(c, o) == 0 for c, o in self.eqs) and all(
             value(c, o) >= 0 for c, o in self.ges
-        )
-
-    def in_relint(self, point) -> bool:
-        eqs, stricts = self.relint_system
-        return all(form_value(c, o, point) == 0 for c, o in eqs) and all(
-            form_value(c, o, point) > 0 for c, o in stricts
         )
 
     @cached_property

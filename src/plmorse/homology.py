@@ -1,19 +1,19 @@
 """Simplicial homology over the rationals, plus a cubical grid oracle.
 
-Compact polytopal models (the bounded subcomplexes that compact reads off
-the refined face poset) are triangulated by pulling (cone each cell from its
-lexicographically minimal vertex over its triangulated boundary), which adds
-no vertices and is compatible across shared faces.  Barycentric subdivision
-is combinatorial: its vertices are the simplices it subdivides and its
-simplices their chains (the order complex of the face poset), so no
-coordinate is computed.  Betti numbers come from exact integer ranks of the
-boundary matrices; relative Betti numbers from the quotient by a
-subcomplex.  The grid oracle rebuilds sublevel/superlevel/band sets of a
-2-input network from scratch on a pixel grid, giving an independent check
-on the whole pipeline: it evaluates the grid in Python ints and reads the
-Betti numbers of the union of passing squares off a union-find component
-count and the Euler characteristic, so it uses neither the triangulation nor
-the rank code above.
+A compact polytopal model is triangulated as the order complex of its face
+poset, a vertex per cell and a simplex per chain of faces: the model's
+barycentric subdivision (Björner 1984, "Posets, regular CW complexes and
+Bruhat order"), with no coordinate computed.  A marked part of a model is a
+down-set of cells, so its subcomplex is full and the rest retracts onto the
+full subcomplex on the other cells (complement_complex).  barycentric_pair
+subdivides a simplicial complex by the same chains.  Betti numbers come from
+exact integer ranks of the boundary matrices; relative Betti numbers from
+the quotient by a subcomplex.  The grid oracle rebuilds sublevel,
+superlevel and band sets of a 2-input network anew on a pixel grid, giving
+an independent check on the whole pipeline: it evaluates the grid in Python
+ints and reads the Betti numbers of the union of passing squares off a
+union-find component count and the Euler characteristic, so it uses neither
+the triangulation nor the rank code above.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ Simplex = tuple[int, ...]
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Simplices as sorted tuples of vertex ids; ``vertices`` labels the ids,
-    by coordinates in a triangulated model and by the subdivided simplices
-    in a barycentric subdivision."""
+    by the cells' vertex ids in a triangulated model and by the subdivided
+    simplices in a barycentric subdivision."""
 
     vertices: tuple[Vec | Simplex, ...]
     simplices: frozenset[Simplex]
@@ -196,32 +196,41 @@ class Triangulation:
     by_cell: dict
 
 
-def triangulate(model) -> Triangulation:
-    """Pulling triangulation of a compact polytopal model, no new vertices.
+def _chains(faces) -> list[list[Simplex]]:
+    """Entry i: the increasing chains topped by i of a poset in which
+    faces[i] lists the elements below i, all less than i."""
+    chains: list[list[Simplex]] = []
+    for below in faces:
+        top = (len(chains),)
+        chains.append([top] + [ch + top for f in below for ch in chains[f]])
+    return chains
 
-    Each cell is coned from its minimal vertex over the triangulations of the
-    facets missing that vertex, so shared faces get identical simplices.
-    by_cell maps each model cell id to its top-dimensional simplices.
+
+def triangulate(model) -> Triangulation:
+    """The order complex of a compact model's face poset, which for a
+    polytopal complex is its barycentric subdivision (Björner 1984).
+
+    Vertex i stands for the i-th cell by (dimension, vertex ids), and each
+    chain of faces is a simplex; by_cell maps each model cell id to the
+    chains that end at it.  A listed face that is not a model cell of lower
+    dimension on vertices of the cell is named in a RuntimeError.
     """
     cells = model.cells
-    tops: dict = {}
-    for cid, c in sorted(cells.items(), key=lambda kv: (kv[1].dimension, sorted(kv[0]))):
-        d = c.dimension
-        if d == 0:
-            tops[cid] = (tuple(cid),)
-            continue
-        v0 = min(cid)
-        out = set()
-        for fid, f in cells.items():
-            if f.dimension == d - 1 and fid < cid and v0 not in fid:
-                for s in tops[fid]:
-                    out.add(tuple(sorted((v0,) + s)))
-        if not out:
-            raise RuntimeError(f"cell {sorted(cid)} has no facet missing its minimal vertex")
-        tops[cid] = tuple(sorted(out))
-    all_tops = [s for ts in tops.values() for s in ts]
-    sc = SimplicialComplex.from_maximal(model.vertices, all_tops)
-    return Triangulation(sc, tops)
+    order = sorted(cells, key=lambda cid: (cells[cid].dimension, sorted(cid)))
+    for cid in order:
+        c = cells[cid]
+        for fid in c.faces:
+            f = cells.get(fid)
+            if f is None or f.dimension >= c.dimension or not f.verts <= c.verts:
+                raise RuntimeError(
+                    f"cell {sorted(cid)} lists face {sorted(fid)}, which is not a "
+                    "lower-dimensional model cell on its vertices"
+                )
+    index = {cid: i for i, cid in enumerate(order)}
+    chains = _chains([index[f] for f in cells[cid].faces] for cid in order)
+    simplices = frozenset(ch for group in chains for ch in group)
+    sc = SimplicialComplex(tuple(tuple(sorted(cid)) for cid in order), simplices)
+    return Triangulation(sc, dict(zip(order, chains)))
 
 
 def carried_simplices(tri: Triangulation, ids) -> frozenset[Simplex]:
@@ -243,13 +252,11 @@ def barycentric_pair(sc: SimplicialComplex, sub=frozenset()):
     """
     simps = sorted(sc.simplices, key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(simps)}
-    chains: dict[Simplex, list[Simplex]] = {}
-    for s in simps:
-        top = (index[s],)
-        faces = (f for r in range(1, len(s)) for f in combinations(s, r))
-        chains[s] = [top] + [ch + top for f in faces for ch in chains[f]]
-    new_sub = frozenset(ch for s in sub for ch in chains[s])
-    new_simps = frozenset(ch for group in chains.values() for ch in group)
+    chains = _chains(
+        [index[f] for r in range(1, len(s)) for f in combinations(s, r)] for s in simps
+    )
+    new_sub = frozenset(ch for s in sub for ch in chains[index[s]])
+    new_simps = frozenset(ch for group in chains for ch in group)
     return SimplicialComplex(tuple(simps), new_simps), new_sub
 
 

@@ -1,13 +1,15 @@
 """Complexity measures and the shallow-network Morse classification.
 
 Local H-complexity of a flat component K at level a is the relative homology
-H_*(F<=a, F<=a minus K), computed on a compact strip model just below a via
-excision and a barycentric complement.  Global complexity sums the local
-totals; stable and coarse complexities and component counts come from two
-marked models of one refinement at -M and M, beyond every nontransversal
-threshold.  For single-hidden-layer (depth-2) generic transversal networks,
-vertices classify as regular, nondegenerate critical (with an index) or
-degenerate critical by the gradient orientations of their paired edge cofaces.
+H_*(F<=a, F<=a minus K), computed by excision on a compact strip model just
+below a.  K's cells form a down-set of that model, so in the order complex of
+its face poset the strip minus K retracts onto the full subcomplex on the
+other cells.  Global complexity sums the local totals; stable and coarse
+complexities and component counts come from two marked models of one
+refinement at -M and M, beyond every nontransversal threshold.  For
+single-hidden-layer (depth-2) generic transversal networks, vertices classify
+as regular, nondegenerate critical (with an index) or degenerate critical by
+the gradient orientations of their paired edge cofaces.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .geometry import Vec, dot, primitive_direction
 from .homology import (
     SimplicialComplex,
     SimplicialPair,
-    barycentric_pair,
     betti,
     carried_simplices,
     complement_complex,
@@ -121,9 +122,8 @@ def _strip_records(cx: CanonicalComplex, a: Fraction) -> list[LocalComplexityRec
     tri = triangulate(sm.model)
     out = []
     for comp, ids in sm.k_cells:
-        sd, sd_k = barycentric_pair(tri.complex, carried_simplices(tri, ids))
-        away = complement_complex(sd, sd_k)
-        ranks = relative_betti(SimplicialPair(sd, away))
+        away = complement_complex(tri.complex, carried_simplices(tri, ids))
+        ranks = relative_betti(SimplicialPair(tri.complex, away))
         out.append(LocalComplexityRecord(a, comp.labels, ranks))
     return out
 

@@ -1,17 +1,23 @@
-"""The hull model of a selection of refined pieces: the reference that the
-bounded-subcomplex model in ``plmorse.compact`` is compared against.
+"""References for the compact models and their triangulation.
 
-Each pointed piece is replaced by the convex hull of its vertices, and the
-model is the union of those polytopes and all their faces, deduplicated by
-vertex set.  Unbounded directions are dropped, which is a deformation
-retraction for complexes whose components have full normal span.  Faces
-are found by trying every d-subset of a polytope's vertices as a facet.
+The hull model of a selection of refined pieces is the reference that the
+bounded-subcomplex model in ``plmorse.compact`` is compared against.  Each
+pointed piece is replaced by the convex hull of its vertices, and the model
+is the union of those polytopes and all their faces, deduplicated by vertex
+set.  Unbounded directions are dropped, which is a deformation retraction
+for complexes whose components have full normal span.  Faces are found by
+trying every d-subset of a polytope's vertices as a facet, and a cell's
+faces in the model are the cells on a proper subset of its vertices.
+
+The pulling triangulation is the reference for ``homology.triangulate``,
+which takes the order complex of a model's face poset instead.
 """
 
 from itertools import combinations
 
 from plmorse.compact import CompactModel, ModelCell
 from plmorse.geometry import dot, nullspace_basis, rank, row_space_basis, solve_linear
+from plmorse.homology import SimplicialComplex, Triangulation
 
 
 def affine_rank(verts) -> int:
@@ -64,8 +70,37 @@ def hull_compact_part(pieces) -> CompactModel:
             sources.setdefault(face, set()).add(p.key)
     all_verts = sorted({v for face in sources for v in face})
     vid = {v: i for i, v in enumerate(all_verts)}
+    ids = {face: frozenset(vid[v] for v in face) for face in sources}
     cells = {}
     for face, src in sources.items():
-        ids = frozenset(vid[v] for v in face)
-        cells[ids] = ModelCell(ids, affine_rank(sorted(face)), frozenset(src))
+        below = frozenset(ids[f] for f in sources if f < face)
+        cells[ids[face]] = ModelCell(ids[face], affine_rank(sorted(face)), frozenset(src), below)
     return CompactModel(tuple(all_verts), cells)
+
+
+def pulling_triangulation(model) -> Triangulation:
+    """Pulling triangulation of a compact polytopal model, no new vertices.
+
+    Each cell is coned from its minimal vertex over the triangulations of the
+    facets missing that vertex, so shared faces get identical simplices.
+    by_cell maps each model cell id to its top-dimensional simplices.
+    """
+    cells = model.cells
+    tops: dict = {}
+    for cid, c in sorted(cells.items(), key=lambda kv: (kv[1].dimension, sorted(kv[0]))):
+        d = c.dimension
+        if d == 0:
+            tops[cid] = (tuple(cid),)
+            continue
+        v0 = min(cid)
+        out = set()
+        for fid, f in cells.items():
+            if f.dimension == d - 1 and fid < cid and v0 not in fid:
+                for s in tops[fid]:
+                    out.add(tuple(sorted((v0,) + s)))
+        if not out:
+            raise RuntimeError(f"cell {sorted(cid)} has no facet missing its minimal vertex")
+        tops[cid] = tuple(sorted(out))
+    all_tops = [s for ts in tops.values() for s in ts]
+    sc = SimplicialComplex.from_maximal(model.vertices, all_tops)
+    return Triangulation(sc, tops)

@@ -39,7 +39,7 @@ from plmorse.network import (
     random_network,
 )
 
-from hull_model import hull_compact_part, polytope_faces
+from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
 
 F = Fraction
 
@@ -284,9 +284,8 @@ def test_strip_fan2_relative_homology_of_hexagon():
     sm = strip_pair_model(cx, F(0), below / 2)
     tri = triangulate(sm.model)
     k_ids = sm.k_cells[0][1]
-    sd, sd_k = barycentric_pair(tri.complex, carried_simplices(tri, k_ids))
-    comp = complement_complex(sd, sd_k)
-    assert relative_betti(SimplicialPair(sd, comp)) == (0, 2)
+    comp = complement_complex(tri.complex, carried_simplices(tri, k_ids))
+    assert relative_betti(SimplicialPair(tri.complex, comp)) == (0, 2)
 
 
 def test_strip_without_flat_cells_collapses_to_floor():
@@ -642,8 +641,7 @@ HULL_NETS = {
 }
 
 
-def _cell_betti(model, ids):
-    tri = triangulate(model)
+def _cell_betti(tri, ids):
     marked = carried_simplices(tri, ids)
     return (
         betti(tri.complex),
@@ -652,11 +650,18 @@ def _cell_betti(model, ids):
     )
 
 
+def _local_ranks(sc, marked):
+    return relative_betti(SimplicialPair(sc, complement_complex(sc, marked)))
+
+
 @pytest.mark.parametrize("name", sorted(HULL_NETS))
 def test_bounded_subcomplex_matches_hull_model(name):
     """The bounded pieces and the vertex hulls of all pieces give the same
     Betti numbers, of the selection, of a marked part and of the pair, and
-    every bounded piece is a face of the hull model with the same sources."""
+    every bounded piece is a face of the hull model with the same sources.
+    The pulling triangulation of the bounded pieces gives them too, and on
+    strips, subdivided, the same ranks relative to the complement of the
+    marked part as the order complex."""
     cx = build_complex(HULL_NETS[name]())
     values = sorted({c.form_at(c.geometry.affine_hull_point) for c in cx.cells_of_dim(0)})
     c = values[len(values) // 2] if values else F(0)
@@ -666,12 +671,20 @@ def test_bounded_subcomplex_matches_hull_model(name):
         ((None, c), (None, c - h)),
         ((c, None), (c + h, None)),
         ((c - h, c), (c - h, c - h)),
+        ((c - h, c), (c, c)),
     ]:
         model, ids = modeled_pair(rcx, outer, inner)
         pieces, _ = essentialize([rcx.cells[k] for k in rcx.keys_in(*outer)], cx)
         hull = hull_compact_part(pieces)
         hull_ids = hull.cells_with_source(rcx.keys_in(*inner))
-        assert _cell_betti(model, ids) == _cell_betti(hull, hull_ids), (outer, inner)
+        tri, pulled = triangulate(model), pulling_triangulation(model)
+        want = _cell_betti(tri, ids)
+        assert want == _cell_betti(triangulate(hull), hull_ids), (outer, inner)
+        assert want == _cell_betti(pulled, ids), (outer, inner)
+        if None not in outer:
+            sd, sd_k = barycentric_pair(pulled.complex, carried_simplices(pulled, ids))
+            local = _local_ranks(tri.complex, carried_simplices(tri, ids))
+            assert local == _local_ranks(sd, sd_k), (outer, inner)
         hull_cells = {
             frozenset(hull.vertices[v] for v in cid): cell for cid, cell in hull.cells.items()
         }

