@@ -17,6 +17,7 @@ components, strip floors) can be marked.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -33,21 +34,16 @@ from .complexes import (
 from .geometry import Polyhedron, Vec, canon_constraint, dot, rank
 
 Interval = tuple[Fraction | None, Fraction | None]
-PieceKey = tuple[Label, Interval]
-
-
-def _iv_sort(iv: Interval):
-    lo, hi = iv
-    return (lo is not None, lo or 0, hi is not None, hi or 0)
-
-
-def piece_sort_key(key: PieceKey):
-    return (key[0], _iv_sort(key[1]))
+# A piece is named by its parent's label and the index of its interval among
+# the refinement's sorted thresholds t_0 < ... < t_{k-1}: interval 2j is the
+# open gap below t_j (above t_{k-1} when j = k), and 2j + 1 is t_j itself.
+PieceKey = tuple[Label, int]
 
 
 @dataclass(frozen=True)
 class RefinedCell:
-    """The part of a cell of the complex where F lies in ``interval``.
+    """The part of a cell of the complex where F lies in ``interval``, the
+    refinement's interval number ``index``.
 
     ``faces`` are the cell's 0- and 1-faces; ``kernel`` holds the directions
     that ``essentialize`` cut away (none before it).
@@ -55,6 +51,7 @@ class RefinedCell:
 
     cell: LabeledCell
     interval: Interval
+    index: int
     faces: CellFaces
     kernel: tuple[Vec, ...] = ()
 
@@ -64,7 +61,7 @@ class RefinedCell:
 
     @property
     def key(self) -> PieceKey:
-        return (self.source, self.interval)
+        return (self.source, self.index)
 
     @cached_property
     def pointed(self) -> bool:
@@ -80,8 +77,7 @@ class RefinedCell:
     def dimension(self) -> int:
         """Dimension of the closed piece: the parent's, less the kernel,
         less one where a point interval cuts a nonflat parent."""
-        lo, hi = self.interval
-        cut = lo is not None and lo == hi and not self.cell.flat
+        cut = self.index % 2 == 1 and not self.cell.flat
         return self.cell.dimension - len(self.kernel) - cut
 
     @property
@@ -154,66 +150,43 @@ class RefinedComplex:
     def __repr__(self):
         return f"RefinedComplex({len(self.cells)} pieces at {self.thresholds})"
 
+    def index_of(self, t) -> int:
+        """Index of the point interval {t}; t must be a threshold."""
+        if t not in self.thresholds:
+            raise ValueError(f"{t} is not a threshold of this refinement")
+        return 2 * self.thresholds.index(t) + 1
+
     def keys_in(self, lo, hi) -> list[PieceKey]:
-        """Pieces whose F-interval sits inside [lo, hi] (None = unbounded)."""
-        return sorted(
-            (k for k, p in self.cells.items() if _interval_subset(p.interval, (lo, hi))),
-            key=piece_sort_key,
-        )
+        """Pieces whose F-interval sits inside [lo, hi], each end None
+        (unbounded) or a threshold."""
+        first = 0 if lo is None else self.index_of(lo)
+        last = 2 * len(self.thresholds) if hi is None else self.index_of(hi)
+        return sorted(k for k in self.cells if first <= k[1] <= last)
 
     def containment_pairs(self, keys):
         """(inner, outer) over the given keys, inner in the closure of outer.
 
-        Piece (a, I) lies in the closure of piece (b, J) exactly when a is b
-        or a face of b, and I is inside J; the faces come from the face poset.
+        Piece (a, i) lies in the closure of piece (b, j) exactly when a is b
+        or a face of b, and interval i is inside interval j: i is j, or i is
+        a threshold and j a gap next to it.  The faces come from the face
+        poset.
         """
         keys = list(keys)
-        by_label: dict[Label, list[PieceKey]] = {}
-        for k in keys:
-            by_label.setdefault(k[0], []).append(k)
+        present = set(keys)
         pairs = []
         for a in keys:
-            for lab in [a[0], *self.source.cofaces_of(a[0])]:
-                for b in by_label.get(lab, ()):
-                    if b != a and _interval_subset(a[1], b[1]):
+            lab, i = a
+            near = (i - 1, i, i + 1) if i % 2 else (i,)
+            for outer in [lab, *self.source.cofaces_of(lab)]:
+                for j in near:
+                    b = (outer, j)
+                    if b != a and b in present:
                         pairs.append((a, b))
         return pairs
 
     def components(self, keys) -> list[list[PieceKey]]:
-        keys = sorted(keys, key=piece_sort_key)
+        keys = sorted(keys)
         return components(keys, self.containment_pairs(keys))
-
-
-def _interval_subset(inner: Interval, outer: Interval) -> bool:
-    lo1, hi1 = inner
-    lo2, hi2 = outer
-    if lo2 is not None and (lo1 is None or lo1 < lo2):
-        return False
-    if hi2 is not None and (hi1 is None or hi1 > hi2):
-        return False
-    return True
-
-
-def _relints_meet(a: Interval, b: Interval) -> bool:
-    """Whether the relative interiors of two closed intervals meet."""
-    if a[0] is not None and a[0] == a[1]:
-        return _scalar_in_relint(a[0], b)
-    if b[0] is not None and b[0] == b[1]:
-        return _scalar_in_relint(b[0], a)
-    return (a[0] is None or b[1] is None or a[0] < b[1]) and (
-        b[0] is None or a[1] is None or b[0] < a[1]
-    )
-
-
-def _scalar_in_relint(v: Fraction, iv: Interval) -> bool:
-    lo, hi = iv
-    if lo is not None and hi is not None and lo == hi:
-        return v == lo
-    if lo is not None and not v > lo:
-        return False
-    if hi is not None and not v < hi:
-        return False
-    return True
 
 
 def _interval_constraints(g: Vec, k: Fraction, iv: Interval):
@@ -233,30 +206,30 @@ def _interval_constraints(g: Vec, k: Fraction, iv: Interval):
 def refine_at_levels(cx: CanonicalComplex, thresholds) -> RefinedComplex:
     """Cut every cell along F = t for each threshold t.
 
-    A piece (C, I) is kept when the relative interior of C meets the relative
-    interior of F^{-1}(I), so each point of |C| lands in exactly one piece.
-    F maps the relative interior of C onto the relative interior of F(closure
-    of C), whose ends the cell's faces give.
+    A piece (C, i) is kept when the relative interior of C meets the relative
+    interior of F^{-1}(interval i), so each point of |C| lands in exactly one
+    piece.  F maps the relative interior of C onto the relative interior of
+    F(closure of C), whose ends the cell's faces give: a point lands in one
+    interval, and an open range in the run of intervals between its ends.
     """
     ts = sorted({Fraction(t) for t in thresholds})
-    intervals: list[Interval] = []
-    if not ts:
-        intervals = [(None, None)]
-    else:
-        intervals.append((None, ts[0]))
-        for i, t in enumerate(ts):
-            intervals.append((t, t))
-            if i + 1 < len(ts):
-                intervals.append((t, ts[i + 1]))
-        intervals.append((ts[-1], None))
-
+    ends = [None, *ts, None]
+    intervals: list[Interval] = [
+        (ts[i // 2],) * 2 if i % 2 else (ends[i // 2], ends[i // 2 + 1])
+        for i in range(2 * len(ts) + 1)
+    ]
     pieces: dict[PieceKey, RefinedCell] = {}
     for lab, c in cx.cells.items():
         faces = cx.skeleton[lab]
-        f_range = faces.f_range
-        for iv in intervals:
-            if _relints_meet(f_range, iv):
-                pieces[(lab, iv)] = RefinedCell(c, iv, faces)
+        lo, hi = faces.f_range
+        if lo is not None and lo == hi:
+            # two per threshold below lo, and one more when lo is one
+            span = [bisect_left(ts, lo) + bisect_right(ts, lo)]
+        else:
+            first = 0 if lo is None else 2 * bisect_right(ts, lo)
+            span = range(first, 2 * (len(ts) if hi is None else bisect_left(ts, hi)) + 1)
+        for i in span:
+            pieces[(lab, i)] = RefinedCell(c, intervals[i], i, faces)
     return RefinedComplex(cx, ts, pieces)
 
 
@@ -323,8 +296,8 @@ class CompactModel:
         return frozenset(cid for cid, c in self.cells.items() if c.sources & keys)
 
 
-def _where(key: PieceKey) -> str:
-    return f"cell {key[0]} over F-interval {key[1]}"
+def _where(p: RefinedCell) -> str:
+    return f"cell {p.source} over F-interval {p.interval}"
 
 
 def compact_part(pieces, pairs) -> CompactModel:
@@ -341,41 +314,38 @@ def compact_part(pieces, pairs) -> CompactModel:
     """
     for p in pieces:
         if not p.pointed:
-            raise ValueError(f"{_where(p.key)} is unpointed; essentialize the component first")
-    # pieces by number: their keys hold Fractions, which are slow to hash
-    keys = [p.key for p in pieces]
-    index = {k: i for i, k in enumerate(keys)}
-    closure = [[i] for i in range(len(keys))]
-    sources = [[i] for i in range(len(keys))]
+            raise ValueError(f"{_where(p)} is unpointed; essentialize the component first")
+    closure = {p.key: [p.key] for p in pieces}
+    sources = {p.key: [p.key] for p in pieces}
     for a, b in pairs:
-        i, j = index[a], index[b]
-        closure[j].append(i)
-        sources[i].append(j)
-    dims = {i: p.dimension for i, p in enumerate(pieces) if p.bounded}
+        closure[b].append(a)
+        sources[a].append(b)
+    bounded = [p for p in pieces if p.bounded]
+    dims = {p.key: p.dimension for p in bounded}
     points = {}
-    for i, d in dims.items():
-        if d == 0:
-            found = pieces[i].vertices
-            if len(found) != 1:
-                raise RuntimeError(f"0-dimensional {_where(keys[i])} has points {found}, not one")
-            points[i] = found[0]
+    for p in bounded:
+        if dims[p.key] == 0:
+            if len(p.vertices) != 1:
+                raise RuntimeError(f"0-dimensional {_where(p)} has points {p.vertices}, not one")
+            points[p.key] = p.vertices[0]
     order = sorted(points, key=points.__getitem__)
-    vid = {i: n for n, i in enumerate(order)}
-    verts_of = {i: frozenset(vid[f] for f in closure[i] if f in vid) for i in dims}
+    vid = {k: n for n, k in enumerate(order)}
+    verts_of = {k: frozenset(vid[f] for f in closure[k] if f in vid) for k in dims}
     cells: dict[frozenset[int], ModelCell] = {}
-    for i, d in dims.items():
-        k, verts = keys[i], verts_of[i]
-        faces = [f for f in closure[i] if f in dims]
+    for p in bounded:
+        k = p.key
+        d, verts = dims[k], verts_of[k]
+        faces = [f for f in closure[k] if f in dims]
         if len(verts) < d + 1:
-            raise RuntimeError(f"bounded {d}-dimensional {_where(k)} has {len(verts)} vertices")
+            raise RuntimeError(f"bounded {d}-dimensional {_where(p)} has {len(verts)} vertices")
         chi = sum((-1) ** dims[f] for f in faces)
         if chi != 1:
-            raise RuntimeError(f"the faces of bounded {_where(k)} alternate to {chi}, not 1")
+            raise RuntimeError(f"the faces of bounded {_where(p)} alternate to {chi}, not 1")
         if verts in cells:
-            raise RuntimeError(f"{_where(k)} has the vertex set of another piece")
-        below = frozenset(verts_of[f] for f in faces if f != i)
-        cells[verts] = ModelCell(verts, d, frozenset(keys[j] for j in sources[i]), below)
-    return CompactModel(tuple(points[i] for i in order), cells)
+            raise RuntimeError(f"{_where(p)} has the vertex set of another piece")
+        below = frozenset(verts_of[f] for f in faces if f != k)
+        cells[verts] = ModelCell(verts, d, frozenset(sources[k]), below)
+    return CompactModel(tuple(points[k] for k in order), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +409,16 @@ def strip_pair_model(cx: CanonicalComplex, a, lower) -> StripModel:
             raise ValueError(
                 f"nontransversal threshold {t} inside the strip [{lower}, {a})"
             )
-    model, keys = _selected_model(refine_at_levels(cx, [lower, a]), lower, a)
+    rcx = refine_at_levels(cx, [lower, a])
+    model, keys = _selected_model(rcx, lower, a)
     key_set = set(keys)
-    floor = model.cells_with_source(k for k in keys if k[1] == (lower, lower))
+    floor = model.cells_with_source(rcx.keys_in(lower, lower))
+    top = rcx.index_of(a)
     marks = []
     for comp in flat_cells(cx):
         if comp.level != a:
             continue
-        k_keys = [(lab, (a, a)) for lab in comp.labels]
+        k_keys = [(lab, top) for lab in comp.labels]
         for k in k_keys:
             if k not in key_set:
                 raise RuntimeError(f"flat cell {k[0]} has no piece at level {a} in the strip")

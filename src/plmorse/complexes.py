@@ -359,7 +359,7 @@ def components(nodes, edges) -> list[list]:
 
     Components come in the order of their first node, and each lists its
     nodes in the given order.  Nodes are numbered once, so find steps hash
-    nothing (piece keys hold Fractions, whose hash is costly).
+    nothing.
     """
     nodes = list(nodes)
     index: dict = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import rank
-from .network import Network, _snap, fraction_to_json, has_inactive_region, random_network
+from .network import Network, _sampler, fraction_to_json, has_inactive_region, random_network
 
 _SEED_STRIDE = 1_000_003
 
@@ -103,14 +103,9 @@ def montecarlo_plmorse(
 
 def random_point(n: int, seed: int, scheme: str = "gaussian") -> tuple[Fraction, ...]:
     """Point drawn from the same symmetric coordinate law as the weights."""
-    if scheme == "gaussian":
-        draw = lambda rng: rng.gauss(0.0, 1.0)
-    elif scheme == "uniform":
-        draw = lambda rng: rng.uniform(-1.0, 1.0)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    draw = _sampler(scheme)
     rng = random.Random(f"plmorse|point|{scheme}|{n}|{seed}")
-    return tuple(_snap(draw(rng)) for _ in range(n))
+    return tuple(draw(rng) for _ in range(n))
 
 
 def minimal_cell_is_flat(net: Network, x) -> bool:

@@ -33,18 +33,18 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def _primitive_ints(entries: list[Fraction]) -> list[int]:
+    """The rationals times the one positive scale that makes them coprime
+    integers (all zeros stay zeros)."""
+    scale = lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (scale // e.denominator) for e in entries]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def canon_constraint(coef, off, equality: bool = False) -> Constraint:
     """Scale an affine form to primitive integers; orient equalities."""
-    entries = [Fraction(c) for c in coef] + [Fraction(off)]
-    lcm = 1
-    for e in entries:
-        lcm = lcm * e.denominator // gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in entries]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
+    ints = _primitive_ints([Fraction(c) for c in coef] + [Fraction(off)])
     if equality:
         lead = next((v for v in ints[:-1] if v != 0), None)
         if lead is None and ints[-1] != 0:
@@ -417,17 +417,7 @@ class Polyhedron:
 
 def primitive_direction(v) -> Vec:
     """Scale a nonzero rational vector to primitive integers, keeping direction."""
-    fr = [Fraction(x) for x in v]
-    lcm = 1
-    for e in fr:
-        lcm = lcm * e.denominator // gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    return tuple(Fraction(x) for x in _primitive_ints([Fraction(x) for x in v]))
 
 
 def canonical_line_direction(v) -> Vec:

@@ -188,6 +188,12 @@ def _reject_constant(text: str):
     raise RationalParseError(f"non-finite number {text!r} is not a rational")
 
 
+def _array(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise NetworkFormatError(f"{where}: expected an array, got {type(x).__name__}")
+    return x
+
+
 def load_network(path) -> Network:
     """Read a network from JSON, parsing every scalar exactly.
 
@@ -199,7 +205,7 @@ def load_network(path) -> Network:
     if not isinstance(data, dict) or "layers" not in data:
         raise NetworkFormatError("top level must be an object with a 'layers' key")
     layers = []
-    for i, spec in enumerate(data["layers"]):
+    for i, spec in enumerate(_array(data["layers"], "layers")):
         where = f"layer {i}"
         if not isinstance(spec, dict):
             raise NetworkFormatError(f"{where}: expected an object")
@@ -209,12 +215,13 @@ def load_network(path) -> Network:
             raise NetworkFormatError(f"{where}: missing key {missing}") from None
         if act not in (RELU, NONE):
             raise NetworkFormatError(f"{where}: unknown activation {act!r}")
-        weights = tuple(
-            tuple(_fraction_from_json(w, f"{where} row {r}") for w in row)
-            for r, row in enumerate(raw_w)
-        )
-        bias = tuple(_fraction_from_json(b, f"{where} bias") for b in raw_b)
-        layers.append(AffineLayer(weights, bias, act))
+        weights = []
+        for r, row in enumerate(_array(raw_w, f"{where} weights")):
+            at = f"{where} row {r}"
+            weights.append(tuple(_fraction_from_json(w, at) for w in _array(row, at)))
+        at = f"{where} bias"
+        bias = tuple(_fraction_from_json(b, at) for b in _array(raw_b, at))
+        layers.append(AffineLayer(tuple(weights), bias, act))
     return Network(tuple(layers))
 
 
@@ -359,6 +366,16 @@ def _snap(x: float) -> Fraction:
     return Fraction(round(x * _SNAP), _SNAP)
 
 
+def _sampler(scheme: str):
+    """rng -> one coordinate drawn from the scheme's law, 'gaussian' or
+    'uniform' (both symmetric about zero), snapped to a dyadic rational."""
+    if scheme == "gaussian":
+        return lambda rng: _snap(rng.gauss(0.0, 1.0))
+    if scheme == "uniform":
+        return lambda rng: _snap(rng.uniform(-1.0, 1.0))
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def random_network(arch, seed: int, scheme: str = "gaussian") -> Network:
     """Seeded random network with parameters snapped to dyadic rationals.
 
@@ -372,18 +389,11 @@ def random_network(arch, seed: int, scheme: str = "gaussian") -> Network:
         raise ValueError("widths must be positive")
     if arch[-1] != 1:
         raise ValueError("output width must be 1")
-    if scheme == "gaussian":
-        draw = lambda rng: rng.gauss(0.0, 1.0)
-    elif scheme == "uniform":
-        draw = lambda rng: rng.uniform(-1.0, 1.0)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    draw = _sampler(scheme)
     rng = random.Random(f"plmorse|{scheme}|{','.join(map(str, arch))}|{seed}")
     layers = []
     for i in range(len(arch) - 1):
-        rows = tuple(
-            tuple(_snap(draw(rng)) for _ in range(arch[i])) for _ in range(arch[i + 1])
-        )
-        bias = tuple(_snap(draw(rng)) for _ in range(arch[i + 1]))
+        rows = tuple(tuple(draw(rng) for _ in range(arch[i])) for _ in range(arch[i + 1]))
+        bias = tuple(draw(rng) for _ in range(arch[i + 1]))
         layers.append(AffineLayer(rows, bias, NONE if i == len(arch) - 2 else RELU))
     return Network(tuple(layers))

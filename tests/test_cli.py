@@ -70,6 +70,16 @@ def test_analyze_bad_files(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_analyze_refuses_non_array_structure(tmp_path, capsys):
+    bad = tmp_path / "bias.json"
+    bad.write_text(json.dumps({"layers": [
+        {"weights": [[1, 2]], "bias": 0, "activation": "none"},
+    ]}))
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and "layer 0 bias: expected an array" in err
+
+
 def test_generate_random_is_deterministic(capsys):
     assert main(["generate", "--random", "2,3,1", "--seed", "5"]) == 0
     first = capsys.readouterr().out

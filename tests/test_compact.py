@@ -9,7 +9,6 @@ from plmorse.complexes import CellFaces, _contained, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
     _interval_constraints,
-    _interval_subset,
     compact_part,
     essentialize,
     level_model,
@@ -65,15 +64,12 @@ def half_plane_net():
 def test_refine_splits_first_quadrant_at_one():
     cx = build_complex(two_relu_net())
     rcx = refine_at_levels(cx, [F(1)])
-    quadrant = {iv for lab, iv in rcx.cells if lab == (1, 1)}
-    assert len(quadrant) == 3
-    assert (F(1), F(1)) in quadrant
-    dims = {iv: rcx.cells[((1, 1), iv)].geometry.dim for iv in quadrant}
-    assert dims[(F(1), F(1))] == 1
-    assert sorted(dims.values()) == [1, 2, 2]
+    quadrant = [p for (lab, _), p in rcx.cells.items() if lab == (1, 1)]
+    assert [(p.index, p.interval) for p in quadrant] == list(enumerate(AT_ONE))
+    assert [p.geometry.dim for p in quadrant] == [2, 1, 2]
     # the two new vertices sit where x+y=1 crosses the axes
-    x_axis = rcx.cells[((1, 0), (F(1), F(1)))]
-    y_axis = rcx.cells[((0, 1), (F(1), F(1)))]
+    x_axis = rcx.cells[((1, 0), 1)]
+    y_axis = rcx.cells[((0, 1), 1)]
     assert x_axis.geometry.affine_hull_point == (F(1), F(0))
     assert y_axis.geometry.affine_hull_point == (F(0), F(1))
 
@@ -90,13 +86,14 @@ def test_refine_fan2_level_zero_is_flat_set():
     net = build_fan_network(2)
     cx = build_complex(net)
     rcx = refine_at_levels(cx, [F(0)])
-    zero_keys = [k for k in rcx.cells if k[1] == (F(0), F(0))]
+    zero_keys = rcx.keys_in(F(0), F(0))
+    assert {rcx.cells[k].interval for k in zero_keys} == {(F(0), F(0))}
     hex_labels = {
         comp.labels for comp in flat_cells(cx) if comp.level == 0 and len(comp.labels) > 1
     }
     assert len(hex_labels) == 1
     for lab in next(iter(hex_labels)):
-        assert (lab, (F(0), F(0))) in zero_keys
+        assert (lab, 1) in zero_keys
     for k in zero_keys:
         src = cx.cells[k[0]]
         if src.flat:
@@ -364,15 +361,21 @@ def test_models_are_polytopal_complexes():
 
 def _level_queries(cx):
     """(levels, lo, hi) of a sublevel, superlevel, strip, level-only and
-    no-threshold model, cut at the median 0-cell value."""
+    no-threshold model, cut at the median 0-cell value, and of two models
+    cut at every 0-cell value, the second also at each value plus 1/3, so
+    that the F-ranges of cells end exactly at thresholds."""
     values = sorted({c.form_at(c.geometry.affine_hull_point) for c in cx.cells_of_dim(0)})
     c = values[len(values) // 2] if values else F(0)
+    every = values or [c]
+    shifted = sorted({*every, *(v + F(1, 3) for v in every)})
     return [
         ([c], None, c),
         ([c], c, None),
         ([c - F(1, 2), c], c - F(1, 2), c),
         ([c], c, c),
         ([], None, None),
+        (every, every[0], c),
+        (shifted, c, c + F(1, 3)),
     ]
 
 
@@ -385,6 +388,17 @@ def deep_flat_net():
             AffineLayer.make([[1]], [0], "none"),
         )
     )
+
+
+def _interval_subset(inner, outer) -> bool:
+    """Whether the closed interval inner lies in outer (None = unbounded)."""
+    lo1, hi1 = inner
+    lo2, hi2 = outer
+    if lo2 is not None and (lo1 is None or lo1 < lo2):
+        return False
+    if hi2 is not None and (hi1 is None or hi1 > hi2):
+        return False
+    return True
 
 
 def _pairwise_containment(rcx, keys):
@@ -402,7 +416,7 @@ def _pairwise_containment(rcx, keys):
                 continue
             if not all(x == y or x == 0 for x, y in zip(a[0], b[0])):
                 continue
-            if not _interval_subset(a[1], b[1]):
+            if not _interval_subset(pa.interval, pb.interval):
                 continue
             if deep and a[0] != b[0] and not _contained(pa.geometry, pb.geometry):
                 continue
@@ -429,6 +443,43 @@ def test_containment_pairs_match_pairwise_rule(make):
         got = rcx.containment_pairs(keys)
         assert len(got) == len(set(got))
         assert set(got) == _pairwise_containment(rcx, keys), (levels, lo, hi)
+
+
+def _leaves(x):
+    if isinstance(x, (tuple, list, frozenset)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def test_piece_keys_hold_only_ints():
+    """Pieces are named by parent label and interval number, so keys,
+    containment pairs and model-cell sources hash no Fraction."""
+    cx = build_complex(build_fan_network(2))
+    below = max(t for t in cx.nontransversal_thresholds if t < 0)
+    rcx = refine_at_levels(cx, [below / 2, F(0), F(1)])
+    keys = rcx.keys_in(None, None)
+    assert set(keys) == set(rcx.cells)
+    model, _ = modeled_pair(rcx, (below / 2, F(1)), (F(0), F(0)))
+    strip = strip_pair_model(cx, F(0), below / 2).model
+    found = [
+        keys,
+        rcx.containment_pairs(keys),
+        [c.sources for m in (model, strip) for c in m.cells.values()],
+    ]
+    assert all(type(x) is int for x in _leaves(found))
+    assert all(rcx.cells[k].index == k[1] for k in keys)
+
+
+def test_keys_in_takes_only_thresholds_as_ends():
+    cx = build_complex(two_relu_net())
+    rcx = refine_at_levels(cx, [F(1)])
+    assert rcx.keys_in(None, F(1)) == sorted(k for k in rcx.cells if k[1] <= 1)
+    assert rcx.keys_in(F(1), F(1)) == sorted(k for k in rcx.cells if k[1] == 1)
+    for lo, hi in ((F(1, 2), None), (None, F(2)), (F(0), F(1))):
+        with pytest.raises(ValueError, match="not a threshold"):
+            rcx.keys_in(lo, hi)
 
 
 def _pair_ranks(rcx, outer, inner):
@@ -486,7 +537,7 @@ def _reference_pieces(cx, levels):
     interval), keeping the piece when the relative interior of the cell meets
     F^-1 of the relative interior of the interval; then the vertices of each
     kept piece, cut by the span of all kept pieces' normals, by subset
-    enumeration.  Returns {piece key: vertices}."""
+    enumeration.  Returns {(label, interval): vertices}."""
     ts = sorted(set(levels))
     intervals = [(None, None)]
     if ts:
@@ -542,8 +593,9 @@ def test_pieces_and_vertices_match_feasibility_and_enumeration(name):
     for levels, lo, hi in _level_queries(cx):
         rcx = refine_at_levels(cx, levels)
         want = _reference_pieces(cx, levels)
-        assert set(rcx.cells) == set(want), levels
-        for key, piece in rcx.cells.items():
+        got = {(p.source, p.interval): p for p in rcx.cells.values()}
+        assert set(got) == set(want), levels
+        for key, piece in got.items():
             assert piece.vertices == want[key], (levels, key)
             assert piece.pointed == piece.geometry.pointed
         keys = rcx.keys_in(lo, hi)
@@ -560,7 +612,7 @@ def test_affine_net_pieces_are_cut_from_a_line():
     )
     rcx = refine_at_levels(cx, [F(-2), F(3)])
     origin, below = (F(0), F(0)), (F(-1), F(-2))
-    assert {k[1]: p.vertices for k, p in rcx.cells.items()} == {
+    assert {p.interval: p.vertices for p in rcx.cells.values()} == {
         (None, F(-2)): [below],
         (F(-2), F(-2)): [below],
         (F(-2), F(3)): [below, origin],
@@ -571,35 +623,39 @@ def test_affine_net_pieces_are_cut_from_a_line():
         assert betti(triangulate(model(cx, F(1))).complex) == (1,)
 
 
-# pieces of two_relu_net refined at F = 1, by name
-O = ((0, 0), (None, F(1)))
-A = ((1, 0), (F(1), F(1)))
-B = ((0, 1), (F(1), F(1)))
-X_SEG = ((1, 0), (None, F(1)))
-Y_SEG = ((0, 1), (None, F(1)))
-TRIANGLE = ((1, 1), (None, F(1)))
+# pieces of two_relu_net refined at F = 1, by name: interval 0 is F < 1,
+# interval 1 is F = 1
+AT_ONE = [(None, F(1)), (F(1), F(1)), (F(1), None)]
+O = ((0, 0), 0)
+A = ((1, 0), 1)
+B = ((0, 1), 1)
+X_SEG = ((1, 0), 0)
+Y_SEG = ((0, 1), 0)
+TRIANGLE = ((1, 1), 0)
 
 
 def _sublevel_with_pairs(drop=(), add=()):
-    """F <= 1 of two_relu_net, with the containment pairs corrupted."""
+    """F <= 1 of two_relu_net with F = 1 marked, with the containment pairs
+    corrupted."""
     cx = build_complex(two_relu_net())
     rcx = refine_at_levels(cx, [F(1)])
     true_pairs = rcx.containment_pairs
     rcx.containment_pairs = lambda keys: [
         p for p in true_pairs(keys) if p not in drop
     ] + list(add)
-    return modeled_pair(rcx, (None, F(1)), (None, F(0)))
+    return modeled_pair(rcx, (None, F(1)), (F(1), F(1)))
 
 
 def _where(key):
-    return re.escape(f"cell {key[0]} over F-interval {key[1]}")
+    return re.escape(f"cell {key[0]} over F-interval {AT_ONE[key[1]]}")
 
 
 def test_uncorrupted_sublevel_is_the_triangle():
     model, marked = _sublevel_with_pairs()
     assert sorted(c.dimension for c in model.cells.values()) == [0, 0, 0, 1, 1, 1, 2]
     assert model.vertices == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
-    assert marked == frozenset()
+    # the hypotenuse from (0, 1) to (1, 0) and its ends
+    assert marked == {frozenset({1}), frozenset({2}), frozenset({1, 2})}
     assert model.cells[frozenset({0})].sources >= {O, X_SEG, Y_SEG, TRIANGLE}
 
 
@@ -609,7 +665,7 @@ def test_selected_model_rejects_zero_piece_without_one_point():
     cx.skeleton[O[0]] = CellFaces(((p, f), ((p[0] + 1, p[1]), f)), ())
     rcx = refine_at_levels(cx, [F(1)])
     with pytest.raises(RuntimeError, match=f"0-dimensional {_where(O)} has points"):
-        modeled_pair(rcx, (None, F(1)), (None, F(0)))
+        modeled_pair(rcx, (None, F(1)), (F(1), F(1)))
 
 
 def test_selected_model_rejects_piece_with_too_few_vertices():

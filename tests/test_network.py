@@ -246,6 +246,31 @@ def test_load_zero_denominator(tmp_path):
         load_network(p)
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ({"layers": 5}, "layers"),
+        ({"layers": {"weights": [[1]]}}, "layers"),
+        ({"layers": [{"weights": 5, "bias": [0], "activation": "none"}]}, "layer 0 weights"),
+        ({"layers": [{"weights": [1], "bias": [0], "activation": "none"}]}, "layer 0 row 0"),
+        ({"layers": [{"weights": ["12"], "bias": [0], "activation": "none"}]}, "layer 0 row 0"),
+        ({"layers": [{"weights": [[1]], "bias": 0, "activation": "none"}]}, "layer 0 bias"),
+        (
+            {"layers": [
+                {"weights": [[1]], "bias": [0], "activation": "relu"},
+                {"weights": [[1]], "bias": "0", "activation": "none"},
+            ]},
+            "layer 1 bias",
+        ),
+    ],
+)
+def test_load_non_array_structure_names_where(tmp_path, data, where):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(NetworkFormatError, match=f"^{where}: expected an array"):
+        load_network(p)
+
+
 def test_load_malformed_json(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
