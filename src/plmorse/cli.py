@@ -66,12 +66,15 @@ def _cmd_generate(args) -> int:
     picked = [x for x in (args.fan, args.coarse_bound, args.random) if x is not None]
     if len(picked) != 1:
         raise SystemExit("pick exactly one of --fan, --coarse-bound, --random")
-    if args.fan is not None:
-        net = build_fan_network(args.fan)
-    elif args.coarse_bound is not None:
-        net = build_coarse_bound_network(args.coarse_bound)
-    else:
-        net = random_network(_parse_arch(args.random), args.seed, scheme=args.scheme)
+    try:
+        if args.fan is not None:
+            net = build_fan_network(args.fan)
+        elif args.coarse_bound is not None:
+            net = build_coarse_bound_network(args.coarse_bound)
+        else:
+            net = random_network(_parse_arch(args.random), args.seed, scheme=args.scheme)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     _write(json.dumps(network_to_json(net), indent=1) + "\n", args.out)
     return 0
 
@@ -79,13 +82,16 @@ def _cmd_generate(args) -> int:
 def _cmd_montecarlo(args) -> int:
     if (args.plmorse is None) == (args.flat is None):
         raise SystemExit("pick exactly one of --plmorse, --flat")
-    if args.plmorse is not None:
-        n, n1 = args.plmorse
-        summary = montecarlo_plmorse(n, n1, args.trials, args.seed, scheme=args.scheme)
-    else:
-        summary = montecarlo_flat_cell(
-            _parse_arch(args.flat), args.trials, args.seed, scheme=args.scheme
-        )
+    try:
+        if args.plmorse is not None:
+            n, n1 = args.plmorse
+            summary = montecarlo_plmorse(n, n1, args.trials, args.seed, scheme=args.scheme)
+        else:
+            summary = montecarlo_flat_cell(
+                _parse_arch(args.flat), args.trials, args.seed, scheme=args.scheme
+            )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     _write(json.dumps(summary_to_json(summary), indent=1) + "\n", args.out)
     return 0
 

@@ -2,7 +2,9 @@
 
 Each trial is a pure function of (seed, index), so runs are deterministic and
 embarrassingly parallel; PLMORSE_THREADS caps the worker pool (default 1,
-meaning in-process serial execution).
+meaning in-process serial execution).  A trial's exact tests run on integers:
+the all-minus region through the integer feasibility test, the flat cell
+through the network's integer layers at the sampled point.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .geometry import rank
-from .network import Network, _sampler, fraction_to_json, has_inactive_region, random_network
+from .geometry import in_span
+from .network import (Network, _sampler, fraction_to_json, has_inactive_region,
+                      integer_layers, random_network)
 
 _SEED_STRIDE = 1_000_003
 
@@ -113,33 +117,31 @@ def minimal_cell_is_flat(net: Network, x) -> bool:
 
     The cell's affine hull is cut out by the hyperplanes of the hidden units
     whose pre-activation vanishes at x; the cell is flat exactly when the
-    gradient of the masked affine composition lies in their span.
+    gradient of the masked affine composition lies in their span.  The walk
+    runs in integers on X = q*x (``integer_layers``): every pre-activation,
+    normal and gradient is a positive multiple of the rational one, so no
+    sign and no span changes.
     """
     n = net.n0
-    x = tuple(Fraction(v) for v in x)
-    zero = Fraction(0)
-    rows = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    values = list(x)
-    normals: list[tuple[Fraction, ...]] = []
-    for layer in net.layers[:-1]:
-        new_rows, new_values = [], []
-        for wrow, b in zip(layer.weights, layer.bias):
-            coeffs = tuple(
-                sum(w * rows[k][j] for k, w in enumerate(wrow)) for j in range(n)
-            )
-            val = sum(w * values[k] for k, w in enumerate(wrow)) + b
+    x = [Fraction(v) for v in x]
+    q = math.lcm(*(v.denominator for v in x))
+    layers, _ = integer_layers(net, q)
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    values = [v.numerator * (q // v.denominator) for v in x]
+    normals: list[tuple[int, ...]] = []
+    for weights, bias in layers[:-1]:
+        cols = list(zip(*rows))
+        rows, new_values = [], []
+        for wrow, b in zip(weights, bias):
+            coeffs = tuple(sum(map(mul, wrow, col)) for col in cols)
+            val = sum(map(mul, wrow, values)) + b
             if val == 0:
                 normals.append(coeffs)
-            if val > 0:
-                new_rows.append(coeffs)
-                new_values.append(val)
-            else:
-                new_rows.append((zero,) * n)
-                new_values.append(zero)
-        rows, values = new_rows, new_values
-    out = net.layers[-1].weights[0]
-    gradient = tuple(sum(w * rows[k][j] for k, w in enumerate(out)) for j in range(n))
-    return rank(normals + [gradient]) == rank(normals)
+            rows.append(coeffs if val > 0 else (0,) * n)
+            new_values.append(max(val, 0))
+        values = new_values
+    gradient = tuple(sum(map(mul, layers[-1][0][0], col)) for col in zip(*rows))
+    return in_span(gradient, normals)
 
 
 def _flat_trial(args) -> bool:

@@ -1,10 +1,12 @@
 """Exact rational linear algebra and convex polyhedra.
 
-All arithmetic is over the rationals (fractions.Fraction); no floats enter any
-geometric predicate.  A linear constraint is a pair ``(coef, off)`` encoding the
-affine form ``<coef, x> + off`` and is stored in canonical integer form: every
-entry an int, gcd of all entries 1.  Equality constraints additionally have
-their first nonzero coefficient positive, so that a hyperplane has one key.
+All arithmetic is exact; no floats enter any geometric predicate.  Linear
+algebra works over the rationals (fractions.Fraction); the feasibility test
+scales each input form to primitive integers once and eliminates on ints.  A
+linear constraint is a pair ``(coef, off)`` encoding the affine form
+``<coef, x> + off`` and is stored in canonical integer form: every entry an
+int, gcd of all entries 1.  Equality constraints additionally have their first
+nonzero coefficient positive, so that a hyperplane has one key.
 
 Polyhedra are kept in H-representation.  The relative interior of a polyhedron
 is characterised by a system ``(eqs, stricts)``: the points satisfying every
@@ -37,7 +39,11 @@ def _primitive_ints(entries: list[Fraction]) -> list[int]:
     """The rationals times the one positive scale that makes them coprime
     integers (all zeros stay zeros)."""
     scale = lcm(*(e.denominator for e in entries))
-    ints = [e.numerator * (scale // e.denominator) for e in entries]
+    return _coprime([e.numerator * (scale // e.denominator) for e in entries])
+
+
+def _coprime(ints: list[int]) -> list[int]:
+    """The integers divided by their gcd (all zeros stay zeros)."""
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -119,7 +125,7 @@ def in_span(target, rows) -> bool:
     if all(x == 0 for x in target):
         return True
     base = [row for row in rows if any(x != 0 for x in row)]
-    return rank(base + [list(target)]) == rank(base)
+    return bool(base) and rank(base + [list(target)]) == rank(base)
 
 
 def solve_linear(rows, rhs, n: int) -> tuple[Vec | None, list[Vec]]:
@@ -143,75 +149,56 @@ def solve_linear(rows, rhs, n: int) -> tuple[Vec | None, list[Vec]]:
 # exact feasibility (Fourier-Motzkin with strictness tracking)
 
 
-def _const_ok(off, strict: bool) -> bool:
-    return off > 0 if strict else off >= 0
+def _keep(work: set, row: list[int], strict: bool, n: int) -> bool:
+    """Add a primitive row to the work set; False if it is a violated constant."""
+    if any(row[:n]):
+        work.add((tuple(row[:n]), row[n], strict))
+        return True
+    return row[n] > 0 if strict else row[n] >= 0
 
 
 def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
     """Exact feasibility of {x : eqs = 0, ges >= 0, gts > 0} over Q^n.
 
-    Equalities are removed by Gaussian substitution, then Fourier-Motzkin
-    eliminates the remaining variables.  Total and exact; the combination of
-    a strict inequality with any other is strict.
+    Every form is scaled once to primitive integers.  Equalities are removed
+    by integer substitution, then Fourier-Motzkin eliminates the remaining
+    variables, each step a positive integer combination divided by its gcd.
+    Each row is thus a positive multiple of its rational counterpart, so no
+    sign changes.  Total and exact; the combination of a strict inequality
+    with any other is strict.
     """
-    ineqs: list[tuple[list[Fraction], Fraction, bool]] = []
-    for coef, off in ges:
-        ineqs.append(([Fraction(c) for c in coef], Fraction(off), False))
-    for coef, off in gts:
-        ineqs.append(([Fraction(c) for c in coef], Fraction(off), True))
+    ineqs = [(_primitive_ints([*c, o]), False) for c, o in ges]
+    ineqs += [(_primitive_ints([*c, o]), True) for c, o in gts]
 
-    # Gaussian substitution for the equalities.
-    pending = [[Fraction(c) for c in coef] + [Fraction(off)] for coef, off in eqs]
+    # Integer substitution for the equalities.
+    pending = [_primitive_ints([*c, o]) for c, o in eqs]
     while pending:
-        row = pending.pop()
-        j = next((k for k in range(n) if row[k] != 0), None)
+        pivot = pending.pop()
+        j = next((k for k in range(n) if pivot[k] != 0), None)
         if j is None:
-            if row[n] != 0:
+            if pivot[n] != 0:
                 return False
             continue
-        pj = row[j]
-        for other in pending:
-            if other[j] != 0:
-                t = other[j] / pj
-                for k in range(n + 1):
-                    other[k] -= t * row[k]
-        new_ineqs = []
-        for c, off, s in ineqs:
-            if c[j] != 0:
-                t = c[j] / pj
-                c = [a - t * b for a, b in zip(c, row[:n])]
-                off = off - t * row[n]
-                c[j] = Fraction(0)
-            new_ineqs.append((c, off, s))
-        ineqs = new_ineqs
+        p, sp = abs(pivot[j]), (1 if pivot[j] > 0 else -1)
+
+        def sub(row):  # |p|*row - sgn(p)*row[j]*pivot: zero at j, same sign
+            t = sp * row[j]
+            return _coprime([p * a - t * b for a, b in zip(row, pivot)]) if t else row
+
+        pending = [sub(row) for row in pending]
+        ineqs = [(sub(row), s) for row, s in ineqs]
 
     # Fourier-Motzkin elimination of the remaining variables.
-    def canon(c, off, s):
-        coef, ioff = canon_constraint(c, off)
-        return coef, ioff, s
-
     work = set()
-    for c, off, s in ineqs:
-        if all(x == 0 for x in c):
-            if not _const_ok(off, s):
-                return False
-            continue
-        work.add(canon(c, off, s))
-
+    for row, s in ineqs:
+        if not _keep(work, row, s, n):
+            return False
     while work:
-        counts = {}
-        for coef, off, s in work:
-            for k in range(n):
-                if coef[k] != 0:
-                    counts.setdefault(k, [0, 0])
-        for coef, off, s in work:
-            for k in counts:
-                if coef[k] > 0:
-                    counts[k][0] += 1
-                elif coef[k] < 0:
-                    counts[k][1] += 1
-        if not counts:
-            break
+        counts = {}  # variable -> [rows with it positive, negative], by first use
+        for coef, _, _ in work:
+            for k, v in enumerate(coef):
+                if v:
+                    counts.setdefault(k, [0, 0])[v < 0] += 1
         j = min(counts, key=lambda k: counts[k][0] * counts[k][1])
         pos, neg, rest = [], [], set()
         for con in work:
@@ -225,15 +212,11 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
         work = rest
         for pc, po, ps in pos:
             for nc, no, ns in neg:
-                a, b = pc[j], nc[j]
-                c = [Fraction(-b) * x + Fraction(a) * y for x, y in zip(pc, nc)]
-                off = -b * po + a * no
-                s = ps or ns
-                if all(x == 0 for x in c):
-                    if not _const_ok(off, s):
-                        return False
-                    continue
-                work.add(canon(c, off, s))
+                a, b = pc[j], -nc[j]
+                row = [b * x + a * y for x, y in zip(pc, nc)]
+                row.append(b * po + a * no)
+                if not _keep(work, _coprime(row), ps or ns, n):
+                    return False
     return True
 
 

@@ -153,8 +153,9 @@ def integer_layers(net: Network, q: int = 1):
     for layer in net.layers:
         e = math.lcm(*(x.denominator for row in layer.weights for x in row),
                      *(c.denominator for c in layer.bias))
-        a = tuple(tuple(int(w * e) for w in row) for row in layer.weights)
-        b = tuple(int(c * e) * sigma for c in layer.bias)
+        a = tuple(tuple(w.numerator * (e // w.denominator) for w in row)
+                  for row in layer.weights)
+        b = tuple(c.numerator * (e // c.denominator) * sigma for c in layer.bias)
         out.append((a, b))
         sigma *= e
     return tuple(out), sigma

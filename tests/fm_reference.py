@@ -1,0 +1,101 @@
+"""Fourier-Motzkin feasibility over ``Fraction``, the reference for
+``plmorse.geometry.feasible``.
+
+This is the rational form of the same elimination: equalities are removed by
+Gaussian substitution with ``Fraction`` multipliers, every inequality is
+rescaled to its canonical primitive-integer form, and each step combines a
+positive and a negative row with ``Fraction`` coefficients.  The program runs
+the elimination on primitive integers instead; on any system the two must
+give the same answer.
+"""
+
+from fractions import Fraction
+
+from plmorse.geometry import canon_constraint
+
+
+def _const_ok(off, strict: bool) -> bool:
+    return off > 0 if strict else off >= 0
+
+
+def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
+    """Exact feasibility of {x : eqs = 0, ges >= 0, gts > 0} over Q^n."""
+    ineqs: list[tuple[list[Fraction], Fraction, bool]] = []
+    for coef, off in ges:
+        ineqs.append(([Fraction(c) for c in coef], Fraction(off), False))
+    for coef, off in gts:
+        ineqs.append(([Fraction(c) for c in coef], Fraction(off), True))
+
+    pending = [[Fraction(c) for c in coef] + [Fraction(off)] for coef, off in eqs]
+    while pending:
+        row = pending.pop()
+        j = next((k for k in range(n) if row[k] != 0), None)
+        if j is None:
+            if row[n] != 0:
+                return False
+            continue
+        pj = row[j]
+        for other in pending:
+            if other[j] != 0:
+                t = other[j] / pj
+                for k in range(n + 1):
+                    other[k] -= t * row[k]
+        new_ineqs = []
+        for c, off, s in ineqs:
+            if c[j] != 0:
+                t = c[j] / pj
+                c = [a - t * b for a, b in zip(c, row[:n])]
+                off = off - t * row[n]
+                c[j] = Fraction(0)
+            new_ineqs.append((c, off, s))
+        ineqs = new_ineqs
+
+    def canon(c, off, s):
+        coef, ioff = canon_constraint(c, off)
+        return coef, ioff, s
+
+    work = set()
+    for c, off, s in ineqs:
+        if all(x == 0 for x in c):
+            if not _const_ok(off, s):
+                return False
+            continue
+        work.add(canon(c, off, s))
+
+    while work:
+        counts = {}
+        for coef, off, s in work:
+            for k in range(n):
+                if coef[k] != 0:
+                    counts.setdefault(k, [0, 0])
+        for coef, off, s in work:
+            for k in counts:
+                if coef[k] > 0:
+                    counts[k][0] += 1
+                elif coef[k] < 0:
+                    counts[k][1] += 1
+        if not counts:
+            break
+        j = min(counts, key=lambda k: counts[k][0] * counts[k][1])
+        pos, neg, rest = [], [], set()
+        for con in work:
+            cj = con[0][j]
+            if cj > 0:
+                pos.append(con)
+            elif cj < 0:
+                neg.append(con)
+            else:
+                rest.add(con)
+        work = rest
+        for pc, po, ps in pos:
+            for nc, no, ns in neg:
+                a, b = pc[j], nc[j]
+                c = [Fraction(-b) * x + Fraction(a) * y for x, y in zip(pc, nc)]
+                off = -b * po + a * no
+                s = ps or ns
+                if all(x == 0 for x in c):
+                    if not _const_ok(off, s):
+                        return False
+                    continue
+                work.add(canon(c, off, s))
+    return True

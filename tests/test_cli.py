@@ -120,6 +120,32 @@ def test_montecarlo_needs_one_experiment(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["montecarlo", "--plmorse", "2", "3", "--trials", "0", "--seed", "1"],
+     "trials must be at least 1"),
+    (["montecarlo", "--flat", "3,4", "--trials", "5", "--seed", "1"],
+     "architecture needs at least one hidden layer"),
+    (["montecarlo", "--flat", "3,4,4,2", "--trials", "5", "--seed", "1"],
+     "output width must be 1"),
+    (["montecarlo", "--plmorse", "0", "6", "--trials", "5", "--seed", "1"],
+     "widths must be positive"),
+    (["generate", "--random", "3,0,1"], "widths must be positive"),
+    (["generate", "--fan", "0"], "need n >= 1"),
+    (["generate", "--coarse-bound", "1"], "need m >= 3"),
+])
+def test_library_refusals_exit_two_with_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_montecarlo_bad_thread_count_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("PLMORSE_THREADS", "two")
+    assert main(["montecarlo", "--plmorse", "2", "3", "--trials", "5", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "PLMORSE_THREADS must be an integer, got 'two'\n"
+
+
 def test_oracle_sublevel(tmp_path, capsys):
     net_file = tmp_path / "net.json"
     _two_relu_json(net_file)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import pytest
 from plmorse import ensembles as ens
 from plmorse import morse
 from plmorse.complexes import build_complex, is_generic
+from plmorse.geometry import rank
 from plmorse.network import AffineLayer, Network, random_network
 
 
@@ -113,6 +115,68 @@ def test_minimal_cell_flatness_examples():
     ))
     assert ens.minimal_cell_is_flat(deep, (-1, -1)) is True
     assert ens.minimal_cell_is_flat(deep, (2, 3)) is False
+
+
+def fraction_flat_walk(net, x) -> bool:
+    """The rational layer walk, the reference for ``minimal_cell_is_flat``:
+    the same decision with every row and value kept as a ``Fraction``."""
+    n = net.n0
+    x = tuple(F(v) for v in x)
+    zero = F(0)
+    rows = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    values = list(x)
+    normals = []
+    for layer in net.layers[:-1]:
+        new_rows, new_values = [], []
+        for wrow, b in zip(layer.weights, layer.bias):
+            coeffs = tuple(
+                sum(w * rows[k][j] for k, w in enumerate(wrow)) for j in range(n)
+            )
+            val = sum(w * values[k] for k, w in enumerate(wrow)) + b
+            if val == 0:
+                normals.append(coeffs)
+            if val > 0:
+                new_rows.append(coeffs)
+                new_values.append(val)
+            else:
+                new_rows.append((zero,) * n)
+                new_values.append(zero)
+        rows, values = new_rows, new_values
+    out = net.layers[-1].weights[0]
+    gradient = tuple(sum(w * rows[k][j] for k, w in enumerate(out)) for j in range(n))
+    return rank(normals + [gradient]) == rank(normals)
+
+
+def test_flat_walk_matches_fraction_walk_on_walls():
+    """Points on the walls of deep nets with non-dyadic weights, where the
+    integer walk must collect the normals the rational walk does.  Random
+    Monte Carlo points almost never land on a wall."""
+    rng = random.Random(20221)
+    scalars = [F(k, d) for k in range(-3, 4) for d in (1, 3)]
+    wall_hits = deep_wall_hits = 0
+    answers = set()
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        widths = [n] + [rng.randint(1, 3) for _ in range(rng.randint(2, 3))] + [1]
+        layers = [
+            AffineLayer.make(
+                [[rng.choice(scalars) for _ in range(a)] for _ in range(b)],
+                [rng.choice(scalars) for _ in range(b)],
+                "none" if i == len(widths) - 2 else "relu",
+            )
+            for i, (a, b) in enumerate(zip(widths, widths[1:]))
+        ]
+        net = Network(tuple(layers))
+        x = tuple(rng.choice(scalars) for _ in range(n))
+        pre = net.evaluate(x)[1]
+        got = ens.minimal_cell_is_flat(net, x)
+        assert got == fraction_flat_walk(net, x), (net, x)
+        if 0 in pre:
+            wall_hits += 1
+            deep_wall_hits += 0 in pre[widths[1]:]
+            answers.add(got)
+    assert wall_hits >= 100 and deep_wall_hits >= 50
+    assert answers == {True, False}
 
 
 def test_random_point_scheme_and_determinism():

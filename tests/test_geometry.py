@@ -22,6 +22,8 @@ from plmorse.geometry import (
     vec,
 )
 
+from fm_reference import feasible as fraction_feasible
+
 F = Fraction
 
 
@@ -134,6 +136,37 @@ def test_feasible_never_rejects_a_witness(ges, point):
 def test_strict_feasible_never_rejects_a_witness(gts, point):
     if all(dot(c, point) + o > 0 for c, o in gts):
         assert feasible(2, gts=gts)
+
+
+@st.composite
+def small_systems(draw):
+    """Systems over Q^n, n <= 3, mixing int and Fraction entries, zero rows,
+    constraints repeated within and across kinds, opposite pairs (a >= 0 with
+    -a >= 0 or -a > 0, where strictness decides), and, half the time, an
+    equality shifted off a parallel copy of itself."""
+    n = draw(st.integers(0, 3))
+    scalar = st.one_of(
+        st.just(0), st.integers(-3, 3), st.fractions(F(-3), F(3), max_denominator=4)
+    )
+    form = st.tuples(
+        st.one_of(st.just((0,) * n), st.tuples(*[scalar] * n)), scalar
+    )
+    pool = draw(st.lists(form, min_size=1, max_size=4))
+    pool += [(tuple(-c for c in coef), -off) for coef, off in pool]
+    pick = st.lists(st.sampled_from(pool), max_size=5)
+    eqs, ges, gts = draw(pick), draw(pick), draw(pick)
+    if eqs and draw(st.booleans()):
+        coef, off = eqs[0]
+        eqs.append((coef, off + 1))
+    return n, eqs, ges, gts
+
+
+@settings(max_examples=1000, deadline=None)
+@given(small_systems())
+def test_feasible_matches_fraction_elimination(system):
+    """Feasible and infeasible answers both agree with the rational reference."""
+    n, eqs, ges, gts = system
+    assert feasible(n, eqs, ges, gts) == fraction_feasible(n, eqs, ges, gts)
 
 
 # -- polyhedra --------------------------------------------------------------
