@@ -2,23 +2,24 @@
 
 Each trial is a pure function of (seed, index), so runs are deterministic and
 embarrassingly parallel; PLMORSE_THREADS caps the worker pool (default 1,
-meaning in-process serial execution).  A trial's exact tests run on integers:
-the all-minus region through the integer feasibility test, the flat cell
-through the network's integer layers at the sampled point.
+meaning in-process serial execution).  Trials run on integer draws: each
+takes its weights and point as int numerators over 2**53 from the same seeded
+streams as ``random_network`` and ``random_point`` and builds no Fraction.
+The all-minus region goes through the integer feasibility test, the flat
+cell through the integer layer walk that ``minimal_cell_is_flat`` runs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .geometry import in_span
-from .network import (Network, _sampler, fraction_to_json, has_inactive_region,
-                      integer_layers, random_network)
+from .geometry import in_span, strict_feasible
+from .network import (_SNAP, Network, _sampler, fraction_to_json, inactive_walls,
+                      integer_layers, random_int_layers)
 
 _SEED_STRIDE = 1_000_003
 
@@ -26,7 +27,7 @@ _SEED_STRIDE = 1_000_003
 def plmorse_probability_formula(n: int, n1: int) -> Fraction:
     """Probability that a random single-hidden-layer net R^n -> R is PL Morse."""
     if n < 1 or n1 < 1:
-        raise ValueError("widths must be at least 1")
+        raise ValueError("widths must be positive")
     if n1 <= n:
         return Fraction(0)
     total = sum(math.comb(n1, k) for k in range(n + 1, n1 + 1))
@@ -80,36 +81,36 @@ def _run_trials(worker, args_list) -> int:
         return sum(1 for hit in pool.map(worker, args_list, chunksize=chunk) if hit)
 
 
+def _experiment(kind, arch, worker, trials, seed, scheme, closed_form, bound) -> TrialSummary:
+    """Run worker on (arch, seed, scheme, index) for each trial index."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    hits = _run_trials(worker, [(arch, seed, scheme, i) for i in range(trials)])
+    return TrialSummary(kind, arch, trials, seed, scheme, hits, closed_form, bound)
+
+
 def _plmorse_trial(args) -> bool:
-    n, n1, seed, scheme, index = args
-    net = random_network((n, n1, 1), trial_seed(seed, index), scheme=scheme)
-    return not has_inactive_region(net.layers[0])
+    arch, seed, scheme, index = args
+    (rows, bias), _ = random_int_layers(arch, trial_seed(seed, index), scheme)
+    return not strict_feasible(arch[0], inactive_walls(rows, bias))
 
 
 def montecarlo_plmorse(
     n: int, n1: int, trials: int, seed: int, scheme: str = "gaussian"
 ) -> TrialSummary:
     """Empirical rate of the all-minus region being empty over random nets."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    hits = _run_trials(_plmorse_trial, [(n, n1, seed, scheme, i) for i in range(trials)])
-    return TrialSummary(
-        kind="plmorse",
-        architecture=(n, n1, 1),
-        trials=trials,
-        seed=seed,
-        scheme=scheme,
-        successes=hits,
-        closed_form=plmorse_probability_formula(n, n1),
-        bound=None,
-    )
+    closed_form = plmorse_probability_formula(n, n1)
+    return _experiment("plmorse", (n, n1, 1), _plmorse_trial, trials, seed, scheme,
+                       closed_form, None)
+
+
+def _point_ints(n: int, seed: int, scheme: str) -> list[int]:
+    return _sampler(scheme, f"plmorse|point|{scheme}|{n}|{seed}")(n)
 
 
 def random_point(n: int, seed: int, scheme: str = "gaussian") -> tuple[Fraction, ...]:
     """Point drawn from the same symmetric coordinate law as the weights."""
-    draw = _sampler(scheme)
-    rng = random.Random(f"plmorse|point|{scheme}|{n}|{seed}")
-    return tuple(draw(rng) for _ in range(n))
+    return tuple(Fraction(k, _SNAP) for k in _point_ints(n, seed, scheme))
 
 
 def minimal_cell_is_flat(net: Network, x) -> bool:
@@ -122,12 +123,17 @@ def minimal_cell_is_flat(net: Network, x) -> bool:
     normal and gradient is a positive multiple of the rational one, so no
     sign and no span changes.
     """
-    n = net.n0
     x = [Fraction(v) for v in x]
     q = math.lcm(*(v.denominator for v in x))
     layers, _ = integer_layers(net, q)
+    return _flat_walk(layers, [v.numerator * (q // v.denominator) for v in x])
+
+
+def _flat_walk(layers, values) -> bool:
+    """``minimal_cell_is_flat`` on integer layers (A, B) and the integer
+    point they take, as ``integer_layers`` scales them."""
+    n = len(values)
     rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    values = [v.numerator * (q // v.denominator) for v in x]
     normals: list[tuple[int, ...]] = []
     for weights, bias in layers[:-1]:
         cols = list(zip(*rows))
@@ -147,32 +153,22 @@ def minimal_cell_is_flat(net: Network, x) -> bool:
 def _flat_trial(args) -> bool:
     arch, seed, scheme, index = args
     s = trial_seed(seed, index)
-    net = random_network(arch, s, scheme=scheme)
-    x = random_point(arch[0], s, scheme=scheme)
-    return minimal_cell_is_flat(net, x)
+    # integer_layers at q = 2**53 with every layer scaled by e = 2**53: the
+    # point's numerators are X, and layer i's bias carries sigma = 2**(53(i+1)).
+    layers = [(rows, tuple(b * _SNAP ** (i + 1) for b in bias))
+              for i, (rows, bias) in enumerate(random_int_layers(arch, s, scheme))]
+    return _flat_walk(layers, _point_ints(arch[0], s, scheme))
 
 
 def montecarlo_flat_cell(
     arch, trials: int, seed: int, scheme: str = "gaussian"
 ) -> TrialSummary:
     """Empirical rate of landing in a flat cell, against the 2^-n_m bound."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     arch = tuple(int(a) for a in arch)
     if len(arch) < 3:
         raise ValueError("architecture needs at least one hidden layer")
-    hits = _run_trials(_flat_trial, [(arch, seed, scheme, i) for i in range(trials)])
-    n_m = arch[-2]
-    return TrialSummary(
-        kind="flat_cell",
-        architecture=arch,
-        trials=trials,
-        seed=seed,
-        scheme=scheme,
-        successes=hits,
-        closed_form=None,
-        bound=Fraction(1, 2**n_m),
-    )
+    return _experiment("flat_cell", arch, _flat_trial, trials, seed, scheme,
+                       None, Fraction(1, 2) ** arch[-2])
 
 
 def summary_to_json(summary: TrialSummary) -> dict:

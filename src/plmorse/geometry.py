@@ -1,12 +1,12 @@
 """Exact rational linear algebra and convex polyhedra.
 
 All arithmetic is exact; no floats enter any geometric predicate.  Linear
-algebra works over the rationals (fractions.Fraction); the feasibility test
-scales each input form to primitive integers once and eliminates on ints.  A
-linear constraint is a pair ``(coef, off)`` encoding the affine form
-``<coef, x> + off`` and is stored in canonical integer form: every entry an
-int, gcd of all entries 1.  Equality constraints additionally have their first
-nonzero coefficient positive, so that a hyperplane has one key.
+algebra takes and returns rationals (fractions.Fraction), but row reduction
+and the feasibility test scale each input row to primitive integers once and
+eliminate on ints.  A linear constraint is a pair ``(coef, off)`` encoding the
+affine form ``<coef, x> + off`` and is stored in canonical integer form: every
+entry an int, gcd of all entries 1.  Equality constraints additionally have
+their first nonzero coefficient positive, so that a hyperplane has one key.
 
 Polyhedra are kept in H-representation.  The relative interior of a polyhedron
 is characterised by a system ``(eqs, stricts)``: the points satisfying every
@@ -64,23 +64,24 @@ def canon_constraint(coef, off, equality: bool = False) -> Constraint:
 # dense exact linear algebra
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination.  Each row is scaled once to
+    primitive integers, and each step is pv*row - f*pivot_row divided by its
+    gcd, so every returned row is a nonzero multiple of its row in the
+    reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    mat = [_primitive_ints(row) for row in rows]
     pivots: list[int] = []
     r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        top, pv = mat[r], mat[r][c]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                f = row[c]
+                mat[i] = _coprime([pv * a - f * b for a, b in zip(row, top)])
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -88,11 +89,14 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return mat[:r], pivots
 
 
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    mat, pivots = _echelon(rows)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(mat, pivots)], pivots
+
+
 def rank(rows) -> int:
-    rows = [row for row in rows if any(x != 0 for x in row)]
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def nullspace_basis(rows, n: int) -> list[Vec]:
@@ -110,14 +114,6 @@ def nullspace_basis(rows, n: int) -> list[Vec]:
             v[p] = -red[i][f]
         basis.append(tuple(v))
     return basis
-
-
-def row_space_basis(rows, n: int) -> list[Vec]:
-    rows = [row for row in rows if any(x != 0 for x in row)]
-    if not rows:
-        return []
-    red, _ = rref(rows)
-    return [tuple(r) for r in red]
 
 
 def in_span(target, rows) -> bool:

@@ -324,10 +324,14 @@ def build_coarse_bound_network(m: int) -> Network:
     return Network((hidden, out))
 
 
+def inactive_walls(weights, bias) -> list:
+    """The forms -(<w, x> + b) of a layer's units, positive where a unit is off."""
+    return [(tuple(-w for w in row), -b) for row, b in zip(weights, bias)]
+
+
 def has_inactive_region(layer: AffineLayer) -> bool:
     """Whether some open region has every unit of the layer strictly inactive."""
-    walls = [(tuple(-w for w in row), -b) for row, b in zip(layer.weights, layer.bias)]
-    return strict_feasible(layer.in_dim, walls)
+    return strict_feasible(layer.in_dim, inactive_walls(layer.weights, layer.bias))
 
 
 def prescribe_edge_orientations(layer1: AffineLayer, signs) -> tuple[Fraction, ...]:
@@ -344,9 +348,7 @@ def prescribe_edge_orientations(layer1: AffineLayer, signs) -> tuple[Fraction, .
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be +1 or -1")
     n = layer1.in_dim
-    walls = [
-        (tuple(-w for w in row), -b) for row, b in zip(layer1.weights, layer1.bias)
-    ]
+    walls = inactive_walls(layer1.weights, layer1.bias)
     region = Polyhedron(n, ges=walls)
     if region.dim != n:
         raise ValueError("inactive region of layer is empty or lower-dimensional")
@@ -363,18 +365,31 @@ def prescribe_edge_orientations(layer1: AffineLayer, signs) -> tuple[Fraction, .
 _SNAP = 1 << 53
 
 
-def _snap(x: float) -> Fraction:
-    return Fraction(round(x * _SNAP), _SNAP)
-
-
-def _sampler(scheme: str):
-    """rng -> one coordinate drawn from the scheme's law, 'gaussian' or
-    'uniform' (both symmetric about zero), snapped to a dyadic rational."""
+def _sampler(scheme: str, key: str):
+    """count -> the next count coordinates of the stream seeded by key, drawn
+    from the scheme's law, 'gaussian' or 'uniform' (both symmetric about
+    zero), as numerators over 2**53."""
+    rng = random.Random(key)
     if scheme == "gaussian":
-        return lambda rng: _snap(rng.gauss(0.0, 1.0))
+        return lambda k: [round(rng.gauss(0.0, 1.0) * _SNAP) for _ in range(k)]
     if scheme == "uniform":
-        return lambda rng: _snap(rng.uniform(-1.0, 1.0))
+        return lambda k: [round(rng.uniform(-1.0, 1.0) * _SNAP) for _ in range(k)]
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def random_int_layers(arch, seed: int, scheme: str = "gaussian"):
+    """Each layer's (rows, bias) of ``random_network`` as int numerators over
+    2**53, drawn from the same seeded stream in the same order."""
+    arch = tuple(int(a) for a in arch)
+    if len(arch) < 2:
+        raise ValueError("architecture needs at least input and output widths")
+    if any(a < 1 for a in arch):
+        raise ValueError("widths must be positive")
+    if arch[-1] != 1:
+        raise ValueError("output width must be 1")
+    draw = _sampler(scheme, f"plmorse|{scheme}|{','.join(map(str, arch))}|{seed}")
+    return [(tuple(tuple(draw(a)) for _ in range(b)), tuple(draw(b)))
+            for a, b in zip(arch, arch[1:])]
 
 
 def random_network(arch, seed: int, scheme: str = "gaussian") -> Network:
@@ -383,18 +398,9 @@ def random_network(arch, seed: int, scheme: str = "gaussian") -> Network:
     arch lists all widths (n0, ..., nm, 1); scheme is 'gaussian' or 'uniform',
     both symmetric about zero.  Deterministic in (arch, seed, scheme).
     """
-    arch = tuple(int(a) for a in arch)
-    if len(arch) < 2:
-        raise ValueError("architecture needs at least input and output widths")
-    if any(a < 1 for a in arch):
-        raise ValueError("widths must be positive")
-    if arch[-1] != 1:
-        raise ValueError("output width must be 1")
-    draw = _sampler(scheme)
-    rng = random.Random(f"plmorse|{scheme}|{','.join(map(str, arch))}|{seed}")
-    layers = []
-    for i in range(len(arch) - 1):
-        rows = tuple(tuple(draw(rng) for _ in range(arch[i])) for _ in range(arch[i + 1]))
-        bias = tuple(draw(rng) for _ in range(arch[i + 1]))
-        layers.append(AffineLayer(rows, bias, NONE if i == len(arch) - 2 else RELU))
-    return Network(tuple(layers))
+    layers = random_int_layers(arch, seed, scheme)
+    last = len(layers) - 1
+    return Network(tuple(
+        AffineLayer(tuple(tuple(Fraction(w, _SNAP) for w in row) for row in rows),
+                    tuple(Fraction(b, _SNAP) for b in bias), NONE if i == last else RELU)
+        for i, (rows, bias) in enumerate(layers)))

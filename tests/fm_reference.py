@@ -1,17 +1,45 @@
-"""Fourier-Motzkin feasibility over ``Fraction``, the reference for
-``plmorse.geometry.feasible``.
+"""Fourier-Motzkin feasibility and Gauss-Jordan elimination over
+``Fraction``, the references for ``plmorse.geometry.feasible`` and
+``plmorse.geometry.rref``.
 
-This is the rational form of the same elimination: equalities are removed by
-Gaussian substitution with ``Fraction`` multipliers, every inequality is
-rescaled to its canonical primitive-integer form, and each step combines a
-positive and a negative row with ``Fraction`` coefficients.  The program runs
-the elimination on primitive integers instead; on any system the two must
-give the same answer.
+The feasibility test is the rational form of the same elimination:
+equalities are removed by Gaussian substitution with ``Fraction``
+multipliers, every inequality is rescaled to its canonical primitive-integer
+form, and each step combines a positive and a negative row with ``Fraction``
+coefficients.  The program runs the elimination on primitive integers
+instead; on any system the two must give the same answer.  Likewise ``rref``
+here divides each pivot row by its pivot before eliminating, where the
+program eliminates fraction-free and divides once on return; the reduced row
+echelon form is unique, so the two must return equal rows.
 """
 
 from fractions import Fraction
 
 from plmorse.geometry import canon_constraint
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
 
 
 def _const_ok(off, strict: bool) -> bool:

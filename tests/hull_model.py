@@ -16,8 +16,13 @@ which takes the order complex of a model's face poset instead.
 from itertools import combinations
 
 from plmorse.compact import CompactModel, ModelCell
-from plmorse.geometry import dot, nullspace_basis, rank, row_space_basis, solve_linear
+from plmorse.geometry import dot, nullspace_basis, rank, rref, solve_linear
 from plmorse.homology import SimplicialComplex, Triangulation
+
+
+def row_space_basis(rows) -> list:
+    """The nonzero rows of the reduced row echelon form: a basis of the row space."""
+    return [tuple(r) for r in rref(rows)[0]]
 
 
 def affine_rank(verts) -> int:
@@ -39,7 +44,7 @@ def polytope_faces(verts, memo) -> set:
         return out
     n = len(verts[0])
     v0 = verts[0]
-    basis = row_space_basis([tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]], n)
+    basis = row_space_basis([tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]])
     coord_rows = [tuple(b[i] for b in basis) for i in range(n)]
     lam = {v: solve_linear(coord_rows, [a - b for a, b in zip(v, v0)], d)[0] for v in verts}
     for t in combinations(verts, d):

@@ -11,7 +11,9 @@ from plmorse import ensembles as ens
 from plmorse import morse
 from plmorse.complexes import build_complex, is_generic
 from plmorse.geometry import rank
-from plmorse.network import AffineLayer, Network, random_network
+from plmorse.network import AffineLayer, Network, has_inactive_region, random_network
+
+from draw_reference import snap_point
 
 
 def two_relu_net():
@@ -70,6 +72,58 @@ def test_montecarlo_determinism():
     c = ens.montecarlo_flat_cell((2, 3, 1), 100, 5)
     d = ens.montecarlo_flat_cell((2, 3, 1), 100, 5)
     assert c == d
+
+
+@pytest.mark.parametrize("seed, counts", [(10000, (347, 131, 184, 65)),
+                                          (20000, (328, 124, 145, 63))])
+def test_montecarlo_successes_are_pinned(seed, counts):
+    """Exact success counts of seeded runs: a changed draw order, draw
+    rounding or trial decision moves them."""
+    got = (
+        ens.montecarlo_plmorse(3, 6, 1000, seed).successes,
+        ens.montecarlo_flat_cell((3, 4, 4, 1), 1000, seed + 1).successes,
+        ens.montecarlo_plmorse(2, 4, 500, seed, "uniform").successes,
+        ens.montecarlo_flat_cell((2, 3, 1), 500, seed, "uniform").successes,
+    )
+    assert got == counts
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "uniform"])
+def test_trials_match_the_network_route(scheme):
+    """Each integer trial decides as the public functions do on the
+    Fraction network and point drawn with the same seed."""
+    answers = set()
+    for index in range(300):
+        n, n1 = (2, 4) if index % 2 else (3, 6)
+        net = random_network((n, n1, 1), ens.trial_seed(3, index), scheme)
+        hit = ens._plmorse_trial(((n, n1, 1), 3, scheme, index))
+        assert hit == (not has_inactive_region(net.layers[0])), index
+        answers.add(hit)
+
+        arch = (2, 3, 1) if index % 2 else (3, 4, 4, 1)
+        s = ens.trial_seed(3, index)
+        flat = ens.minimal_cell_is_flat(
+            random_network(arch, s, scheme), ens.random_point(arch[0], s, scheme))
+        assert ens._flat_trial((arch, 3, scheme, index)) == flat, index
+        answers.add(("flat", flat))
+    assert answers == {True, False, ("flat", True), ("flat", False)}
+
+
+def test_trials_build_no_fraction():
+    calls = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is F.__new__.__code__:
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        for index in range(20):
+            ens._plmorse_trial(((3, 6, 1), 1, "gaussian", index))
+            ens._flat_trial(((3, 4, 4, 1), 1, "uniform", index))
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 def _pipeline_is_pl_morse(net) -> bool:
@@ -179,6 +233,15 @@ def test_flat_walk_matches_fraction_walk_on_walls():
     assert answers == {True, False}
 
 
+@pytest.mark.parametrize("scheme", ["gaussian", "uniform"])
+def test_random_point_matches_snapped_draws(scheme):
+    for n in (1, 2, 3, 5):
+        for seed in (0, 1, 7, 10004, 2**40 + 3):
+            x = ens.random_point(n, seed, scheme)
+            assert x == snap_point(n, seed, scheme)
+            assert all(isinstance(v, F) for v in x)
+
+
 def test_random_point_scheme_and_determinism():
     a = ens.random_point(3, 42)
     assert a == ens.random_point(3, 42)
@@ -207,8 +270,10 @@ def test_summary_json_and_schema():
 
 def test_thread_env_var(monkeypatch):
     base = ens.montecarlo_plmorse(2, 3, 120, 11)
+    flat = ens.montecarlo_flat_cell((2, 3, 1), 120, 11)
     monkeypatch.setenv("PLMORSE_THREADS", "2")
     assert ens.montecarlo_plmorse(2, 3, 120, 11) == base
+    assert ens.montecarlo_flat_cell((2, 3, 1), 120, 11) == flat
     monkeypatch.setenv("PLMORSE_THREADS", "soon")
     with pytest.raises(ValueError, match="PLMORSE_THREADS"):
         ens.montecarlo_plmorse(2, 3, 10, 1)

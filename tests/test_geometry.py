@@ -17,12 +17,14 @@ from plmorse.geometry import (
     nullspace_basis,
     primitive_direction,
     rank,
+    rref,
     solve_linear,
     strict_feasible,
     vec,
 )
 
 from fm_reference import feasible as fraction_feasible
+from fm_reference import rref as fraction_rref
 
 F = Fraction
 
@@ -54,6 +56,44 @@ def test_solve_linear_unique_and_inconsistent():
     assert null == []
     sol, _ = solve_linear([[1, 1], [1, 1]], [0, 1], 2)
     assert sol is None
+
+
+@st.composite
+def small_matrices(draw):
+    """Matrices of up to 6 rows and 1-6 columns (so wide, square and tall),
+    mixing int and Fraction entries, with zero rows and, for rank deficiency,
+    rows that are combinations of earlier ones.  Zero rows are allowed."""
+    ncols = draw(st.integers(1, 6))
+    scalar = st.one_of(
+        st.just(0), st.integers(-4, 4), st.fractions(F(-3), F(3), max_denominator=5)
+    )
+    row = st.one_of(st.just([0] * ncols), st.lists(scalar, min_size=ncols, max_size=ncols))
+    rows = draw(st.lists(row, max_size=4))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k = draw(st.sampled_from([-2, -1, F(1, 2), 1, 3]))
+        rows.insert(draw(st.integers(0, len(rows))), [x + k * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(small_matrices())
+def test_rref_matches_fraction_elimination(rows):
+    """The fraction-free elimination returns the rational RREF exactly."""
+    want = fraction_rref(rows)
+    got = rref(rows)
+    assert got == want
+    assert all(type(x) is F for row in got[0] for x in row)
+    assert rank(rows) == len(want[1])
+
+
+def test_rref_edge_cases():
+    assert rref([]) == ([], [])
+    assert rank([]) == 0
+    assert rref([[0, 0, 0], [0, 0, 0]]) == ([], [])
+    assert rref([[0, 2, 4, F(1, 3)]]) == ([[0, 1, 2, F(1, 6)]], [1])
+    assert rref([[-3, 6], [2, -4]]) == ([[1, -2]], [0])
+    assert rank([[0, 0], [1, 1], [2, 2]]) == 1
 
 
 def test_in_span():

@@ -24,6 +24,8 @@ from plmorse.network import (
     save_network,
 )
 
+from draw_reference import snap_network
+
 F = Fraction
 
 
@@ -308,6 +310,20 @@ def test_random_network_dyadic_snap():
         for row in layer.weights:
             for w in row:
                 assert (1 << 53) % w.denominator == 0
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "uniform"])
+def test_random_network_matches_snapped_draws(scheme):
+    """The integer draw divided by 2**53 is the snapped Fraction draw."""
+    for arch in ((1, 1), (2, 3, 1), (3, 6, 1), (2, 2, 2, 1), (3, 4, 4, 1), (4, 1, 3, 2, 1)):
+        for seed in (0, 1, 7, 10004, 2**40 + 3):
+            net = random_network(arch, seed, scheme)
+            assert net == snap_network(arch, seed, scheme)
+            assert all(
+                isinstance(v, F)
+                for layer in net.layers
+                for v in (*layer.bias, *(w for row in layer.weights for w in row))
+            )
 
 
 def test_negate_pointwise():
