@@ -101,9 +101,6 @@ def rank(rows) -> int:
 
 def nullspace_basis(rows, n: int) -> list[Vec]:
     """Basis of {x in Q^n : row . x = 0 for every row}."""
-    rows = [row for row in rows if any(x != 0 for x in row)]
-    if not rows:
-        return [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
     red, pivots = rref(rows)
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -130,8 +127,6 @@ def solve_linear(rows, rhs, n: int) -> tuple[Vec | None, list[Vec]]:
     Returns (particular solution or None if inconsistent, nullspace basis).
     """
     aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    if not aug:
-        return tuple(Fraction(0) for _ in range(n)), nullspace_basis([], n)
     red, pivots = rref(aug)
     if n in pivots:
         return None, nullspace_basis(rows, n)

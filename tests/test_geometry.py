@@ -94,6 +94,12 @@ def test_rref_edge_cases():
     assert rref([[0, 2, 4, F(1, 3)]]) == ([[0, 1, 2, F(1, 6)]], [1])
     assert rref([[-3, 6], [2, -4]]) == ([[1, -2]], [0])
     assert rank([[0, 0], [1, 1], [2, 2]]) == 1
+    identity = [(1, 0), (0, 1)]
+    assert nullspace_basis([], 2) == identity
+    assert nullspace_basis([[0, 0]], 2) == identity
+    assert solve_linear([], [], 2) == ((0, 0), identity)
+    assert solve_linear([[0, 0]], [0], 2) == ((0, 0), identity)
+    assert solve_linear([[0, 0]], [1], 2) == (None, identity)
 
 
 def test_in_span():
