@@ -90,7 +90,7 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form of int or Fraction rows: (nonzero rows, pivots)."""
     mat, pivots = _echelon(rows)
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(mat, pivots)], pivots
 
