@@ -8,6 +8,10 @@ affine on the cell.  A cell's closed geometry and its relative interior are
 both cut out by the same constraint list (weak vs strict), so no implicit
 equality detection is ever needed here.
 
+The face poset and the 1-skeleton come from one pass over the cells by
+dimension (see ``CanonicalComplex.face_pairs``); edge orientations and the
+boundedness census read the skeleton's edges.
+
 Also provides the network-level sanity predicates (genericity of each layer's
 solution-set arrangement, transversality of node maps at level zero), flat
 cell detection with per-level connected components, gradient orientation of
@@ -123,69 +127,77 @@ class CanonicalComplex:
 
     @cached_property
     def face_pairs(self) -> set[tuple[Label, Label]]:
-        """(sub, super) for every strict face relation sub < super."""
+        """(sub, super) for every strict face relation sub < super.
+
+        K(F) is a polyhedral complex, so sub < sup exactly when sub's label
+        refines sup's and sup's closure holds a point of sub's relative
+        interior.  The pass visits cells by dimension, reads each witness off
+        the faces found so far (``_relint_point``), and records ``skeleton``.
+        A witness outside its cell's relative interior raises RuntimeError.
+        """
+        k = len(self.kernel)
         by_dim: dict[int, list[LabeledCell]] = {}
         for c in self.cells.values():
             by_dim.setdefault(c.dimension, []).append(c)
-        deep = self.network.depth > 1
-        pairs = set()
-        for sub in self.cells.values():
-            for d in range(sub.dimension + 1, max(by_dim) + 1):
-                for sup in by_dim.get(d, ()):
-                    if not _label_refines(sub.label, sup.label):
-                        continue
-                    if deep and not _contained(sub.geometry, sup.geometry):
-                        continue
-                    pairs.add((sub.label, sup.label))
-        return pairs
+        below = {lab: [lab] for lab in self.cells}  # each cell and its faces of dim <= k + 1
+        above: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
+        points: dict[Label, tuple[Vec, Fraction]] = {}
+        edges: dict[Label, tuple[Edge, ...]] = {}
+        self._skeleton: dict[Label, CellFaces] = {}
+        for d in sorted(by_dim):
+            for c in by_dim[d]:
+                lab, fs = c.label, below[c.label]
+                if d == k:
+                    p = self._cut(c)[0]
+                    points[lab] = (p, c.form_at(p))
+                elif d == k + 1:
+                    edges[lab] = self._edges(c, [points[f] for f in fs if f in points])
+                faces = self._skeleton[lab] = CellFaces(
+                    tuple(points[f] for f in fs if f in points),
+                    tuple(e for f in fs for e in edges.get(f, ())),
+                )
+                w = _relint_point(faces)
+                if not c.geometry.contains(w, relint=True):
+                    raise RuntimeError(f"witness {w} is off the relative interior of cell {lab}")
+                for e in range(d + 1, max(by_dim) + 1):
+                    for sup in by_dim.get(e, ()):
+                        if _label_refines(lab, sup.label) and sup.geometry.contains(w):
+                            above[lab].append(sup.label)
+                            if d <= k + 1:
+                                below[sup.label].append(lab)
+        # inserted sub by sub in the order of ``cells``, which fixes coface order
+        return {(sub, sup) for sub in self.cells for sup in above[sub]}
 
     @cached_property
     def kernel(self) -> tuple[Vec, ...]:
         """Basis of ker(W1): every cell and F are invariant along it."""
         return tuple(nullspace_basis(self.network.layers[0].weights, self.network.n0))
 
-    @cached_property
+    @property
     def skeleton(self) -> dict[Label, CellFaces]:
-        """Each cell's 0- and 1-faces, read off the face poset.
+        """Each cell's 0- and 1-faces, recorded by the ``face_pairs`` pass.
 
         The minimal cells have dimension k = dim ker(W1); each, cut by the
         row space of W1, is one point.  The cells one dimension higher are
-        the 1-faces: a segment between their two minimal faces, or a ray
-        from their one minimal face along their hull, oriented into the cell.
+        the 1-faces: a segment from the lexicographically smaller of their
+        two minimal faces to the other, or a ray from their one minimal face
+        along their hull, oriented into the cell (two opposite rays for a
+        line with no minimal face).
         """
-        k = len(self.kernel)
-        faces: dict[Label, list[Label]] = {lab: [lab] for lab in self.cells}
-        for sub, sup in self.face_pairs:
-            if self.cells[sub].dimension <= k + 1:
-                faces[sup].append(sub)
-        points: dict[Label, tuple[Vec, Fraction]] = {}
-        for lab, c in self.cells.items():
-            if c.dimension == k:
-                p = self._cut(c)[0]
-                points[lab] = (p, c.form_at(p))
-        edges: dict[Label, tuple[Edge, ...]] = {}
-        for lab, c in self.cells.items():
-            if c.dimension != k + 1:
-                continue
-            ends = [points[f] for f in faces[lab] if f in points]
-            if len(ends) == 2:
-                (p, fp), (q, fq) = ends
-                d = tuple(b - a for a, b in zip(p, q))
-                edges[lab] = (Edge(p, fp, d, fq - fp, True),)
-                continue
-            base, (d,) = self._cut(c)
-            if any(dot(g, d) < 0 for g, _ in c.geometry.relint_system[1]):
-                d = tuple(-x for x in d)
-            rays = [d] if ends else [d, tuple(-x for x in d)]
-            p, fp = ends[0] if ends else (base, c.form_at(base))
-            edges[lab] = tuple(Edge(p, fp, r, dot(c.gradient, r), False) for r in rays)
-        return {
-            lab: CellFaces(
-                tuple(points[f] for f in fs if f in points),
-                tuple(e for f in fs for e in edges.get(f, ())),
-            )
-            for lab, fs in faces.items()
-        }
+        self.face_pairs  # noqa: B018  (the pass records the skeleton)
+        return self._skeleton
+
+    def _edges(self, cell: LabeledCell, ends) -> tuple[Edge, ...]:
+        """The 1-face that a (k+1)-cell with the given minimal faces is."""
+        if len(ends) == 2:
+            (p, fp), (q, fq) = sorted(ends)
+            return (Edge(p, fp, tuple(b - a for a, b in zip(p, q)), fq - fp, True),)
+        base, (d,) = self._cut(cell)
+        if any(dot(g, d) < 0 for g, _ in cell.geometry.relint_system[1]):
+            d = tuple(-x for x in d)
+        rays = [d] if ends else [d, tuple(-x for x in d)]
+        p, fp = ends[0] if ends else (base, cell.form_at(base))
+        return tuple(Edge(p, fp, r, dot(cell.gradient, r), False) for r in rays)
 
     def _cut(self, cell: LabeledCell) -> tuple[Vec, list[Vec]]:
         """A point and a direction basis of the cell's affine hull cut by
@@ -228,18 +240,17 @@ def _label_refines(sub: Label, sup: Label) -> bool:
     return all(a == b or a == 0 for a, b in zip(sub, sup))
 
 
-def _contained(inner: Polyhedron, outer: Polyhedron) -> bool:
-    """Exact containment of polyhedra (inner nonempty)."""
-    eqs, stricts = inner.relint_system
-    for coef, off in outer.ges:
-        if feasible(inner.n, eqs=eqs, gts=list(stricts) + [(tuple(-x for x in coef), -off)]):
-            return False
-    for coef, off in outer.eqs:
-        for flip in (1, -1):
-            probe = (tuple(flip * -x for x in coef), flip * -off)
-            if feasible(inner.n, eqs=eqs, gts=list(stricts) + [probe]):
-                return False
-    return True
+def _relint_point(faces: CellFaces) -> Vec:
+    """The centroid of the 0-faces plus the sum of the ray directions, a
+    point of relint conv(V) + relint cone(R) for a cut cell conv(V) +
+    cone(R); the start of a line, which has no 0-face."""
+    if not faces.points:
+        return faces.edges[0].start
+    pts = [p for p, _ in faces.points]
+    rays = [e.direction for e in faces.edges if not e.bounded]
+    return tuple(
+        sum(p[i] for p in pts) / len(pts) + sum(r[i] for r in rays) for i in range(len(pts[0]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +402,18 @@ def flat_cells(cx: CanonicalComplex) -> list[FlatComponent]:
     return sorted(comps, key=lambda c: (c.level, c.labels))
 
 
-def reference_direction(cell: LabeledCell) -> Vec:
-    """Stored direction along which a 1-cell's orientation is measured."""
-    if cell.dimension != 1:
+def reference_direction(cx: CanonicalComplex, label: Label) -> Vec:
+    """Stored direction along which a 1-cell's orientation is measured: a
+    segment's from its smaller end, a ray's into the cell, and a line's with
+    its first nonzero entry positive."""
+    if cx.cells[label].dimension != 1:
         raise ValueError("reference_direction needs a 1-cell")
-    p = cell.geometry
-    if p.lineality_basis:
-        return canonical_line_direction(p.lineality_basis[0])
-    verts = p.vertices
-    if len(verts) == 2:
-        return primitive_direction(tuple(b - a for a, b in zip(verts[0], verts[1])))
-    return p.rays[0]
+    if cx.kernel:  # then every 1-cell is a minimal cell, a line along ker(W1)
+        return canonical_line_direction(cx.kernel[0])
+    edges = cx.skeleton[label].edges
+    if len(edges) == 2:
+        return canonical_line_direction(edges[0].direction)
+    return primitive_direction(edges[0].direction)
 
 
 def edge_orientation(cx: CanonicalComplex, label: Label) -> str:
@@ -409,15 +421,17 @@ def edge_orientation(cx: CanonicalComplex, label: Label) -> str:
     cell = cx.cells[label]
     if cell.dimension != 1:
         raise ValueError(f"cell {label} has dimension {cell.dimension}, not 1")
-    s = _sign(dot(cell.gradient, reference_direction(cell)))
+    s = _sign(dot(cell.gradient, reference_direction(cx, label)))
     return {1: "increasing", -1: "decreasing", 0: "flat"}[s]
 
 
 def census(cx: CanonicalComplex) -> dict[tuple[int, bool], int]:
-    """Cell counts keyed by (dimension, bounded)."""
+    """Cell counts keyed by (dimension, bounded).  A cell is bounded when it
+    has no line along ker(W1) and none of its 1-faces is a ray."""
     counts: Counter[tuple[int, bool]] = Counter()
-    for c in cx.cells.values():
-        counts[(c.dimension, c.geometry.bounded)] += 1
+    for lab, c in cx.cells.items():
+        bounded = not cx.kernel and all(e.bounded for e in cx.skeleton[lab].edges)
+        counts[(c.dimension, bounded)] += 1
     return dict(counts)
 
 

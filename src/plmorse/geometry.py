@@ -288,16 +288,20 @@ class Polyhedron:
     def pointed(self) -> bool:
         return not self.lineality_basis
 
-    def contains(self, point) -> bool:
-        # Scale the point to integers once; the constraints are integer.
+    def contains(self, point, relint: bool = False) -> bool:
+        """Whether the point lies in the closed polyhedron, or with ``relint``
+        in its relative interior."""
+        # Scale the point to integers once; the constraints are integer, so
+        # a strict inequality holds when its value is at least 1.
         den = lcm(*(x.denominator for x in point))
         ints = [x.numerator * (den // x.denominator) for x in point]
 
         def value(coef, off):
             return sum(c * x for c, x in zip(coef, ints)) + off * den
 
-        return all(value(c, o) == 0 for c, o in self.eqs) and all(
-            value(c, o) >= 0 for c, o in self.ges
+        eqs, ges = self.relint_system if relint else (self.eqs, self.ges)
+        return all(value(c, o) == 0 for c, o in eqs) and all(
+            value(c, o) >= relint for c, o in ges
         )
 
     @cached_property
@@ -335,51 +339,6 @@ class Polyhedron:
             if sol is not None and self.contains(sol):
                 found.add(sol)
         return sorted(found)
-
-    @cached_property
-    def rays(self) -> list[Vec]:
-        """Extreme rays of the recession cone (primitive integer directions)."""
-        if not self.nonempty:
-            return []
-        if not self.pointed:
-            raise VertexEnumerationError(
-                "ray enumeration on unpointed polyhedron; essentialize first"
-            )
-        eqs, stricts = self.relint_system
-        eq_rows = [c for c, _ in eqs]
-        base_rank = rank(eq_rows)
-        need = self.n - base_rank - 1
-        if need < 0:
-            return []
-        ineq_rows = [c for c, _ in stricts]
-
-        def in_cone(d):
-            return all(dot(r, d) == 0 for r in eq_rows) and all(
-                dot(r, d) >= 0 for r in ineq_rows
-            )
-
-        found = {}
-        for subset in combinations(range(len(ineq_rows)), need):
-            rows = eq_rows + [ineq_rows[i] for i in subset]
-            if rank(rows) != self.n - 1:
-                continue
-            null = nullspace_basis(rows, self.n)
-            if len(null) != 1:
-                continue
-            d = null[0]
-            for cand in (d, tuple(-x for x in d)):
-                if not in_cone(cand):
-                    continue
-                tight = eq_rows + [r for r in ineq_rows if dot(r, cand) == 0]
-                if rank(tight) == self.n - 1:
-                    found[primitive_direction(cand)] = True
-        return sorted(found)
-
-    @cached_property
-    def bounded(self) -> bool:
-        if not self.nonempty:
-            return True
-        return self.pointed and not self.rays
 
     # -- constructors -------------------------------------------------------
 

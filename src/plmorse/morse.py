@@ -25,7 +25,7 @@ from .complexes import (
     build_complex,
     is_generic,
 )
-from .geometry import Vec, dot, primitive_direction
+from .geometry import Vec
 from .homology import (
     SimplicialComplex,
     SimplicialPair,
@@ -203,14 +203,6 @@ def coarse_complexities(cx: CanonicalComplex) -> CoarseComplexities:
 # vertex classification for single-hidden-layer networks
 
 
-def _away_direction(geometry, p: Vec) -> Vec:
-    verts = geometry.vertices
-    if len(verts) == 2:
-        other = verts[1] if verts[0] == p else verts[0]
-        return primitive_direction(tuple(b - a for a, b in zip(p, other)))
-    return geometry.rays[0]
-
-
 def _classify_zero_cell(cx: CanonicalComplex, label: Label) -> VertexClass:
     cell = cx.cells[label]
     p = cell.geometry.affine_hull_point
@@ -233,8 +225,9 @@ def _classify_zero_cell(cx: CanonicalComplex, label: Label) -> VertexClass:
             e = cx.cells[lab]
             if e.flat:
                 return VertexClass(p, DEGENERATE)
-            d = _away_direction(e.geometry, p)
-            signs.append(1 if dot(e.gradient, d) > 0 else -1)
+            (edge,) = cx.skeleton[lab].edges
+            away = edge.slope if edge.start == p else -edge.slope  # F's change leaving p
+            signs.append(1 if away > 0 else -1)
         if signs[0] != signs[1]:
             return VertexClass(p, REGULAR)
         if signs[0] < 0:

@@ -145,7 +145,7 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
         sense = orientations[cell.label]
         if sense == "flat":
             continue
-        ref = reference_direction(cell)
+        ref = reference_direction(cx, cell.label)
         sign = 1 if sense == "increasing" else -1
         direction = (sign * float(ref[0]), -sign * float(ref[1]))
         mid = ((x1 + x2) / 2, (y1 + y2) / 2)

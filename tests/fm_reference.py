@@ -1,6 +1,8 @@
 """Fourier-Motzkin feasibility and Gauss-Jordan elimination over
 ``Fraction``, the references for ``plmorse.geometry.feasible`` and
-``plmorse.geometry.rref``.
+``plmorse.geometry.rref``, and the exact polyhedron containment test built on
+that feasibility, the reference for the face relation of
+``plmorse.complexes.CanonicalComplex.face_pairs``.
 
 The feasibility test is the rational form of the same elimination:
 equalities are removed by Gaussian substitution with ``Fraction``
@@ -126,4 +128,20 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
                         return False
                     continue
                 work.add(canon(c, off, s))
+    return True
+
+
+def contained(inner, outer) -> bool:
+    """Exact containment of polyhedra (inner nonempty): no point of inner's
+    relative interior violates a constraint of outer, two feasibility tests
+    per equality of outer and one per inequality."""
+    eqs, stricts = inner.relint_system
+    for coef, off in outer.ges:
+        if feasible(inner.n, eqs=eqs, gts=list(stricts) + [(tuple(-x for x in coef), -off)]):
+            return False
+    for coef, off in outer.eqs:
+        for flip in (1, -1):
+            probe = (tuple(flip * -x for x in coef), flip * -off)
+            if feasible(inner.n, eqs=eqs, gts=list(stricts) + [probe]):
+                return False
     return True

@@ -11,12 +11,17 @@ faces in the model are the cells on a proper subset of its vertices.
 
 The pulling triangulation is the reference for ``homology.triangulate``,
 which takes the order complex of a model's face poset instead.
+
+The extreme rays of a polyhedron, found by trying every subset of its
+strict constraints that leaves a one-dimensional cone, are the reference
+for the ray edges of ``CanonicalComplex.skeleton``, and through them for
+``reference_direction`` and ``census``.
 """
 
 from itertools import combinations
 
 from plmorse.compact import CompactModel, ModelCell
-from plmorse.geometry import dot, nullspace_basis, rank, rref, solve_linear
+from plmorse.geometry import dot, nullspace_basis, primitive_direction, rank, rref, solve_linear
 from plmorse.homology import SimplicialComplex, Triangulation
 
 
@@ -61,6 +66,45 @@ def polytope_faces(verts, memo) -> set:
                 out |= polytope_faces(face, memo)
     memo[key] = out
     return out
+
+
+def rays(poly) -> list:
+    """Extreme rays of a pointed polyhedron's recession cone, as sorted
+    primitive integer directions."""
+    if not poly.nonempty:
+        return []
+    if not poly.pointed:
+        raise ValueError("ray enumeration on an unpointed polyhedron")
+    eqs, stricts = poly.relint_system
+    eq_rows = [c for c, _ in eqs]
+    need = poly.n - rank(eq_rows) - 1
+    if need < 0:
+        return []
+    ineq_rows = [c for c, _ in stricts]
+
+    def in_cone(d):
+        return all(dot(r, d) == 0 for r in eq_rows) and all(dot(r, d) >= 0 for r in ineq_rows)
+
+    found = set()
+    for subset in combinations(ineq_rows, need):
+        rows = eq_rows + list(subset)
+        if rank(rows) != poly.n - 1:
+            continue
+        null = nullspace_basis(rows, poly.n)
+        if len(null) != 1:
+            continue
+        for cand in (null[0], tuple(-x for x in null[0])):
+            if not in_cone(cand):
+                continue
+            tight = eq_rows + [r for r in ineq_rows if dot(r, cand) == 0]
+            if rank(tight) == poly.n - 1:
+                found.add(primitive_direction(cand))
+    return sorted(found)
+
+
+def bounded(poly) -> bool:
+    """Whether a polyhedron is a polytope: empty, or pointed with no ray."""
+    return not poly.nonempty or (poly.pointed and not rays(poly))
 
 
 def hull_compact_part(pieces) -> CompactModel:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from plmorse import morse
-from plmorse.complexes import CellFaces, _contained, build_complex, flat_cells
+from plmorse.complexes import CellFaces, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
     _interval_constraints,
@@ -38,6 +38,7 @@ from plmorse.network import (
     random_network,
 )
 
+from fm_reference import contained
 from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
 
 F = Fraction
@@ -418,7 +419,7 @@ def _pairwise_containment(rcx, keys):
                 continue
             if not _interval_subset(pa.interval, pb.interval):
                 continue
-            if deep and a[0] != b[0] and not _contained(pa.geometry, pb.geometry):
+            if deep and a[0] != b[0] and not contained(pa.geometry, pb.geometry):
                 continue
             pairs.add((a, b))
     return pairs

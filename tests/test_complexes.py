@@ -1,5 +1,6 @@
 """Complex construction, labels, flats, orientations, census, predicates."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmorse.complexes import (
+    CanonicalComplex,
     build_complex,
     census,
     components,
@@ -18,7 +20,7 @@ from plmorse.complexes import (
     reference_direction,
     zero_cells,
 )
-from plmorse.geometry import dot, vec
+from plmorse.geometry import canonical_line_direction, dot, primitive_direction, vec
 from plmorse.network import (
     AffineLayer,
     Network,
@@ -27,6 +29,9 @@ from plmorse.network import (
     prescribe_edge_orientations,
     random_network,
 )
+
+from fm_reference import contained
+from hull_model import bounded, rays
 
 F = Fraction
 
@@ -85,7 +90,7 @@ def test_n1_edge_orientations():
     cx = build_complex(n1_network())
     # positive x-axis: F = x, increasing away from the origin
     assert edge_orientation(cx, (1, 0)) == "increasing"
-    assert reference_direction(cx.cells[(1, 0)]) == vec((1, 0))
+    assert reference_direction(cx, (1, 0)) == vec((1, 0))
     # negative x-axis: F = 0
     assert edge_orientation(cx, (-1, 0)) == "flat"
 
@@ -184,9 +189,11 @@ def test_fan1_incident_rays_alternate_with_output_weights():
     seen = 0
     for cell in cx.cells_of_dim(1):
         pos = [i for i, s in enumerate(cell.label) if s > 0]
-        if len(pos) != 1 or cell.geometry.bounded or not cell.geometry.pointed:
+        edges = cx.skeleton[cell.label].edges
+        if len(pos) != 1 or len(edges) != 1 or edges[0].bounded:
             continue
-        away = cell.geometry.rays[0]
+        away = edges[0].direction
+        assert rays(cell.geometry) == [primitive_direction(away)]
         got = dot(cell.gradient, away)
         assert (got > 0) == (w[pos[0]] > 0) and got != 0
         seen += 1
@@ -201,9 +208,9 @@ def test_prescribed_orientations_measured_on_complex():
         cx = build_complex(net)
         for cell in cx.cells_of_dim(1):
             pos = [i for i, v in enumerate(cell.label) if v > 0]
-            if len(pos) != 1 or cell.geometry.bounded:
+            if len(pos) != 1 or bounded(cell.geometry):
                 continue
-            away = cell.geometry.rays[0]
+            away = rays(cell.geometry)[0]
             assert dot(cell.gradient, away) * signs[pos[0]] > 0
 
 
@@ -215,6 +222,108 @@ def test_face_pairs_match_label_refinement():
     assert cx.cofaces_of((0, 0), codim=1) == [(0, 1), (0, -1), (1, 0), (-1, 0)] or set(
         cx.cofaces_of((0, 0), codim=1)
     ) == {(0, 1), (0, -1), (1, 0), (-1, 0)}
+
+
+@pytest.mark.parametrize("arch", [(2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 2, 1), (2, 3, 3, 1)])
+def test_face_pairs_match_fm_containment_on_deep_nets(arch):
+    """Reference rule: sub < sup when sub has lower dimension, its label
+    refines sup's, and the closed cells nest by the Fraction
+    Fourier-Motzkin containment test."""
+    for seed in range(4):
+        cx = build_complex(random_network(arch, seed))
+        cells = list(cx.cells.values())
+        want = {
+            (a.label, b.label)
+            for a in cells
+            for b in cells
+            if a.dimension < b.dimension
+            and all(x == y or x == 0 for x, y in zip(a.label, b.label))
+            and contained(a.geometry, b.geometry)
+        }
+        assert cx.face_pairs == want, (arch, seed)
+        for faces in cx.skeleton.values():
+            ends = {p for p, _ in faces.points}
+            for e in faces.edges:
+                if e.bounded:
+                    end = tuple(a + d for a, d in zip(e.start, e.direction))
+                    assert e.start < end and {e.start, end} <= ends, (arch, seed)
+
+
+def test_face_pairs_and_skeleton_make_no_feasibility_call(monkeypatch):
+    net = random_network((2, 3, 2, 1), 3)
+    want = build_complex(net)
+    cx = build_complex(net)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("feasible called")
+
+    monkeypatch.setattr("plmorse.complexes.feasible", refuse)
+    monkeypatch.setattr("plmorse.geometry.feasible", refuse)
+    assert cx.face_pairs and cx.skeleton
+    monkeypatch.undo()
+    assert cx.face_pairs == want.face_pairs
+    assert cx.skeleton == want.skeleton
+
+
+def test_witness_outside_its_cell_is_named(monkeypatch):
+    cut = CanonicalComplex._cut
+
+    def off_cell(self, cell):
+        point, basis = cut(self, cell)
+        return tuple(x + 1 for x in point), basis
+
+    monkeypatch.setattr(CanonicalComplex, "_cut", off_cell)
+    cx = build_complex(n1_network())
+    with pytest.raises(RuntimeError, match=r"off the relative interior of cell \(0, 0\)"):
+        cx.face_pairs
+
+
+def _sorted_vertex_rule(cell):
+    """The rule reference_direction replaced: a line's canonical lineality
+    direction, a segment's sorted vertices, or a ray's extreme ray."""
+    p = cell.geometry
+    if p.lineality_basis:
+        return canonical_line_direction(p.lineality_basis[0])
+    if bounded(p):
+        a, b = p.vertices
+        return primitive_direction(tuple(y - x for x, y in zip(a, b)))
+    return rays(p)[0]
+
+
+def test_reference_direction_matches_vertex_and_ray_rules():
+    nets = [
+        random_network((2, 3, 1), seed=11),
+        Network((AffineLayer.make([[2]], [1], "none"),)),
+        random_network((2, 1, 1), seed=0),
+    ]
+    kinds = Counter()
+    for net in nets:
+        cx = build_complex(net)
+        for cell in cx.cells_of_dim(1):
+            got = reference_direction(cx, cell.label)
+            assert got == _sorted_vertex_rule(cell), cell.label
+            if cx.kernel:
+                kinds["kernel line"] += 1
+            elif not cell.geometry.pointed:
+                kinds["line"] += 1
+            elif bounded(cell.geometry):
+                kinds["segment"] += 1
+            else:
+                assert rays(cell.geometry) == [got]
+                kinds["ray"] += 1
+    assert set(kinds) == {"segment", "ray", "line", "kernel line"}
+
+
+def test_census_matches_polyhedron_boundedness():
+    nets = [random_network((2, 1, 1), seed=0), Network((AffineLayer.make([[2, 1]], [1], "none"),))]
+    for m in (3, 4, 5):
+        generic = [net for net in (random_network((2, m, 1), s) for s in range(8)) if is_generic(net)]
+        nets += generic[:4]
+    assert len(nets) == 14
+    for net in nets:
+        cx = build_complex(net)
+        want = Counter((c.dimension, bounded(c.geometry)) for c in cx.cells.values())
+        assert census(cx) == dict(want)
 
 
 def test_flat_subcomplex_closed_under_faces():

@@ -25,6 +25,7 @@ from plmorse.geometry import (
 
 from fm_reference import feasible as fraction_feasible
 from fm_reference import rref as fraction_rref
+from hull_model import bounded, rays
 
 F = Fraction
 
@@ -227,9 +228,9 @@ def unit_square():
 def test_square_vertices_and_dim():
     p = unit_square()
     assert p.dim == 2
-    assert p.bounded
+    assert bounded(p)
     assert p.vertices == [vec((0, 0)), vec((0, 1)), vec((1, 0)), vec((1, 1))]
-    assert p.rays == []
+    assert rays(p) == []
 
 
 def test_vertex_defining_property():
@@ -246,8 +247,8 @@ def test_minkowski_reconstruction_of_quadrant_shift():
     # {x >= 1, y >= 2} = vertex (1,2) + cone(e1, e2).
     p = Polyhedron(2, ges=[((1, 0), -1), ((0, 1), -2)])
     assert p.vertices == [vec((1, 2))]
-    assert sorted(p.rays) == [vec((0, 1)), vec((1, 0))]
-    assert not p.bounded
+    assert sorted(rays(p)) == [vec((0, 1)), vec((1, 0))]
+    assert not bounded(p)
 
 
 def test_lower_dimensional_segment():
@@ -255,7 +256,7 @@ def test_lower_dimensional_segment():
     p = Polyhedron(2, eqs=[((1, -1), 0)], ges=[((1, 0), 0), ((-1, 0), 1)])
     assert p.dim == 1
     assert p.vertices == [vec((0, 0)), vec((1, 1))]
-    assert p.bounded
+    assert bounded(p)
 
 
 def test_implicit_equality_detected():
@@ -285,7 +286,7 @@ def test_half_strip():
     p = Polyhedron(2, ges=[((1, 0), 0), ((-1, 0), 1), ((0, -1), 0)])
     assert p.pointed
     assert p.vertices == [vec((0, 0)), vec((1, 0))]
-    assert p.rays == [vec((0, -1))]
+    assert rays(p) == [vec((0, -1))]
 
 
 def test_relint_membership():
