@@ -135,6 +135,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_export_svg(args) -> int:
+    if args.width < 1:
+        raise SystemExit(f"--width must be at least 1, got {args.width}")
     net = _load(args.network)
     if net.n0 != 2:
         print("export-svg needs a two-input network", file=sys.stderr)

@@ -4,9 +4,11 @@ The input space is carved into cells on which every hidden neuron has a fixed
 sign; cells are keyed by that ternary label (one entry per hidden neuron, in
 layer order).  Construction is layer by layer: each cell of the partial
 complex is split by the zero set of every next-layer pre-activation, which is
-affine on the cell.  A cell's closed geometry and its relative interior are
-both cut out by the same constraint list (weak vs strict), so no implicit
-equality detection is ever needed here.
+affine on the cell.  It runs on the integer layers of ``integer_layers``, so
+each cell's affine map is int rows, a positive multiple of the rational one.
+A cell's closed geometry and its relative interior are both cut out by the
+same constraint list (weak vs strict), so no implicit equality detection is
+ever needed here, and the split that made a cell showed it nonempty.
 
 The face poset and the 1-skeleton come from one pass over the cells by
 dimension (see ``CanonicalComplex.face_pairs``); edge orientations and the
@@ -26,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
 from math import comb
+from operator import mul
 
 from .geometry import (
     Polyhedron,
@@ -40,7 +43,7 @@ from .geometry import (
     rank,
     solve_linear,
 )
-from .network import Network
+from .network import Network, integer_layers
 
 Label = tuple[int, ...]
 
@@ -261,81 +264,75 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _initial_cell(n: int):
-    ident = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    zero = tuple(Fraction(0) for _ in range(n))
-    # worklist entry: (label, eqs, ineqs, input_map_rows, input_offset)
-    return ((), (), (), ident, zero)
-
-
-def _node_form(wrow, b, rows, offs):
-    """Affine form of one pre-activation in input coordinates, on a cell."""
-    return tuple(dot(wrow, col) for col in zip(*rows)), dot(wrow, offs) + b
+def _node_form(arow, b, rows, offs):
+    """Integer affine form of one pre-activation in input coordinates, on a cell."""
+    return tuple(sum(map(mul, arow, col)) for col in zip(*rows)), sum(map(mul, arow, offs)) + b
 
 
 def _split_by_layer(work, layer, n: int):
     """Refine every cell by the zero set of each node; extend labels."""
-    for wrow, b in zip(layer.weights, layer.bias):
+    weights, bias = layer
+    for arow, b in zip(weights, bias):
         nxt = []
         for label, eqs, ineqs, rows, offs in work:
-            g, k = _node_form(wrow, b, rows, offs)
-            if all(x == 0 for x in g):
+            g, k = _node_form(arow, b, rows, offs)
+            if not any(g):
                 nxt.append((label + (_sign(k),), eqs, ineqs, rows, offs))
                 continue
             ge = canon_constraint(g, k)
-            le = canon_constraint(tuple(-x for x in g), -k)
-            eq = canon_constraint(g, k, equality=True)
-            if feasible(n, eqs=eqs, gts=ineqs + (ge,)):
+            le = (tuple(-x for x in ge[0]), -ge[1])
+            pos = feasible(n, eqs=eqs, gts=ineqs + (ge,))
+            neg = feasible(n, eqs=eqs, gts=ineqs + (le,))
+            if pos:
                 nxt.append((label + (1,), eqs, ineqs + (ge,), rows, offs))
-            if feasible(n, eqs=eqs + (eq,), gts=ineqs):
+            # The cell's relative interior is convex and relatively open, so
+            # the form vanishes on it iff it takes both signs there or neither
+            # (then it is 0 on the whole cell): zero at p and positive at q
+            # would make it negative just past p on the line from q.
+            if pos == neg:
+                eq = ge if next(x for x in g if x) > 0 else le
                 nxt.append((label + (0,), eqs + (eq,), ineqs, rows, offs))
-            if feasible(n, eqs=eqs, gts=ineqs + (le,)):
+            if neg:
                 nxt.append((label + (-1,), eqs, ineqs + (le,), rows, offs))
         work = nxt
     # ReLU: neurons labeled +1 pass through, the rest output zero
-    zero = tuple(Fraction(0) for _ in range(n))
     post = []
-    width = layer.out_dim
     for label, eqs, ineqs, rows, offs in work:
-        block = label[-width:]
-        new_rows, new_offs = [], []
-        for s, wrow, b in zip(block, layer.weights, layer.bias):
-            if s > 0:
-                g, k = _node_form(wrow, b, rows, offs)
-                new_rows.append(g)
-                new_offs.append(k)
-            else:
-                new_rows.append(zero)
-                new_offs.append(Fraction(0))
-        post.append((label, eqs, ineqs, tuple(new_rows), tuple(new_offs)))
+        forms = [
+            _node_form(arow, b, rows, offs) if s > 0 else ((0,) * n, 0)
+            for s, arow, b in zip(label[-len(bias):], weights, bias)
+        ]
+        post.append((label, eqs, ineqs, *map(tuple, zip(*forms))))
     return post
 
 
-def _layer_stages(net: Network):
-    """(layer, cells of the partial complex before it) for every layer in
-    order, each cell carrying its restricted affine input map.  Each hidden
-    layer splits the cells only once the next stage is asked for."""
-    n = net.n0
-    work = [_initial_cell(n)]
-    for layer in net.layers[:-1]:
+def _layer_stages(n: int, layers):
+    """(layer, cells of the partial complex before it) for every layer of
+    ``integer_layers`` in order.  Each cell carries its restricted input map
+    as int rows and offsets, a positive multiple of the rational map, so
+    every sign, zero set and span is the rational one.  Each hidden layer
+    splits the cells only once the next stage is asked for."""
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # worklist entry: (label, eqs, ineqs, input_map_rows, input_offsets)
+    work = [((), (), (), ident, (0,) * n)]
+    for layer in layers[:-1]:
         yield layer, work
         work = _split_by_layer(work, layer, n)
-    yield net.layers[-1], work
+    yield layers[-1], work
 
 
 def build_complex(net: Network) -> CanonicalComplex:
     """Subdivide input space layer by layer into sign-labeled cells."""
     n = net.n0
     witnesses: list[str] = []
-    stages = _layer_stages(net)
-    for li, (layer, work) in enumerate(islice(stages, net.depth)):
+    layers, sigma = integer_layers(net)
+    stages = _layer_stages(n, layers)
+    for li, ((weights, bias), work) in enumerate(islice(stages, net.depth)):
         # node-map transversality against the complex built so far
         for label, eqs, ineqs, rows, offs in work:
             eq_normals = [c for c, _ in eqs]
-            for ni, (wrow, b) in enumerate(zip(layer.weights, layer.bias)):
-                g, k = _node_form(wrow, b, rows, offs)
+            for ni, (arow, b) in enumerate(zip(weights, bias)):
+                g, k = _node_form(arow, b, rows, offs)
                 if in_span(g, eq_normals):
                     point, _ = solve_linear(eq_normals, [-o for _, o in eqs], n)
                     if point is not None and dot(g, point) + k == 0:
@@ -343,13 +340,14 @@ def build_complex(net: Network) -> CanonicalComplex:
                             f"node {ni} of hidden layer {li} is identically zero "
                             f"on the cell labeled {label}"
                         )
-    out, work = next(stages)
+    (weights, bias), work = next(stages)
     cells: dict[Label, LabeledCell] = {}
     for label, eqs, ineqs, rows, offs in work:
-        grad, const = _node_form(out.weights[0], out.bias[0], rows, offs)
+        g, k = _node_form(weights[0], bias[0], rows, offs)
+        normals = [c for c, _ in eqs]
         poly = Polyhedron(n, eqs=eqs, ges=ineqs, relint=(eqs, ineqs))
-        flat = in_span(grad, [c for c, _ in poly.hull_eqs])
-        cells[label] = LabeledCell(label, poly, grad, const, flat, poly.dim)
+        grad, dim = tuple(Fraction(x, sigma) for x in g), n - rank(normals)
+        cells[label] = LabeledCell(label, poly, grad, Fraction(k, sigma), in_span(g, normals), dim)
     return CanonicalComplex(net, cells, witnesses)
 
 
@@ -479,16 +477,14 @@ def is_generic(net: Network) -> Check:
 def _deep_genericity(net: Network) -> Check | None:
     """Per-cell solution-set checks for layers past the first."""
     n = net.n0
-    stages = islice(_layer_stages(net), 1, net.depth)
-    for li, (layer, work) in enumerate(stages, start=1):
+    stages = islice(_layer_stages(n, integer_layers(net)[0]), 1, net.depth)
+    for li, ((weights, bias), work) in enumerate(stages, start=1):
         for label, eqs, ineqs, rows, offs in work:
             eq_normals = [c for c, _ in eqs]
             base = rank(eq_normals)
-            forms = [
-                _node_form(wrow, b, rows, offs) for wrow, b in zip(layer.weights, layer.bias)
-            ]
-            for size in range(1, min(layer.out_dim, n + 1) + 1):
-                for T in combinations(range(layer.out_dim), size):
+            forms = [_node_form(arow, b, rows, offs) for arow, b in zip(weights, bias)]
+            for size in range(1, min(len(bias), n + 1) + 1):
+                for T in combinations(range(len(bias)), size):
                     sub_eqs = tuple(
                         canon_constraint(forms[i][0], forms[i][1], equality=True)
                         for i in T

@@ -11,8 +11,9 @@ their first nonzero coefficient positive, so that a hyperplane has one key.
 Polyhedra are kept in H-representation.  The relative interior of a polyhedron
 is characterised by a system ``(eqs, stricts)``: the points satisfying every
 equality and every strict inequality.  Cell-construction code passes this
-system in explicitly (it is the sign-pattern system of the cell); for ad hoc
-polyhedra it is recovered by implicit-equality probing.
+system in explicitly (it is the sign-pattern system of the cell) and only when
+it has shown the cell nonempty, so such a polyhedron is never tested for
+emptiness; for ad hoc polyhedra it is recovered by implicit-equality probing.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _coprime(ints: list[int]) -> list[int]:
 
 def canon_constraint(coef, off, equality: bool = False) -> Constraint:
     """Scale an affine form to primitive integers; orient equalities."""
-    ints = _primitive_ints([Fraction(c) for c in coef] + [Fraction(off)])
+    ints = _primitive_ints([*coef, off])
     if equality:
         lead = next((v for v in ints[:-1] if v != 0), None)
         if lead is None and ints[-1] != 0:
@@ -271,7 +272,7 @@ class Polyhedron:
 
     @cached_property
     def dim(self) -> int:
-        if not self.nonempty:
+        if self._relint is None and not self.nonempty:
             return -1
         return self.n - rank([c for c, _ in self.hull_eqs])
 
@@ -307,7 +308,7 @@ class Polyhedron:
     @cached_property
     def affine_hull_point(self) -> Vec | None:
         """A point of the affine hull (not necessarily of the polyhedron)."""
-        if not self.nonempty:
+        if self._relint is None and not self.nonempty:
             return None
         eqs = self.hull_eqs
         sol, _ = solve_linear([c for c, _ in eqs], [-o for _, o in eqs], self.n)

@@ -197,6 +197,20 @@ def test_export_svg(tmp_path):
     assert 'version="1.1"' in doc
 
 
+@pytest.mark.parametrize("width", ["0", "-10"])
+def test_export_svg_rejects_width_below_one(tmp_path, capsys, width):
+    net_file = tmp_path / "fan1.json"
+    assert main(["generate", "--fan", "1", "--out", str(net_file)]) == 0
+    out = tmp_path / "fan1.svg"
+    assert main(["export-svg", str(net_file), "--width", width, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--width must be at least 1, got {width}\n"
+    assert not out.exists()
+    assert main(["export-svg", str(net_file), "--width", "1", "--out", str(out)]) == 0
+    assert 'width="1"' in out.read_text()
+
+
 def test_export_svg_rejects_non_planar(tmp_path, capsys):
     net_file = tmp_path / "r3.json"
     assert main(["generate", "--random", "3,2,1", "--seed", "1", "--out", str(net_file)]) == 0

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from plmorse.complexes import (
     CanonicalComplex,
+    _deep_genericity,
     build_complex,
     census,
     components,
@@ -20,16 +22,26 @@ from plmorse.complexes import (
     reference_direction,
     zero_cells,
 )
-from plmorse.geometry import canonical_line_direction, dot, primitive_direction, vec
+from plmorse.geometry import (
+    Polyhedron,
+    canonical_line_direction,
+    dot,
+    feasible,
+    primitive_direction,
+    vec,
+)
+from plmorse.morse import analyze
 from plmorse.network import (
     AffineLayer,
     Network,
     build_coarse_bound_network,
     build_fan_network,
+    load_network,
     prescribe_edge_orientations,
     random_network,
 )
 
+import build_reference
 from fm_reference import contained
 from hull_model import bounded, rays
 
@@ -422,3 +434,130 @@ def test_negation_duality_cells_and_orientations():
     flip = {"increasing": "decreasing", "decreasing": "increasing", "flat": "flat"}
     for lab, ori in cx.oriented_one_skeleton.items():
         assert nx.oriented_one_skeleton[lab] == flip[ori]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Hand-made nets for the corners of integer construction: scales that are
+# not powers of two, weight rows that are all zero, units that are constant
+# (dead) on some cells, a second layer whose two zero sets coincide, and node
+# maps that are identically zero on a cell: in the first layer, past it, and
+# (on x = 0, y > 0, as x + y - y) with a nonzero gradient.
+HAND_NETS = {
+    "non-dyadic": Network((
+        AffineLayer.make([[F(1, 3), F(-2, 7)], [F(-2, 7), 1], [1, F(1, 3)]],
+                         [F(1, 3), F(-2, 7), 0], "relu"),
+        AffineLayer.make([[F(-2, 7), F(1, 3), 1], [F(1, 3), 1, F(-2, 7)]],
+                         [F(1, 3), F(-1, 7)], "relu"),
+        AffineLayer.make([[F(1, 3), F(-2, 7)]], [F(2, 7)], "none"),
+    )),
+    "zero rows": Network((
+        AffineLayer.make([[0, 0], [1, -1], [1, 1]], [1, 0, -1], "relu"),
+        AffineLayer.make([[0, 0, 0], [1, 1, -1]], [-1, 0], "relu"),
+        AffineLayer.make([[1, -1]], [0], "none"),
+    )),
+    "dead unit": Network((
+        AffineLayer.make([[1, 0], [0, 1]], [0, 0], "relu"),
+        AffineLayer.make([[1, 0], [1, 1]], [-1, 1], "relu"),
+        AffineLayer.make([[1, 1]], [0], "none"),
+    )),
+    "degenerate deep layer": Network((
+        AffineLayer.make([[1, 0], [0, 1], [1, 1]], [0, 0, -1], "relu"),
+        AffineLayer.make([[1, 1, 0], [1, 1, 0]], [-1, -1], "relu"),
+        AffineLayer.make([[1, -1]], [0], "none"),
+    )),
+    "zero node": Network((
+        AffineLayer.make([[0, 0], [0, 1]], [0, 0], "relu"),
+        AffineLayer.make([[1, 1]], [0], "none"),
+    )),
+    "deep zero node": Network((
+        AffineLayer.make([[1, 0], [0, 1]], [0, 0], "relu"),
+        AffineLayer.make([[1, 0], [0, 1]], [0, 0], "relu"),
+        AffineLayer.make([[1, 1]], [0], "none"),
+    )),
+    "vanishing node": Network((
+        AffineLayer.make([[1, 1], [1, 0], [0, 1]], [0, 0, 0], "relu"),
+        AffineLayer.make([[1, 0, -1]], [0], "relu"),
+        AffineLayer.make([[1]], [0], "none"),
+    )),
+}
+
+
+def _reference_corpus():
+    for path in sorted(GOLDEN.glob("*.net.json")):
+        yield path.name, load_network(path)
+    for k in (1, 2):
+        yield f"fan{k}", build_fan_network(k)
+    for m in (4, 5):
+        yield f"coarse{m}", build_coarse_bound_network(m)
+    for arch in [(2, 3, 1), (2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 2, 1)]:
+        for seed in range(4):
+            yield f"{arch} seed {seed}", random_network(arch, seed)
+    yield from HAND_NETS.items()
+
+
+def _cell_record(c):
+    geo = c.geometry
+    return (c.label, geo.eqs, geo.ges, geo.relint_system, c.gradient, c.constant,
+            c.dimension, c.flat, geo.affine_hull_point)
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _reference_corpus()])
+def test_build_matches_fraction_reference(net):
+    """Integer cell maps, two feasibility tests per split and dimensions read
+    off the equalities give the cells, forms, witnesses and deep genericity
+    verdict of the Fraction construction."""
+    cx, ref = build_complex(net), build_reference.build_complex(net)
+    assert list(cx.cells) == list(ref.cells)
+    for lab, c in cx.cells.items():
+        assert _cell_record(c) == _cell_record(ref.cells[lab]), lab
+        assert all(type(x) is Fraction for x in (*c.gradient, c.constant))
+    assert cx.transversality_witnesses == ref.transversality_witnesses
+    deep = _deep_genericity(net)
+    assert (None if deep is None else deep.witness) == build_reference.deep_genericity(net)
+
+
+def test_hand_nets_reach_their_corners():
+    """The hand-made nets of the reference test do hold the cases they name."""
+    assert build_reference.deep_genericity(HAND_NETS["degenerate deep layer"])
+    for name in ("zero node", "deep zero node", "vanishing node"):
+        assert build_complex(HAND_NETS[name]).transversality_witnesses, name
+    for name in ("zero rows", "dead unit"):
+        layers = HAND_NETS[name].layers
+        stage = list(build_reference.layer_stages(HAND_NETS[name]))[1][1]
+        forms = [
+            build_reference._node_form(w, b, rows, offs)
+            for w, b in zip(layers[1].weights, layers[1].bias)
+            for _, _, _, rows, offs in stage
+        ]
+        assert any(not any(g) and k != 0 for g, k in forms), name
+
+
+def test_build_and_analyze_never_test_emptiness(monkeypatch):
+    """The split shows every cell nonempty, so no canonical cell (nor any
+    piece cut from one) runs the emptiness test."""
+    def refuse(self):
+        raise AssertionError("Polyhedron.nonempty called")
+
+    monkeypatch.setattr(Polyhedron, "nonempty", property(refuse))
+    for net in (build_fan_network(2), load_network(GOLDEN / "random_2_3_2_1_seed3.net.json")):
+        cx = build_complex(net)
+        assert zero_cells(cx) and [c.value_on_cell() for c in cx.cells.values() if c.flat]
+        analyze(net)
+
+
+def test_build_makes_two_feasibility_calls_per_split(monkeypatch):
+    """The golden (2,2,2,1) seed 5 net splits a cell by a nonzero form 20
+    times: 40 calls, where a third call per split would make 60 and an
+    emptiness test per cell 25 more."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return feasible(*args, **kwargs)
+
+    monkeypatch.setattr("plmorse.complexes.feasible", counted)
+    monkeypatch.setattr("plmorse.geometry.feasible", counted)
+    cx = build_complex(random_network((2, 2, 2, 1), 5))
+    assert len(cx.cells) == 25
+    assert len(calls) == 40

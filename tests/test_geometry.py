@@ -42,6 +42,28 @@ def test_canon_constraint_equality_sign():
     assert (coef, off) == ((0, 0), 1)
 
 
+@pytest.mark.parametrize("coef, off, want, want_eq", [
+    ((6, -4), 2, ((3, -2), 1), ((3, -2), 1)),
+    ((-6, 4), -2, ((-3, 2), -1), ((3, -2), 1)),
+    ((F(2, 3), F(-4, 3)), F(-2), ((1, -2), -3), ((1, -2), -3)),
+    ((F(-1, 3), 2), F(2, 7), ((-7, 42), 6), ((7, -42), -6)),
+    ((0, F(-3, 5), 1), 0, ((0, -3, 5), 0), ((0, 3, -5), 0)),
+    ((0, 0), 0, ((0, 0), 0), ((0, 0), 0)),
+    ((F(0), 0), F(0), ((0, 0), 0), ((0, 0), 0)),
+    ((0, 0), -4, ((0, 0), -1), ((0, 0), 1)),
+    ((F(0), F(0)), F(5, 3), ((0, 0), 1), ((0, 0), 1)),
+    ((), F(-2, 9), ((), -1), ((), 1)),
+])
+def test_canon_constraint_takes_ints_and_fractions_alike(coef, off, want, want_eq):
+    """ints, Fractions and mixes of them give the tuple of the all-Fraction
+    form, which is the constraint of the affine form's rational entries."""
+    wrapped = (tuple(F(c) for c in coef), F(off))
+    for equality, expected in ((False, want), (True, want_eq)):
+        got = canon_constraint(coef, off, equality=equality)
+        assert got == canon_constraint(*wrapped, equality=equality) == expected
+        assert all(type(v) is int for v in (*got[0], got[1]))
+
+
 def test_rank_and_nullspace():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert rank(rows) == 2
