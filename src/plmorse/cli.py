@@ -27,9 +27,12 @@ from .svg import render_svg
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _load(path: str) -> Network:

@@ -10,9 +10,9 @@ made every piece pointed.  The bounded faces of a pointed polyhedron form a
 contractible complex (Björner, Las Vergnas, Sturmfels, White and Ziegler,
 Oriented Matroids, section 4.5), so, adding pieces in order of dimension,
 the bounded pieces have the homotopy type of the set and of every
-face-closed union of its pieces.  No hull is taken.  The model carries
-provenance back to the refined pieces, so distinguished subcomplexes (flat
-components, strip floors) can be marked.
+face-closed union of its pieces, such as a flat component's closed star in
+a strip.  No hull is taken.  The model carries provenance back to the
+refined pieces, so distinguished subcomplexes can be marked.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .complexes import (
     Label,
     LabeledCell,
     components,
-    flat_cells,
 )
 from .geometry import Polyhedron, Vec, canon_constraint, dot, rank
 
@@ -111,12 +110,7 @@ class RefinedCell:
         if not (eqs or ges):
             return poly
         req, rst = poly.relint_system
-        return Polyhedron(
-            poly.n,
-            eqs=poly.eqs + tuple(eqs),
-            ges=poly.ges + tuple(ges),
-            relint=(req + tuple(eqs), rst + tuple(ges)),
-        )
+        return poly.with_constraints(eqs, ges, relint=(req + tuple(eqs), rst + tuple(ges)))
 
     @cached_property
     def vertices(self) -> list[Vec]:
@@ -192,15 +186,12 @@ class RefinedComplex:
 def _interval_constraints(g: Vec, k: Fraction, iv: Interval):
     """Canonical (equalities, inequalities) expressing F in the interval."""
     lo, hi = iv
-    eqs, ineqs = [], []
-    if lo is not None and hi is not None and lo == hi:
-        eqs.append(canon_constraint(g, k - lo, equality=True))
-    else:
-        if lo is not None:
-            ineqs.append(canon_constraint(g, k - lo))
-        if hi is not None:
-            ineqs.append(canon_constraint(tuple(-x for x in g), hi - k))
-    return eqs, ineqs
+    if lo is not None and lo == hi:
+        return [canon_constraint(g, k - lo, equality=True)], []
+    ineqs = [] if lo is None else [canon_constraint(g, k - lo)]
+    if hi is not None:
+        ineqs.append(canon_constraint(tuple(-x for x in g), hi - k))
+    return [], ineqs
 
 
 def refine_at_levels(cx: CanonicalComplex, thresholds) -> RefinedComplex:
@@ -352,28 +343,28 @@ def compact_part(pieces, pairs) -> CompactModel:
 # level-split models
 
 
-def _selected_model(rcx: RefinedComplex, lo, hi):
+def _selected_model(rcx: RefinedComplex, lo, hi) -> CompactModel:
     keys = rcx.keys_in(lo, hi)
     pieces, _ = essentialize([rcx.cells[k] for k in keys], rcx.source)
-    return compact_part(pieces, rcx.containment_pairs(keys)), keys
+    return compact_part(pieces, rcx.containment_pairs(keys))
 
 
 def sublevel_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F <= c."""
     c = Fraction(c)
-    return _selected_model(refine_at_levels(cx, [c]), None, c)[0]
+    return _selected_model(refine_at_levels(cx, [c]), None, c)
 
 
 def superlevel_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F >= c."""
     c = Fraction(c)
-    return _selected_model(refine_at_levels(cx, [c]), c, None)[0]
+    return _selected_model(refine_at_levels(cx, [c]), c, None)
 
 
 def level_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F = c."""
     c = Fraction(c)
-    return _selected_model(refine_at_levels(cx, [c]), c, c)[0]
+    return _selected_model(refine_at_levels(cx, [c]), c, c)
 
 
 def modeled_pair(rcx: RefinedComplex, outer, inner):
@@ -381,46 +372,45 @@ def modeled_pair(rcx: RefinedComplex, outer, inner):
 
     Returns (model, ids of model cells coming from the inner range).
     """
-    model, _ = _selected_model(rcx, *outer)
+    model = _selected_model(rcx, *outer)
     return model, model.cells_with_source(rcx.keys_in(*inner))
 
 
-@dataclass(frozen=True)
-class StripModel:
-    model: CompactModel
-    level: Fraction
-    lower: Fraction
-    floor: frozenset
-    k_cells: tuple[tuple[FlatComponent, frozenset], ...]
+def strip_pair_model(rcx: RefinedComplex, comp: FlatComponent, lower):
+    """Compact model of the closed star of the flat component K in the strip
+    lower <= F <= a, K's level, and the ids of its model cells from K.
 
-
-def strip_pair_model(cx: CanonicalComplex, a, lower) -> StripModel:
-    """Compact model of the strip lower <= F <= a, with the flat components
-    at level a and the floor F = lower marked as subcomplexes.
-
-    The open interval (lower, a) must be free of nontransversal thresholds
-    and lower itself must be a transversal value.
+    The open star is every strip piece whose closure holds a piece of K, and
+    the closed star adds their faces in the strip.  A closed piece meets K
+    in a union of its faces, which are pieces of K, so every piece that
+    meets K is in the star, and excision gives H(strip, strip minus K) on
+    it.  Both ends are thresholds of the refinement, and [lower, a) holds
+    no nontransversal threshold.
     """
-    a, lower = Fraction(a), Fraction(lower)
+    a, lower = Fraction(comp.level), Fraction(lower)
     if not lower < a:
         raise ValueError("strip needs lower < a")
+    cx = rcx.source
     for t in cx.nontransversal_thresholds:
         if lower <= t < a:
-            raise ValueError(
-                f"nontransversal threshold {t} inside the strip [{lower}, {a})"
-            )
-    rcx = refine_at_levels(cx, [lower, a])
-    model, keys = _selected_model(rcx, lower, a)
-    key_set = set(keys)
-    floor = model.cells_with_source(rcx.keys_in(lower, lower))
-    top = rcx.index_of(a)
-    marks = []
-    for comp in flat_cells(cx):
-        if comp.level != a:
-            continue
-        k_keys = [(lab, top) for lab in comp.labels]
-        for k in k_keys:
-            if k not in key_set:
-                raise RuntimeError(f"flat cell {k[0]} has no piece at level {a} in the strip")
-        marks.append((comp, model.cells_with_source(k_keys)))
-    return StripModel(model, a, lower, floor, tuple(marks))
+            raise ValueError(f"nontransversal threshold {t} inside the strip [{lower}, {a})")
+    first, top = rcx.index_of(lower), rcx.index_of(a)
+    k_keys = [(lab, top) for lab in comp.labels]
+    for k in k_keys:
+        if k not in rcx.cells:
+            raise RuntimeError(f"flat cell {k[0]} has no piece at level {a} in the strip")
+    present = rcx.cells.keys()
+    star = present & {
+        (b, j) for lab in comp.labels for b in (lab, *cx.cofaces_of(lab)) for j in (top - 1, top)
+    }
+    closed = present & {
+        (c, i)
+        for b, j in star
+        for c in (b, *cx.faces_of(b))
+        for i in ((j - 1, j, j + 1) if j % 2 == 0 else (j,))
+        if first <= i
+    }
+    keys = sorted(closed)
+    pieces, _ = essentialize([rcx.cells[k] for k in keys], cx)
+    model = compact_part(pieces, rcx.containment_pairs(keys))
+    return model, model.cells_with_source(k_keys)

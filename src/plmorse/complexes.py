@@ -133,10 +133,13 @@ class CanonicalComplex:
         """(sub, super) for every strict face relation sub < super.
 
         K(F) is a polyhedral complex, so sub < sup exactly when sub's label
-        refines sup's and sup's closure holds a point of sub's relative
-        interior.  The pass visits cells by dimension, reads each witness off
-        the faces found so far (``_relint_point``), and records ``skeleton``.
-        A witness outside its cell's relative interior raises RuntimeError.
+        refines sup's (Masden, arXiv 2207.07696): for x in relint(sub) and y in
+        relint(sup), each layer-1 form is affine, with sup's sign at y and sub's
+        (0 or the same) at x, so sup's sign on (x, y]; that makes the next
+        layer's forms affine on [x, y], and by induction (x, y] lies in sup.
+        The pass visits cells by dimension, reads each cell's witness off the
+        faces found so far (``_relint_point``), raises RuntimeError if it is off
+        the cell's relative interior, and records ``skeleton``.
         """
         k = len(self.kernel)
         by_dim: dict[int, list[LabeledCell]] = {}
@@ -164,7 +167,7 @@ class CanonicalComplex:
                     raise RuntimeError(f"witness {w} is off the relative interior of cell {lab}")
                 for e in range(d + 1, max(by_dim) + 1):
                     for sup in by_dim.get(e, ()):
-                        if _label_refines(lab, sup.label) and sup.geometry.contains(w):
+                        if _label_refines(lab, sup.label):
                             above[lab].append(sup.label)
                             if d <= k + 1:
                                 below[sup.label].append(lab)
@@ -211,14 +214,18 @@ class CanonicalComplex:
         return solve_linear(rows, rhs, self.network.n0)
 
     @cached_property
-    def _cofaces(self) -> dict[Label, list[Label]]:
-        out: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
+    def _incidence(self) -> dict[Label, tuple[list[Label], list[Label]]]:
+        out: dict[Label, tuple[list[Label], list[Label]]] = {lab: ([], []) for lab in self.cells}
         for sub, sup in self.face_pairs:
-            out[sub].append(sup)
+            out[sub][0].append(sup)
+            out[sup][1].append(sub)
         return out
 
+    def faces_of(self, label: Label) -> list[Label]:
+        return self._incidence[label][1]
+
     def cofaces_of(self, label: Label, codim: int | None = None) -> list[Label]:
-        out = self._cofaces[label]
+        out = self._incidence[label][0]
         if codim is None:
             return list(out)
         want = self.cells[label].dimension + codim

@@ -1,10 +1,11 @@
 """Complexity measures and the shallow-network Morse classification.
 
 Local H-complexity of a flat component K at level a is the relative homology
-H_*(F<=a, F<=a minus K), computed by excision on a compact strip model just
-below a.  K's cells form a down-set of that model, so in the order complex of
-its face poset the strip minus K retracts onto the full subcomplex on the
-other cells.  Global complexity sums the local totals; stable and coarse
+H_*(F<=a, F<=a minus K), computed by excision on a compact model of K's closed
+star in a strip just below a, cut from one refinement at every threshold and
+its strip floor.  K's cells form a down-set of that model, so in the order
+complex of its face poset the star minus K retracts onto the full subcomplex
+on the other cells.  Global complexity sums the local totals; stable and coarse
 complexities and component counts come from two marked models of one
 refinement at -M and M, beyond every nontransversal threshold.  For
 single-hidden-layer (depth-2) generic transversal networks, vertices classify
@@ -23,6 +24,7 @@ from .complexes import (
     FlatComponent,
     Label,
     build_complex,
+    flat_cells,
     is_generic,
 )
 from .geometry import Vec
@@ -117,31 +119,29 @@ def strip_epsilon(cx: CanonicalComplex, a) -> Fraction:
     return Fraction(1)
 
 
-def _strip_records(cx: CanonicalComplex, a: Fraction) -> list[LocalComplexityRecord]:
-    sm = strip_pair_model(cx, a, a - strip_epsilon(cx, a))
-    tri = triangulate(sm.model)
-    out = []
-    for comp, ids in sm.k_cells:
-        away = complement_complex(tri.complex, carried_simplices(tri, ids))
-        ranks = relative_betti(SimplicialPair(tri.complex, away))
-        out.append(LocalComplexityRecord(a, comp.labels, ranks))
-    return out
+def _star_record(rcx: RefinedComplex, comp: FlatComponent, lower) -> LocalComplexityRecord:
+    model, ids = strip_pair_model(rcx, comp, lower)
+    tri = triangulate(model)
+    away = complement_complex(tri.complex, carried_simplices(tri, ids))
+    ranks = relative_betti(SimplicialPair(tri.complex, away))
+    return LocalComplexityRecord(Fraction(comp.level), comp.labels, ranks)
 
 
 def local_h_complexity(cx: CanonicalComplex, comp: FlatComponent) -> LocalComplexityRecord:
     """Per-degree ranks of H_*(F<=a, F<=a minus K) for the flat component K."""
-    for rec in _strip_records(cx, Fraction(comp.level)):
-        if rec.labels == comp.labels:
-            return rec
-    raise ValueError(f"no flat component {comp.labels} at level {comp.level}")
+    if comp not in flat_cells(cx):
+        raise ValueError(f"no flat component {comp.labels} at level {comp.level}")
+    lower = comp.level - strip_epsilon(cx, comp.level)
+    return _star_record(refine_at_levels(cx, [lower, comp.level]), comp, lower)
 
 
 def local_records(cx: CanonicalComplex) -> tuple[LocalComplexityRecord, ...]:
-    """One record per flat component, sharing one strip model per threshold."""
-    out = []
-    for a in cx.nontransversal_thresholds:
-        out.extend(_strip_records(cx, a))
-    return tuple(out)
+    """One record per flat component, all from one refinement."""
+    floors = {a: a - strip_epsilon(cx, a) for a in cx.nontransversal_thresholds}
+    if not floors:
+        return ()
+    rcx = refine_at_levels(cx, [*floors, *floors.values()])
+    return tuple(_star_record(rcx, comp, floors[comp.level]) for comp in flat_cells(cx))
 
 
 def global_h_complexity(cx: CanonicalComplex) -> int:

@@ -48,6 +48,21 @@ def test_analyze_report_file(tmp_path, capsys):
     assert doc["coarse"]["sublevel"] == [1]
 
 
+def test_unwritable_output_exits_two_with_one_line(tmp_path, capsys):
+    net_file = tmp_path / "net.json"
+    _two_relu_json(net_file)
+    target = tmp_path / "nonexistent" / "dir" / "r.json"
+    for argv in (
+        ["analyze", str(net_file), "--report", str(target)],
+        ["generate", "--fan", "1", "--out", str(target)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_analyze_nontransversal_exits_two(tmp_path, capsys):
     net_file = tmp_path / "deep.json"
     _deep_net_json(net_file)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from plmorse import morse
-from plmorse.complexes import CellFaces, build_complex, flat_cells
+from plmorse.complexes import CellFaces, FlatComponent, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
     _interval_constraints,
@@ -40,6 +40,7 @@ from plmorse.network import (
 
 from fm_reference import contained
 from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
+from strip_reference import reference_local_records, whole_strip_model
 
 F = Fraction
 
@@ -235,40 +236,61 @@ def test_fan1_superlevel_has_two_components():
     assert betti(triangulate(sublevel_model(cx, F(-1, 4))).complex) == (2,)
 
 
+def _stars(cx, a, lower):
+    """(component, closed-star model, K ids) for each flat component at
+    level a, in one refinement at lower and a."""
+    rcx = refine_at_levels(cx, [lower, a])
+    return [(c, *strip_pair_model(rcx, c, lower)) for c in flat_cells(cx) if c.level == a]
+
+
 def test_strip_of_two_relu_net_is_a_point():
     cx = build_complex(two_relu_net())
-    sm = strip_pair_model(cx, F(0), F(-1))
-    assert sm.model.vertices == ((F(0), F(0)),)
-    assert len(sm.model.cells) == 1
-    assert len(sm.k_cells) == 1
-    comp, ids = sm.k_cells[0]
+    stars = _stars(cx, F(0), F(-1))
+    assert len(stars) == 1
+    comp, model, ids = stars[0]
+    assert model.vertices == ((F(0), F(0)),)
+    assert len(model.cells) == 1
     assert comp.level == 0
-    assert ids == frozenset(sm.model.cells)
+    assert ids == frozenset(model.cells)
+
+
+def test_whole_strip_of_two_relu_net_has_no_floor():
+    sm = whole_strip_model(build_complex(two_relu_net()), F(0), F(-1))
+    assert sm.model.vertices == ((F(0), F(0)),)
+    assert len(sm.k_cells) == 1
     assert sm.floor == frozenset()
 
 
 def test_strip_rejects_thresholds_inside():
     cx = build_complex(build_fan_network(2))
+    rcx = refine_at_levels(cx, [F(-1), F(0)])
+    comp = next(c for c in flat_cells(cx) if c.level == 0)
     with pytest.raises(ValueError, match="nontransversal threshold"):
-        strip_pair_model(cx, F(0), F(-1))
+        strip_pair_model(rcx, comp, F(-1))
+
+
+def test_strip_names_a_missing_component_piece():
+    cx = build_complex(two_relu_net())
+    rcx = refine_at_levels(cx, [F(-1), F(0)])
+    bogus = FlatComponent(F(0), ((1, 1),))
+    with pytest.raises(RuntimeError, match=r"flat cell \(1, 1\) has no piece at level 0"):
+        strip_pair_model(rcx, bogus, F(-1))
 
 
 def test_strip_fan2_marks_hexagon_and_collars():
     cx = build_complex(build_fan_network(2))
     a = F(0)
     below = max(t for t in cx.nontransversal_thresholds if t < a)
-    sm = strip_pair_model(cx, a, (a + below) / 2)
-    hex_marks = [(c, ids) for c, ids in sm.k_cells if len(c.labels) == 13]
+    hex_marks = [(c, m, ids) for c, m, ids in _stars(cx, a, (a + below) / 2) if len(c.labels) == 13]
     assert len(hex_marks) == 1
-    comp, ids = hex_marks[0]
+    comp, model, ids = hex_marks[0]
     assert comp.level == 0
     assert len(ids) == 13
-    assert len(sm.model.cells) > 13
-    assert sm.floor
+    assert len(model.cells) > 13
     # collars around the hexagon where F dips below zero
     collars = [
         c
-        for cid, c in sm.model.cells.items()
+        for cid, c in model.cells.items()
         if c.dimension == 2 and cid not in ids
     ]
     assert collars
@@ -276,19 +298,27 @@ def test_strip_fan2_marks_hexagon_and_collars():
         assert any(cx.cells[src[0]].dimension == 2 for src in c.sources)
 
 
+def test_whole_strip_fan2_marks_its_floor():
+    cx = build_complex(build_fan_network(2))
+    below = max(t for t in cx.nontransversal_thresholds if t < 0)
+    sm = whole_strip_model(cx, F(0), below / 2)
+    assert any(len(c.labels) == 13 for c, _ in sm.k_cells)
+    assert sm.floor
+
+
 def test_strip_fan2_relative_homology_of_hexagon():
     cx = build_complex(build_fan_network(2))
     below = max(t for t in cx.nontransversal_thresholds if t < 0)
-    sm = strip_pair_model(cx, F(0), below / 2)
-    tri = triangulate(sm.model)
-    k_ids = sm.k_cells[0][1]
+    _, model, k_ids = next(s for s in _stars(cx, F(0), below / 2) if len(s[0].labels) == 13)
+    tri = triangulate(model)
     comp = complement_complex(tri.complex, carried_simplices(tri, k_ids))
     assert relative_betti(SimplicialPair(tri.complex, comp)) == (0, 2)
 
 
 def test_strip_without_flat_cells_collapses_to_floor():
     cx = build_complex(two_relu_net())
-    sm = strip_pair_model(cx, F(1, 2), F(1, 4))
+    assert _stars(cx, F(1, 2), F(1, 4)) == []
+    sm = whole_strip_model(cx, F(1, 2), F(1, 4))
     assert sm.k_cells == ()
     assert sm.floor
     tri = triangulate(sm.model)
@@ -302,12 +332,32 @@ def test_strip_pair_separation():
     cx = build_complex(build_fan_network(2))
     a = F(0)
     below = max(t for t in cx.nontransversal_thresholds if t < a)
-    sm = strip_pair_model(cx, a, (a + below) / 2)
-    for comp, ids in sm.k_cells:
+    stars = _stars(cx, a, (a + below) / 2)
+    assert stars
+    for comp, model, ids in stars:
         k_verts = {v for cid in ids for v in cid}
-        for cid in sm.model.cells:
+        for cid in model.cells:
             if cid not in ids:
                 assert not set(cid) <= k_verts
+
+
+def test_star_records_match_whole_strip_reference():
+    """Each component's ranks on its closed star in one refinement equal
+    its ranks on the whole strip below its level, refined alone."""
+    nets = [load_network(p) for p in sorted(GOLDEN.glob("*.net.json"))]
+    nets += [build_fan_network(n) for n in (1, 2)]
+    nets += [build_coarse_bound_network(m) for m in (4, 5)]
+    for arch in [(2, 3, 1), (2, 4, 1), (2, 2, 2, 1), (3, 3, 1), (2, 3, 2, 1)]:
+        nets += [random_network(arch, seed) for seed in range(4)]
+    compared = 0
+    for net in nets:
+        cx = build_complex(net)
+        if cx.transversality_witnesses:
+            continue
+        got = morse.local_records(cx)
+        assert got == reference_local_records(cx), net.architecture
+        compared += len(got)
+    assert compared > 100
 
 
 def test_modeled_pair_sublevel_pair_of_nonnegative_net():
@@ -357,7 +407,9 @@ def test_models_are_polytopal_complexes():
     fan1 = build_complex(build_fan_network(1))
     smaller = [t for t in fan1.nontransversal_thresholds if t < 0]
     lower = max(smaller) / 2 if smaller else F(-1)
-    _assert_polytopal_complex(strip_pair_model(fan1, F(0), lower).model)
+    for _, model, _ in _stars(fan1, F(0), lower):
+        _assert_polytopal_complex(model)
+    _assert_polytopal_complex(whole_strip_model(fan1, F(0), lower).model)
 
 
 def _level_queries(cx):
@@ -463,7 +515,7 @@ def test_piece_keys_hold_only_ints():
     keys = rcx.keys_in(None, None)
     assert set(keys) == set(rcx.cells)
     model, _ = modeled_pair(rcx, (below / 2, F(1)), (F(0), F(0)))
-    strip = strip_pair_model(cx, F(0), below / 2).model
+    strip = next(m for c, m, _ in _stars(cx, F(0), below / 2) if len(c.labels) == 13)
     found = [
         keys,
         rcx.containment_pairs(keys),

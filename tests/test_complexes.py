@@ -277,6 +277,24 @@ def test_face_pairs_and_skeleton_make_no_feasibility_call(monkeypatch):
     assert cx.skeleton == want.skeleton
 
 
+def test_face_pairs_test_each_cell_once(monkeypatch):
+    """Label refinement is the face relation, so the pass tests only each
+    cell's own witness against its relative interior."""
+    contains = Polyhedron.contains
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return contains(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polyhedron, "contains", counted)
+    for net in (build_fan_network(2), random_network((2, 3, 2, 1), 3)):
+        calls.clear()
+        cx = build_complex(net)
+        assert cx.face_pairs
+        assert len(calls) == len(cx.cells)
+
+
 def test_witness_outside_its_cell_is_named(monkeypatch):
     cut = CanonicalComplex._cut
 

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmorse import homology, morse
-from plmorse.compact import strip_pair_model, sublevel_model, superlevel_model
+from plmorse.compact import (
+    refine_at_levels,
+    strip_pair_model,
+    sublevel_model,
+    superlevel_model,
+)
 from plmorse.complexes import build_complex, flat_cells
 from plmorse.homology import (
     SimplicialPair,
@@ -121,14 +126,44 @@ def test_epsilon_choice_does_not_change_ranks():
     cx = build_complex(build_fan_network(2))
     a = F(0)
     eps = morse.strip_epsilon(cx, a)
+    comp = next(c for c in flat_cells(cx) if c.level == a and len(c.labels) == 13)
     results = []
     for lower in (a - eps, a - eps / 2):
-        sm = strip_pair_model(cx, a, lower)
-        tri = triangulate(sm.model)
-        comp, ids = next(kc for kc in sm.k_cells if len(kc[0].labels) == 13)
+        model, ids = strip_pair_model(refine_at_levels(cx, [lower, a]), comp, lower)
+        tri = triangulate(model)
         away = complement_complex(tri.complex, carried_simplices(tri, ids))
         results.append(relative_betti(SimplicialPair(tri.complex, away)))
     assert results[0] == results[1] == (0, 2)
+
+
+def test_analyze_refines_once_for_strips_and_once_for_stable_measures(monkeypatch):
+    calls = []
+
+    def counted(cx, thresholds):
+        calls.append(sorted(thresholds))
+        return refine_at_levels(cx, thresholds)
+
+    monkeypatch.setattr(morse, "refine_at_levels", counted)
+    cx = build_complex(build_fan_network(2))
+    morse.analyze(build_fan_network(2))
+    assert len(calls) == 2
+    ts = cx.nontransversal_thresholds
+    assert len(calls[0]) == 2 * len(ts) and set(ts) <= set(calls[0])
+    m = morse.big_m(cx)
+    assert calls[1] == [-m, m]
+
+
+@pytest.mark.parametrize(
+    "net", [build_fan_network(2), random_network((2, 3, 2, 1), 3)], ids=["fan2", "2321s3"]
+)
+def test_local_h_complexity_matches_local_records(net):
+    cx = build_complex(net)
+    records = morse.local_records(cx)
+    comps = flat_cells(cx)
+    assert len(records) == len(comps) > 1
+    for comp, rec in zip(comps, records):
+        assert rec.labels == comp.labels
+        assert morse.local_h_complexity(cx, comp) == rec
 
 
 def test_stable_complexities_two_relu():

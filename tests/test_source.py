@@ -20,10 +20,10 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# Lines in src/plmorse/*.py (as `wc -l` counts them) when the canonical
-# complex came to be built on integer cell maps.  The package aims to give
-# the same answers from less code, so a change may lower this limit but not
-# raise it.
+# Lines in src/plmorse/*.py (as `wc -l` counts them) when local homology
+# came to be taken on each flat component's closed star.  The package aims
+# to give the same answers from less code, so a change may lower this limit
+# but not raise it.
 MAX_SOURCE_LINES = 3159
 
 
