@@ -18,8 +18,8 @@ from fractions import Fraction
 from operator import mul
 
 from .geometry import in_span, strict_feasible
-from .network import (_SNAP, Network, _sampler, fraction_to_json, inactive_walls,
-                      integer_layers, random_int_layers)
+from .network import (_SNAP, FRACTION_SCHEMA, Network, _sampler, fraction_to_json,
+                      inactive_walls, integer_layers, object_schema, random_int_layers)
 
 _SEED_STRIDE = 1_000_003
 
@@ -188,44 +188,20 @@ def summary_to_json(summary: TrialSummary) -> dict:
     }
 
 
-_FRACTION_OR_NULL = {
-    "type": ["string", "null"],
-    "pattern": "^-?[0-9]+/[0-9]+$",
-}
+_FRACTION_OR_NULL = {**FRACTION_SCHEMA, "type": ["string", "null"]}
+_POSITIVE = {"type": "integer", "minimum": 1}
 
-TRIAL_SCHEMA = {
-    "type": "object",
-    "required": [
-        "kind",
-        "architecture",
-        "trials",
-        "seed",
-        "scheme",
-        "successes",
-        "empirical_rate",
-        "closed_form",
-        "bound",
-        "confidence",
-    ],
-    "properties": {
+TRIAL_SCHEMA = object_schema(
+    {
         "kind": {"enum": ["plmorse", "flat_cell"]},
-        "architecture": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 2,
-        },
-        "trials": {"type": "integer", "minimum": 1},
+        "architecture": {"type": "array", "items": _POSITIVE, "minItems": 2},
+        "trials": _POSITIVE,
         "seed": {"type": "integer"},
         "scheme": {"enum": ["gaussian", "uniform"]},
         "successes": {"type": "integer", "minimum": 0},
-        "empirical_rate": {"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"},
+        "empirical_rate": FRACTION_SCHEMA,
         "closed_form": _FRACTION_OR_NULL,
         "bound": _FRACTION_OR_NULL,
-        "confidence": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
-}
+        "confidence": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+    }
+)

@@ -1,19 +1,20 @@
-"""Simplicial homology over the rationals, plus a cubical grid oracle.
+"""Homology over the rationals, cellular and simplicial, plus a grid oracle.
 
-A compact polytopal model is triangulated as the order complex of its face
-poset, a vertex per cell and a simplex per chain of faces: the model's
-barycentric subdivision (Björner 1984, "Posets, regular CW complexes and
-Bruhat order"), with no coordinate computed.  A marked part of a model is a
-down-set of cells, so its subcomplex is full and the rest retracts onto the
-full subcomplex on the other cells (complement_complex).  barycentric_pair
-subdivides a simplicial complex by the same chains.  Betti numbers come from
-exact integer ranks of the boundary matrices; relative Betti numbers from
-the quotient by a subcomplex.  The grid oracle rebuilds sublevel,
-superlevel and band sets of a 2-input network anew on a pixel grid, giving
-an independent check on the whole pipeline: it evaluates the grid in Python
-ints and reads the Betti numbers of the union of passing squares off a
-union-find component count and the Euler characteristic, so it uses neither
-the triangulation nor the rank code above.
+A compact polytopal model is a regular CW complex, so its cellular chain
+complex has one generator per cell, with incidence numbers read off the face
+poset (Björner 1984, "Posets, regular CW complexes and Bruhat order").
+CellularComplex gives the Betti numbers of a model, of a marked down-set of
+its cells and of the pair, and the local ranks H(X, X minus K) of a marked
+subcomplex K.  The simplicial route stays: the order complex of the face
+poset, which is the model's barycentric subdivision (triangulate), plus
+barycentric_pair and complement_complex.  Both routes share one rank loop,
+exact integer ranks of sparse boundary matrices, and take relative Betti
+numbers from the quotient by a subcomplex.  The grid oracle rebuilds
+sublevel, superlevel and band sets of a 2-input network anew on a pixel
+grid, giving an independent check on the whole pipeline: it evaluates the
+grid in Python ints and reads the Betti numbers of the union of passing
+squares off a union-find component count and the Euler characteristic, so
+it uses neither the triangulation nor the rank code above.
 """
 
 from __future__ import annotations
@@ -39,17 +40,6 @@ class SimplicialComplex:
     vertices: tuple[Vec | Simplex, ...]
     simplices: frozenset[Simplex]
 
-    @classmethod
-    def from_maximal(cls, vertices, tops) -> "SimplicialComplex":
-        return cls(tuple(vertices), face_closure(tops))
-
-    @property
-    def dim(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
-
-    def k_simplices(self, k: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == k + 1)
-
 
 @dataclass(frozen=True)
 class SimplicialPair:
@@ -59,21 +49,6 @@ class SimplicialPair:
 
 class NotFullError(ValueError):
     """The subcomplex misses a simplex spanned by its own vertices."""
-
-
-def face_closure(tops) -> frozenset[Simplex]:
-    out: set[Simplex] = set()
-    stack = [tuple(sorted(s)) for s in tops]
-    while stack:
-        s = stack.pop()
-        if s in out or not s:
-            continue
-        out.add(s)
-        for i in range(len(s)):
-            f = s[:i] + s[i + 1 :]
-            if f and f not in out:
-                stack.append(f)
-    return frozenset(out)
 
 
 def sparse_rank(rows) -> int:
@@ -116,19 +91,6 @@ def sparse_rank(rows) -> int:
     return rank
 
 
-def _boundary_rows(simplices_k, index_km1) -> list[dict[int, int]]:
-    rows = []
-    for s in simplices_k:
-        row: dict[int, int] = {}
-        for i in range(len(s)):
-            f = s[:i] + s[i + 1 :]
-            j = index_km1.get(f)
-            if j is not None:
-                row[j] = row.get(j, 0) + (1 if i % 2 == 0 else -1)
-        rows.append({c: v for c, v in row.items() if v})
-    return rows
-
-
 def _trim(bs) -> tuple[int, ...]:
     bs = list(bs)
     while bs and bs[-1] == 0:
@@ -136,25 +98,30 @@ def _trim(bs) -> tuple[int, ...]:
     return tuple(bs)
 
 
-def _chain_betti(simplices) -> list[int]:
-    """Betti numbers of the chain complex spanned by the given simplices, with
-    every face outside them taken as zero (a quotient by the rest)."""
-    d = max(len(s) for s in simplices) - 1
-    by_k: list[list[Simplex]] = [[] for _ in range(d + 1)]
-    for s in simplices:
-        by_k[len(s) - 1].append(s)
-    for group in by_k:
-        group.sort()
-    ranks = [0] * (d + 2)
-    for k in range(1, d + 1):
-        index = {s: i for i, s in enumerate(by_k[k - 1])}
-        ranks[k] = sparse_rank(_boundary_rows(by_k[k], index))
-    return [len(by_k[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1)]
+def _chain_betti(by_dim, boundary) -> tuple[int, ...]:
+    """Betti numbers of the chain complex with generators by_dim[k] in degree
+    k, where boundary(g) maps g's faces to their coefficients.  A face
+    outside the generators is read as zero, so the generators may span a
+    quotient by the rest."""
+    ranks = [0] * (len(by_dim) + 1)
+    for k in range(1, len(by_dim)):
+        index = {g: i for i, g in enumerate(by_dim[k - 1])}
+        ranks[k] = sparse_rank(
+            [{index[f]: v for f, v in boundary(g).items() if f in index} for g in by_dim[k]]
+        )
+    return _trim(len(gens) - ranks[k] - ranks[k + 1] for k, gens in enumerate(by_dim))
+
+
+def _simplicial_betti(simplices) -> tuple[int, ...]:
+    """A simplex is a cell whose i-th facet, s without s[i], has incidence (-1)^i."""
+    top = max(map(len, simplices), default=0)
+    by_dim = [sorted(s for s in simplices if len(s) == k + 1) for k in range(top)]
+    return _chain_betti(by_dim, lambda s: {s[:i] + s[i + 1 :]: (-1) ** i for i in range(len(s))})
 
 
 def betti(sc: SimplicialComplex) -> tuple[int, ...]:
     """Rational Betti numbers (b0, b1, ...), trailing zeros dropped."""
-    return _trim(_chain_betti(sc.simplices)) if sc.simplices else ()
+    return _simplicial_betti(sc.simplices)
 
 
 def check_subcomplex(sc: SimplicialComplex, sub) -> None:
@@ -182,8 +149,128 @@ def relative_betti(pair: SimplicialPair) -> tuple[int, ...]:
     """
     sc, sub = pair.complex, frozenset(pair.sub)
     check_subcomplex(sc, sub)
-    rel = sc.simplices - sub
-    return _trim(_chain_betti(rel)) if rel else ()
+    return _simplicial_betti(sc.simplices - sub)
+
+
+# ---------------------------------------------------------------------------
+# cellular homology of compact models
+
+
+def _cell_order(model) -> list[frozenset[int]]:
+    """A model's cell ids by (dimension, sorted vertex ids).
+
+    A listed face that is not a model cell of lower dimension on vertices of
+    the cell is named in a RuntimeError.
+    """
+    cells = model.cells
+    order = sorted(cells, key=lambda cid: (cells[cid].dimension, sorted(cid)))
+    for cid in order:
+        c = cells[cid]
+        for fid in c.faces:
+            f = cells.get(fid)
+            if f is None or f.dimension >= c.dimension or not f.verts <= c.verts:
+                raise RuntimeError(
+                    f"cell {sorted(cid)} lists face {sorted(fid)}, which is not a "
+                    "lower-dimensional model cell on its vertices"
+                )
+    return order
+
+
+def _incidences(cid, cells, boundary) -> dict[frozenset[int], int]:
+    """[c:f] on each facet f of the cell c with id cid, given ``boundary`` on
+    the lower-dimensional cells.  An edge's lower vertex id gets -1, a higher
+    cell's first facet +1, and across each ridge r, shared by facets f and g,
+    [c:g] = -[c:f][f:r][g:r], which makes d(d(c)) vanish on r.  A 0-cell
+    gets the augmentation."""
+    d = cells[cid].dimension
+    if d == 0:
+        return {frozenset(): 1}
+    facets = sorted((f for f in cells[cid].faces if cells[f].dimension == d - 1), key=sorted)
+    by_ridge: dict[frozenset[int], list[frozenset[int]]] = {}
+    for f in facets:
+        for r in boundary[f]:
+            by_ridge.setdefault(r, []).append(f)
+    sign = dict.fromkeys(facets[:1], -1 if d == 1 else 1)
+    stack = facets[:1]
+    while stack:
+        f = stack.pop()
+        for r, fr in boundary[f].items():
+            fs = by_ridge[r]
+            if len(fs) != 2:
+                raise RuntimeError(f"cell {sorted(cid)} has ridge {sorted(r)} in {len(fs)} facets")
+            g = fs[fs[0] == f]  # the other facet on r
+            s = -sign[f] * fr * boundary[g][r]
+            if g not in sign:
+                sign[g] = s
+                stack.append(g)
+            elif sign[g] != s:
+                raise RuntimeError(f"cell {sorted(cid)} reaches facet {sorted(g)} with both signs")
+    if not facets or len(sign) != len(facets):
+        raise RuntimeError(f"the facet graph of cell {sorted(cid)} is empty or disconnected")
+    return sign
+
+
+class CellularComplex:
+    """The cellular chain complex of a compact model: one generator per cell.
+
+    A polytopal complex is a regular CW complex, so the face poset gives its
+    incidence numbers (Björner 1984): ``boundary[c]`` maps each facet f of
+    cell c to [c:f] = +-1 (_incidences).  A 0-cell carries the augmentation
+    [v:{}] = 1, which no rank reads, so that an edge's two ends share a
+    ridge.  A ridge in other than two facets, an empty or disconnected facet
+    graph and a facet reached with both signs are named in a RuntimeError.
+    """
+
+    def __init__(self, model):
+        cells = self.cells = model.cells
+        self.boundary: dict[frozenset[int], dict[frozenset[int], int]] = {}
+        self.by_dim: list[list[frozenset[int]]] = [[] for _ in range(model.dim + 1)]
+        for cid in _cell_order(model):
+            self.boundary[cid] = _incidences(cid, cells, self.boundary)
+            self.by_dim[cells[cid].dimension].append(cid)
+
+    def _betti(self, chains) -> tuple[int, ...]:
+        """Betti numbers of the chains on the given cells, every face outside
+        them read as zero."""
+        by_dim = [[cid for cid in group if cid in chains] for group in self.by_dim]
+        return _chain_betti(by_dim, self.boundary.__getitem__)
+
+    def _down_set(self, ids) -> frozenset[frozenset[int]]:
+        ids = frozenset(ids)
+        for cid in ids:
+            if not self.cells[cid].faces <= ids:
+                raise RuntimeError(f"cell {sorted(cid)} is marked but not all of its faces are")
+        return ids
+
+    def betti(self, sub=None) -> tuple[int, ...]:
+        """Betti numbers of the model, or of its subcomplex on the down-set sub."""
+        return self._betti(self.boundary if sub is None else self._down_set(sub))
+
+    def relative_betti(self, sub) -> tuple[int, ...]:
+        """Betti numbers of the pair (model, subcomplex on the down-set sub)."""
+        return self._betti(self.boundary.keys() - self._down_set(sub))
+
+    def local_betti(self, k_ids) -> tuple[int, ...]:
+        """Ranks of H(X, X minus K) for the subcomplex K on the down-set k_ids.
+
+        X minus K retracts onto the order complex of the cells outside K,
+        and that onto D, the cells with no vertex in K, when each cell u
+        outside K meets K in one face of u: the faces of u that miss K then
+        form a shellable ball (Bruggesser and Mani 1971), and Quillen's fiber
+        lemma (Quillen 1978, Prop. 1.6) applies.  So the ranks are those of
+        H(X, D), whose chains are the cells with a vertex in K.  A cell
+        outside K whose faces in K have more than one maximal element is
+        named in a RuntimeError.
+        """
+        cells, k_ids = self.cells, self._down_set(k_ids)
+        k_verts = frozenset().union(*k_ids)
+        near = frozenset(cid for cid in cells if not cid.isdisjoint(k_verts))
+        for cid in near - k_ids:
+            in_k = [f for f in cells[cid].faces if f in k_ids]
+            top = max(in_k, key=lambda f: cells[f].dimension)
+            if not all(f == top or f in cells[top].faces for f in in_k):
+                raise RuntimeError(f"cell {sorted(cid)} outside K meets K in more than one face")
+        return self._betti(near)
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +303,12 @@ def triangulate(model) -> Triangulation:
     dimension on vertices of the cell is named in a RuntimeError.
     """
     cells = model.cells
-    order = sorted(cells, key=lambda cid: (cells[cid].dimension, sorted(cid)))
-    for cid in order:
-        c = cells[cid]
-        for fid in c.faces:
-            f = cells.get(fid)
-            if f is None or f.dimension >= c.dimension or not f.verts <= c.verts:
-                raise RuntimeError(
-                    f"cell {sorted(cid)} lists face {sorted(fid)}, which is not a "
-                    "lower-dimensional model cell on its vertices"
-                )
+    order = _cell_order(model)
     index = {cid: i for i, cid in enumerate(order)}
     chains = _chains([index[f] for f in cells[cid].faces] for cid in order)
     simplices = frozenset(ch for group in chains for ch in group)
     sc = SimplicialComplex(tuple(tuple(sorted(cid)) for cid in order), simplices)
     return Triangulation(sc, dict(zip(order, chains)))
-
-
-def carried_simplices(tri: Triangulation, ids) -> frozenset[Simplex]:
-    """Subcomplex of the triangulation covering the given model cells."""
-    return face_closure([s for cid in ids for s in tri.by_cell[cid]])
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +331,6 @@ def barycentric_pair(sc: SimplicialComplex, sub=frozenset()):
     new_sub = frozenset(ch for s in sub for ch in chains[index[s]])
     new_simps = frozenset(ch for group in chains for ch in group)
     return SimplicialComplex(tuple(simps), new_simps), new_sub
-
-
-def barycentric(sc: SimplicialComplex) -> SimplicialComplex:
-    return barycentric_pair(sc)[0]
 
 
 def complement_complex(sc: SimplicialComplex, k_sub) -> frozenset[Simplex]:

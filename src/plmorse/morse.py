@@ -3,14 +3,14 @@
 Local H-complexity of a flat component K at level a is the relative homology
 H_*(F<=a, F<=a minus K), computed by excision on a compact model of K's closed
 star in a strip just below a, cut from one refinement at every threshold and
-its strip floor.  K's cells form a down-set of that model, so in the order
-complex of its face poset the star minus K retracts onto the full subcomplex
-on the other cells.  Global complexity sums the local totals; stable and coarse
-complexities and component counts come from two marked models of one
-refinement at -M and M, beyond every nontransversal threshold.  For
-single-hidden-layer (depth-2) generic transversal networks, vertices classify
-as regular, nondegenerate critical (with an index) or degenerate critical by
-the gradient orientations of their paired edge cofaces.
+its strip floor, as H(X, D) on the model's cellular chains, D the cells with
+no vertex in K (CellularComplex.local_betti).  Global complexity sums the
+local totals; stable and coarse complexities and component counts come from
+two marked models of one refinement at -M and M, beyond every nontransversal
+threshold, ranked on cells too.  For single-hidden-layer (depth-2) generic
+transversal networks, vertices classify as regular, nondegenerate critical
+(with an index) or degenerate critical by the gradient orientations of their
+paired edge cofaces.
 """
 
 from __future__ import annotations
@@ -28,20 +28,16 @@ from .complexes import (
     is_generic,
 )
 from .geometry import Vec
-from .homology import (
-    SimplicialComplex,
-    SimplicialPair,
-    betti,
-    carried_simplices,
-    complement_complex,
-    relative_betti,
-    triangulate,
-)
-from .network import Network, fraction_to_json, has_inactive_region
+from .homology import CellularComplex
+from .network import FRACTION_SCHEMA, Network, fraction_to_json, has_inactive_region, object_schema
 
 REGULAR = "Regular"
 NONDEGENERATE = "NondegenerateCritical"
 DEGENERATE = "DegenerateCritical"
+# Report keys of the stable Betti vectors, the component counts and the flags.
+_STABLE = ("sub_minus", "sub_plus", "super_minus", "super_plus")
+_COUNTS = ("n_minus", "n_plus", "n_super_minus", "n_super_plus")
+_FLAGS = ("coarse_le_global", "global_le_vertex_count")
 
 
 class UnsupportedNetworkError(ValueError):
@@ -121,9 +117,7 @@ def strip_epsilon(cx: CanonicalComplex, a) -> Fraction:
 
 def _star_record(rcx: RefinedComplex, comp: FlatComponent, lower) -> LocalComplexityRecord:
     model, ids = strip_pair_model(rcx, comp, lower)
-    tri = triangulate(model)
-    away = complement_complex(tri.complex, carried_simplices(tri, ids))
-    ranks = relative_betti(SimplicialPair(tri.complex, away))
+    ranks = CellularComplex(model).local_betti(ids)
     return LocalComplexityRecord(Fraction(comp.level), comp.labels, ranks)
 
 
@@ -151,13 +145,8 @@ def global_h_complexity(cx: CanonicalComplex) -> int:
 def _marked_measures(rcx: RefinedComplex, outer, inner):
     """Betti numbers of the outer F-range, of the inner one, and of the pair."""
     model, ids = modeled_pair(rcx, outer, inner)
-    tri = triangulate(model)
-    marked = carried_simplices(tri, ids)
-    return (
-        betti(tri.complex),
-        betti(SimplicialComplex(tri.complex.vertices, marked)),
-        relative_betti(SimplicialPair(tri.complex, marked)),
-    )
+    chains = CellularComplex(model)
+    return chains.betti(), chains.betti(ids), chains.relative_betti(ids)
 
 
 def _checked_count(rcx: RefinedComplex, lo, hi, vec: tuple[int, ...]) -> int:
@@ -300,10 +289,7 @@ def analyze(net: Network) -> ComplexityReport:
         vertices = classify_vertices(cx)
     except UnsupportedNetworkError:
         vertices = None
-    flags = {
-        "coarse_le_global": coarse.sublevel_total <= glob,
-        "global_le_vertex_count": glob <= len(cx.cells_of_dim(0)),
-    }
+    flags = dict(zip(_FLAGS, (coarse.sublevel_total <= glob, glob <= len(cx.cells_of_dim(0)))))
     return ComplexityReport(
         thresholds=cx.nontransversal_thresholds,
         components=records,
@@ -341,98 +327,54 @@ def report_to_json(report: ComplexityReport) -> dict:
         "global_h_complexity": report.global_h_complexity,
         "stable": {
             "M": fraction_to_json(report.stable.m),
-            "sub_minus": list(report.stable.sub_minus),
-            "sub_plus": list(report.stable.sub_plus),
-            "super_minus": list(report.stable.super_minus),
-            "super_plus": list(report.stable.super_plus),
+            **{key: list(getattr(report.stable, key)) for key in _STABLE},
         },
         "coarse": {
             "sublevel": list(report.coarse.sublevel),
             "superlevel": list(report.coarse.superlevel),
         },
-        "counts": {
-            "n_minus": report.counts[0],
-            "n_plus": report.counts[1],
-            "n_super_minus": report.counts[2],
-            "n_super_plus": report.counts[3],
-        },
+        "counts": dict(zip(_COUNTS, report.counts)),
         "vertices": vertices,
         "flags": dict(report.flags),
     }
 
 
-_FRACTION = {"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"}
-_RANKS = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+_COUNT = {"type": "integer", "minimum": 0}
+_RANKS = {"type": "array", "items": _COUNT}
+_LABEL = {"type": "array", "items": {"type": "integer"}}
+_BOOL = {"type": "boolean"}
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "thresholds",
-        "components",
-        "global_h_complexity",
-        "stable",
-        "coarse",
-        "counts",
-        "vertices",
-        "flags",
-    ],
-    "properties": {
-        "thresholds": {"type": "array", "items": _FRACTION},
+REPORT_SCHEMA = object_schema(
+    {
+        "thresholds": {"type": "array", "items": FRACTION_SCHEMA},
         "components": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["level", "cells", "ranks", "total", "h_critical"],
-                "properties": {
-                    "level": _FRACTION,
-                    "cells": {
-                        "type": "array",
-                        "items": {"type": "array", "items": {"type": "integer"}},
-                    },
+            "items": object_schema(
+                {
+                    "level": FRACTION_SCHEMA,
+                    "cells": {"type": "array", "items": _LABEL},
                     "ranks": _RANKS,
-                    "total": {"type": "integer", "minimum": 0},
-                    "h_critical": {"type": "boolean"},
-                },
-            },
+                    "total": _COUNT,
+                    "h_critical": _BOOL,
+                }
+            ),
         },
-        "global_h_complexity": {"type": "integer", "minimum": 0},
-        "stable": {
-            "type": "object",
-            "required": ["M", "sub_minus", "sub_plus", "super_minus", "super_plus"],
-            "properties": {
-                "M": _FRACTION,
-                "sub_minus": _RANKS,
-                "sub_plus": _RANKS,
-                "super_minus": _RANKS,
-                "super_plus": _RANKS,
-            },
-        },
-        "coarse": {
-            "type": "object",
-            "required": ["sublevel", "superlevel"],
-            "properties": {"sublevel": _RANKS, "superlevel": _RANKS},
-        },
-        "counts": {
-            "type": "object",
-            "required": ["n_minus", "n_plus", "n_super_minus", "n_super_plus"],
-            "additionalProperties": {"type": "integer", "minimum": 0},
-        },
+        "global_h_complexity": _COUNT,
+        "stable": object_schema({"M": FRACTION_SCHEMA, **dict.fromkeys(_STABLE, _RANKS)}),
+        "coarse": object_schema(dict.fromkeys(("sublevel", "superlevel"), _RANKS)),
+        "counts": object_schema(dict.fromkeys(_COUNTS, _COUNT), additionalProperties=_COUNT),
         "vertices": {
             "type": ["array", "null"],
             "items": {
                 "type": "object",
                 "required": ["point", "class"],
                 "properties": {
-                    "point": {"type": "array", "items": _FRACTION},
+                    "point": {"type": "array", "items": FRACTION_SCHEMA},
                     "class": {"enum": [REGULAR, NONDEGENERATE, DEGENERATE]},
-                    "index": {"type": "integer", "minimum": 0},
+                    "index": _COUNT,
                 },
             },
         },
-        "flags": {
-            "type": "object",
-            "required": ["coarse_le_global", "global_le_vertex_count"],
-            "additionalProperties": {"type": "boolean"},
-        },
-    },
-}
+        "flags": object_schema(dict.fromkeys(_FLAGS, _BOOL), additionalProperties=_BOOL),
+    }
+)

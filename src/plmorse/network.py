@@ -185,6 +185,15 @@ def fraction_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# JSON schema of fraction_to_json's text, and of an object that holds every
+# one of the given properties; the report and trial schemas are built from them.
+FRACTION_SCHEMA = {"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"}
+
+
+def object_schema(properties: dict, **more) -> dict:
+    return {"type": "object", "required": list(properties), "properties": properties, **more}
+
+
 def _reject_constant(text: str):
     raise RationalParseError(f"non-finite number {text!r} is not a rational")
 

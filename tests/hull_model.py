@@ -22,7 +22,9 @@ from itertools import combinations
 
 from plmorse.compact import CompactModel, ModelCell
 from plmorse.geometry import dot, nullspace_basis, primitive_direction, rank, rref, solve_linear
-from plmorse.homology import SimplicialComplex, Triangulation
+from plmorse.homology import Triangulation
+
+from order_complex import from_maximal
 
 
 def row_space_basis(rows) -> list:
@@ -151,5 +153,5 @@ def pulling_triangulation(model) -> Triangulation:
             raise RuntimeError(f"cell {sorted(cid)} has no facet missing its minimal vertex")
         tops[cid] = tuple(sorted(out))
     all_tops = [s for ts in tops.values() for s in ts]
-    sc = SimplicialComplex.from_maximal(model.vertices, all_tops)
+    sc = from_maximal(model.vertices, all_tops)
     return Triangulation(sc, tops)

@@ -14,14 +14,10 @@ from fractions import Fraction
 
 from plmorse.compact import CompactModel, compact_part, essentialize, refine_at_levels
 from plmorse.complexes import CanonicalComplex, FlatComponent, flat_cells
-from plmorse.homology import (
-    SimplicialPair,
-    carried_simplices,
-    complement_complex,
-    relative_betti,
-    triangulate,
-)
+from plmorse.homology import SimplicialPair, complement_complex, relative_betti, triangulate
 from plmorse.morse import LocalComplexityRecord, strip_epsilon
+
+from order_complex import carried_simplices
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from plmorse.homology import (
     SimplicialPair,
     barycentric_pair,
     betti,
-    carried_simplices,
     complement_complex,
     relative_betti,
     triangulate,
@@ -40,6 +39,7 @@ from plmorse.network import (
 
 from fm_reference import contained
 from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
+from order_complex import carried_simplices
 from strip_reference import reference_local_records, whole_strip_model
 
 F = Fraction

@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmorse.compact import CompactModel, RefinedCell
+from plmorse.compact import CompactModel, ModelCell, RefinedCell, sublevel_model
+from plmorse.complexes import build_complex
 from plmorse.complexes import CellFaces, LabeledCell
 from plmorse.geometry import Polyhedron
 from plmorse.homology import (
+    CellularComplex,
     NotFullError,
     OracleResult,
     SimplicialComplex,
     SimplicialPair,
     _union_counts,
-    barycentric,
     barycentric_pair,
     betti,
-    carried_simplices,
     complement_complex,
-    face_closure,
     grid_oracle,
     relative_betti,
     sparse_rank,
@@ -30,6 +29,14 @@ from plmorse.homology import (
 from plmorse.network import AffineLayer, Network, build_fan_network, random_network
 
 from hull_model import hull_compact_part
+from order_complex import (
+    barycentric,
+    carried_simplices,
+    dimension,
+    face_closure,
+    from_maximal,
+    k_simplices,
+)
 
 F = Fraction
 
@@ -65,13 +72,13 @@ def pts(*coords):
 
 
 def hollow_triangle():
-    return SimplicialComplex.from_maximal(
+    return from_maximal(
         pts((0, 0), (1, 0), (0, 1)), [(0, 1), (1, 2), (0, 2)]
     )
 
 
 def filled_triangle():
-    return SimplicialComplex.from_maximal(pts((0, 0), (1, 0), (0, 1)), [(0, 1, 2)])
+    return from_maximal(pts((0, 0), (1, 0), (0, 1)), [(0, 1, 2)])
 
 
 def annulus():
@@ -83,7 +90,7 @@ def annulus():
         a, b = k, (k + 1) % 4
         tops.append((a, b, a + 4))
         tops.append((b, a + 4, (b % 4) + 4))
-    return SimplicialComplex.from_maximal(verts, tops)
+    return from_maximal(verts, tops)
 
 
 def test_face_closure_of_triangle():
@@ -102,7 +109,7 @@ def test_sparse_rank():
 
 
 def f_vector(sc: SimplicialComplex):
-    return tuple(len(sc.k_simplices(k)) for k in range(sc.dim + 1))
+    return tuple(len(k_simplices(sc, k)) for k in range(dimension(sc) + 1))
 
 
 def test_triangulate_square_into_eight_triangles():
@@ -135,6 +142,7 @@ def test_triangulate_segment_into_two_edges():
 
 
 def test_triangulate_rejects_corrupted_faces():
+    """The order complex and the cellular chains run the same face check."""
     model = square_model()
     cells = model.cells
     top = next(cid for cid, c in cells.items() if c.dimension == 2)
@@ -149,8 +157,9 @@ def test_triangulate_rejects_corrupted_faces():
     for cid, faces in corruptions:
         bad = dict(cells)
         bad[cid] = replace(cells[cid], faces=faces)
-        with pytest.raises(RuntimeError, match=re.escape(f"cell {sorted(cid)} lists face")):
-            triangulate(CompactModel(model.vertices, bad))
+        for build in (triangulate, CellularComplex):
+            with pytest.raises(RuntimeError, match=re.escape(f"cell {sorted(cid)} lists face")):
+                build(CompactModel(model.vertices, bad))
 
 
 def test_triangulate_is_deterministic():
@@ -172,7 +181,7 @@ def test_betti_basics():
     assert betti(SimplicialComplex((), frozenset())) == ()
     assert betti(hollow_triangle()) == (1, 1)
     assert betti(filled_triangle()) == (1,)
-    two_points = SimplicialComplex.from_maximal(pts((0, 0), (1, 0)), [(0,), (1,)])
+    two_points = from_maximal(pts((0, 0), (1, 0)), [(0,), (1,)])
     assert betti(two_points) == (2,)
     assert betti(annulus()) == (1, 1)
 
@@ -180,11 +189,11 @@ def test_betti_basics():
 def test_barycentric_subdivision_counts():
     sd = barycentric(filled_triangle())
     assert len(sd.vertices) == 7
-    assert len(sd.k_simplices(2)) == 6
-    edge = SimplicialComplex.from_maximal(pts((0, 0), (1, 0)), [(0, 1)])
+    assert len(k_simplices(sd, 2)) == 6
+    edge = from_maximal(pts((0, 0), (1, 0)), [(0, 1)])
     sd_edge = barycentric(edge)
     assert sd_edge.vertices == ((0,), (1,), (0, 1))
-    assert len(sd_edge.k_simplices(1)) == 2
+    assert len(k_simplices(sd_edge, 1)) == 2
 
 
 def test_barycentric_preserves_betti():
@@ -196,7 +205,7 @@ def test_relative_betti_examples():
     x = filled_triangle()
     boundary = face_closure([(0, 1), (1, 2), (0, 2)])
     assert relative_betti(SimplicialPair(x, boundary)) == (0, 0, 1)
-    edge = SimplicialComplex.from_maximal(pts((0, 0), (1, 0)), [(0, 1)])
+    edge = from_maximal(pts((0, 0), (1, 0)), [(0, 1)])
     ends = frozenset({(0,), (1,)})
     assert relative_betti(SimplicialPair(edge, ends)) == (0, 1)
     a = annulus()
@@ -208,7 +217,7 @@ def test_relative_betti_euler_and_rank_bounds():
     pairs = [
         (x, face_closure([(0, 1), (1, 2), (0, 2)])),
         (
-            SimplicialComplex.from_maximal(pts((0, 0), (1, 0)), [(0, 1)]),
+            from_maximal(pts((0, 0), (1, 0)), [(0, 1)]),
             frozenset({(0,), (1,)}),
         ),
     ]
@@ -242,7 +251,7 @@ def test_barycentric_pair_maps_subcomplex():
 
 
 def test_complement_deformation_retract():
-    edge = SimplicialComplex.from_maximal(pts((0, 0), (1, 0)), [(0, 1)])
+    edge = from_maximal(pts((0, 0), (1, 0)), [(0, 1)])
     assert complement_complex(edge, frozenset({(0,)})) == frozenset({(1,)})
     hollow = hollow_triangle()
     away = complement_complex(hollow, frozenset({(0,)}))
@@ -256,6 +265,134 @@ def test_complement_rejects_non_full_subcomplex():
     partial = face_closure([(0, 1), (1, 2)])
     with pytest.raises(NotFullError):
         complement_complex(x, partial)
+
+
+def simplicial_model(tops, top_cell=False) -> CompactModel:
+    """A model whose cells are the simplices spanned by tops and all their
+    faces; with top_cell, one more cell on all the vertices, of one dimension
+    more, whose faces are all of those."""
+    simplices = sorted(face_closure(tops), key=len)
+    cells = {}
+    for s in simplices:
+        below = frozenset(frozenset(f) for f in simplices if len(f) < len(s) and set(f) < set(s))
+        cells[frozenset(s)] = ModelCell(frozenset(s), len(s) - 1, frozenset(), below)
+    verts = frozenset(v for s in simplices for v in s)
+    if top_cell:
+        cells[verts] = ModelCell(verts, len(simplices[-1]), frozenset(), frozenset(cells))
+    return CompactModel(tuple((F(v),) for v in range(max(verts) + 1)), cells)
+
+
+def top_cell(model):
+    return max(model.cells, key=lambda cid: model.cells[cid].dimension)
+
+
+def test_cellular_betti_of_polygons():
+    for model in (square_model(), hexagon_model()):
+        chains = CellularComplex(model)
+        rim = model.cells[top_cell(model)].faces
+        assert chains.betti() == (1,)
+        assert chains.betti(rim) == (1, 1)
+        assert chains.relative_betti(rim) == (0, 0, 1)
+        assert chains.relative_betti(model.cells) == ()
+        assert chains.relative_betti(frozenset()) == (1,)
+
+
+def test_cellular_incidences_follow_the_face_poset():
+    model = square_model()
+    bd = CellularComplex(model).boundary
+    for cid, c in model.cells.items():
+        if c.dimension == 1:
+            lo, hi = sorted(cid)
+            assert bd[cid] == {frozenset({lo}): -1, frozenset({hi}): 1}
+    top = top_cell(model)
+    first = min((f for f in bd[top]), key=sorted)
+    assert bd[top][first] == 1 and len(bd[top]) == 4
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        square_model,
+        hexagon_model,
+        lambda: sublevel_model(build_complex(build_fan_network(2)), F(1, 2)),
+        lambda: sublevel_model(build_complex(random_network((3, 3, 1), 3)), F(0)),
+    ],
+    ids=["square", "hexagon", "fan2", "331s3"],
+)
+def test_cellular_boundary_squares_to_zero(make):
+    """d(d(c)) = 0 on every cell, the augmentation of the 0-cells included."""
+    model = make()
+    bd = CellularComplex(model).boundary
+    assert model.dim >= 2
+    for cid in model.cells:
+        twice: dict = {}
+        for f, a in bd[cid].items():
+            for r, b in bd.get(f, {}).items():
+                twice[r] = twice.get(r, 0) + a * b
+        assert not any(twice.values()), sorted(cid)
+
+
+def test_cellular_local_betti_examples():
+    path = CellularComplex(simplicial_model([(0, 1), (1, 2)]))
+    assert path.local_betti({frozenset({1})}) == (0, 1)
+    assert path.local_betti({frozenset({0})}) == ()
+    disk = CellularComplex(simplicial_model([(6, i, (i + 1) % 6) for i in range(6)]))
+    assert disk.local_betti({frozenset({6})}) == (0, 0, 1)
+    assert disk.local_betti({frozenset({0})}) == ()
+    square = square_model()
+    assert CellularComplex(square).local_betti(square.cells) == (1,)
+
+
+def test_cellular_rejects_a_ridge_in_one_facet():
+    """The square lists three of its four edges, so two of its corners lie
+    in one facet each."""
+    model = square_model()
+    top = top_cell(model)
+    edge = next(f for f in model.cells[top].faces if len(f) == 2)
+    bad = dict(model.cells)
+    bad[top] = replace(bad[top], faces=bad[top].faces - {edge})
+    with pytest.raises(RuntimeError, match=re.escape(f"cell {sorted(top)} has ridge")):
+        CellularComplex(CompactModel(model.vertices, bad))
+
+
+def test_cellular_rejects_a_disconnected_facet_graph():
+    """A 2-cell whose facets form two disjoint triangles."""
+    loops = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    with pytest.raises(RuntimeError, match=re.escape("facet graph of cell [0, 1, 2, 3, 4, 5]")):
+        CellularComplex(simplicial_model(loops, top_cell=True))
+
+
+def test_cellular_rejects_a_facet_reached_with_both_signs():
+    """A 3-cell whose facets form the six-vertex projective plane: every
+    ridge lies in two facets, but the surface has no orientation."""
+    rp2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+           (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    message = r"cell \[0, 1, 2, 3, 4, 5\] reaches facet .* with both signs"
+    with pytest.raises(RuntimeError, match=message):
+        CellularComplex(simplicial_model(rp2, top_cell=True))
+
+
+def test_local_betti_rejects_a_cell_meeting_k_in_two_faces():
+    """Two opposite corners of a square: K is vertex-full, but the square
+    meets it in two vertices, so the cells that miss K are not a deformation
+    retract of the square minus K."""
+    model = square_model()
+    top = top_cell(model)
+    corner = frozenset({min(top)})
+    opposite = next(
+        frozenset({v}) for v in top if not any({min(top), v} == set(e) for e in model.cells)
+    )
+    with pytest.raises(RuntimeError, match=re.escape(f"cell {sorted(top)} outside K meets K")):
+        CellularComplex(model).local_betti({corner, opposite})
+
+
+def test_cellular_rejects_marks_that_are_not_down_sets():
+    model = square_model()
+    edge = next(cid for cid, c in model.cells.items() if c.dimension == 1)
+    chains = CellularComplex(model)
+    for call in (chains.betti, chains.relative_betti, chains.local_betti):
+        with pytest.raises(RuntimeError, match=re.escape(f"cell {sorted(edge)} is marked")):
+            call({edge})
 
 
 def one_bend_net():
@@ -314,7 +451,7 @@ def triangulated_union(ok):
             if all(ok[x][y] for x, y in corners):
                 a, p, q, d = (vid.setdefault(k, len(vid)) for k in corners)
                 tris += [(a, p, d), (a, q, d)]
-    return betti(SimplicialComplex.from_maximal(tuple(vid), tris)), len(tris) // 2
+    return betti(from_maximal(tuple(vid), tris)), len(tris) // 2
 
 
 def reference_oracle(net, mode, c, resolution, box) -> OracleResult:
@@ -406,5 +543,5 @@ _BASE_FACES = face_closure([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5
 @given(st.lists(st.sampled_from(sorted(_BASE_FACES)), min_size=1, max_size=8))
 def test_subdivision_preserves_betti(tops):
     verts = tuple(tuple(F(1) if j == i else F(0) for j in range(6)) for i in range(6))
-    sc = SimplicialComplex.from_maximal(verts, tops)
+    sc = from_maximal(verts, tops)
     assert betti(barycentric(sc)) == betti(sc)

@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction as F
 from itertools import zip_longest
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from plmorse import homology, morse
 from plmorse.compact import (
+    modeled_pair,
     refine_at_levels,
     strip_pair_model,
     sublevel_model,
@@ -15,9 +18,9 @@ from plmorse.compact import (
 )
 from plmorse.complexes import build_complex, flat_cells
 from plmorse.homology import (
+    SimplicialComplex,
     SimplicialPair,
     betti,
-    carried_simplices,
     complement_complex,
     relative_betti,
     triangulate,
@@ -33,8 +36,12 @@ from plmorse.network import (
     Network,
     build_coarse_bound_network,
     build_fan_network,
+    load_network,
     random_network,
 )
+
+import order_complex
+from order_complex import carried_simplices
 
 
 def two_relu_net():
@@ -134,6 +141,81 @@ def test_epsilon_choice_does_not_change_ranks():
         away = complement_complex(tri.complex, carried_simplices(tri, ids))
         results.append(relative_betti(SimplicialPair(tri.complex, away)))
     assert results[0] == results[1] == (0, 2)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Nets on which cellular homology is compared with the order complex.
+ORDER_COMPLEX_NETS = {
+    **{
+        path.name.removesuffix(".net.json"): (lambda path=path: load_network(path))
+        for path in sorted(GOLDEN.glob("*.net.json"))
+    },
+    **{f"fan{n}": (lambda n=n: build_fan_network(n)) for n in (1, 2)},
+    **{f"coarse{m}": (lambda m=m: build_coarse_bound_network(m)) for m in (4, 5)},
+    **{
+        f"{''.join(map(str, arch))}s{seed}": (lambda arch=arch, seed=seed: random_network(arch, seed))
+        for arch in [(2, 3, 1), (2, 4, 1), (2, 2, 2, 1), (3, 3, 1), (2, 3, 2, 1), (3, 4, 1)]
+        for seed in range(4)
+    },
+}
+
+
+def order_complex_measures(model, ids):
+    """b(X), b(A) and b(X, A) on the order complex, with A carried by ids."""
+    tri = triangulate(model)
+    marked = carried_simplices(tri, ids)
+    return (
+        betti(tri.complex),
+        betti(SimplicialComplex(tri.complex.vertices, marked)),
+        relative_betti(SimplicialPair(tri.complex, marked)),
+    )
+
+
+def order_complex_local_ranks(model, ids):
+    """H(X, X minus K) on the order complex, against the full complement of K."""
+    tri = triangulate(model)
+    away = complement_complex(tri.complex, carried_simplices(tri, ids))
+    return relative_betti(SimplicialPair(tri.complex, away))
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_COMPLEX_NETS))
+def test_cellular_ranks_match_order_complex(name):
+    """Every +-M marked model and every star model gives the same ranks on
+    cells as on the order complex of its face poset."""
+    cx = build_complex(ORDER_COMPLEX_NETS[name]())
+    m = morse.big_m(cx)
+    rcx = refine_at_levels(cx, [-m, m])
+    for outer, inner in [((None, m), (None, -m)), ((-m, None), (m, None))]:
+        model, ids = modeled_pair(rcx, outer, inner)
+        want = order_complex_measures(model, ids)
+        assert morse._marked_measures(rcx, outer, inner) == want, (outer, inner)
+    floors = {a: a - morse.strip_epsilon(cx, a) for a in cx.nontransversal_thresholds}
+    comps = flat_cells(cx)
+    if comps:
+        rcx = refine_at_levels(cx, [*floors, *floors.values()])
+    for comp in comps:
+        model, ids = strip_pair_model(rcx, comp, floors[comp.level])
+        got = morse._star_record(rcx, comp, floors[comp.level]).ranks
+        assert got == order_complex_local_ranks(model, ids), comp.labels
+
+
+def test_analyze_takes_no_order_complex(monkeypatch):
+    """analyze runs on cellular chains: none of the order-complex route runs."""
+    names = ["triangulate", "carried_simplices", "complement_complex", "relative_betti"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze called the order-complex route")
+
+    plmorse_modules = [mod for key, mod in sys.modules.items() if key.startswith("plmorse.")]
+    for mod in [*plmorse_modules, order_complex]:
+        for name in names:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    assert not hasattr(homology, "carried_simplices")
+    for net in (build_fan_network(2), random_network((2, 3, 2, 1), 3)):
+        rep = morse.analyze(net)
+        assert rep.components and rep.stable.sub_plus
 
 
 def test_analyze_refines_once_for_strips_and_once_for_stable_measures(monkeypatch):
