@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from plmorse.cli import main
+from plmorse.cli import _build_parser, main
 from plmorse.ensembles import TRIAL_SCHEMA
 from plmorse.morse import REPORT_SCHEMA
 from plmorse.network import load_network
@@ -238,3 +242,40 @@ def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(tmp_path / "x.json"), "--bogus"])
     assert exc.value.code == 2
+
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process.  Calls that follow other
+    subcommands, a refusal (exit 2) and an argparse error (exit 2) give the
+    exit code, stdout and stderr of the same call in a fresh interpreter."""
+    net_file = tmp_path / "net.json"
+    _two_relu_json(net_file)
+    oracle = ["oracle", str(net_file), "--resolution", "1/4", "--box", "2"]
+    calls = [
+        ["generate", "--random", "2,3,1", "--seed", "4"],
+        oracle + ["--mode", "band", "--threshold", "1"],
+        oracle + ["--mode", "band", "--threshold=-1/3", "--threshold=1/3"],
+        ["generate", "--bogus"],
+        oracle + ["--threshold=1/3"],
+        ["montecarlo", "--plmorse", "2", "2", "--trials", "3", "--seed", "1"],
+        ["oracle", "--help"],
+        ["analyze", str(net_file)],
+        ["--help"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    monkeypatch.delenv("PLMORSE_THREADS", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = (code, *capsys.readouterr())
+        fresh = subprocess.run([sys.executable, "-m", "plmorse.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 2, 0, 0, 0, 0, 0]
+    assert _build_parser() is _build_parser()

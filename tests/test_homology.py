@@ -17,6 +17,7 @@ from plmorse.homology import (
     OracleResult,
     SimplicialComplex,
     SimplicialPair,
+    _grid_rows,
     _union_counts,
     barycentric_pair,
     betti,
@@ -26,7 +27,13 @@ from plmorse.homology import (
     sparse_rank,
     triangulate,
 )
-from plmorse.network import AffineLayer, Network, build_fan_network, random_network
+from plmorse.network import (
+    AffineLayer,
+    Network,
+    build_fan_network,
+    integer_layers,
+    random_network,
+)
 
 from hull_model import hull_compact_part
 from order_complex import (
@@ -440,6 +447,18 @@ def test_grid_oracle_rejects_bad_input():
         grid_oracle(one_bend_net(), "band", (F(1, 3), F(-1, 3)), F(1, 4), 4)
 
 
+@pytest.mark.parametrize("mode, c", [
+    ("band", (F(-1, 3), F(0), F(1, 3))),
+    ("band", (F(1, 3),)),
+    ("band", F(1, 3)),
+    ("sublevel", (F(-1, 3), F(1, 3))),
+    ("superlevel", [F(1, 3)]),
+])
+def test_grid_oracle_rejects_thresholds_that_do_not_fit_the_mode(mode, c):
+    with pytest.raises(ValueError, match=f"{mode} mode needs"):
+        grid_oracle(one_bend_net(), mode, c, F(1, 4), 4)
+
+
 def triangulated_union(ok):
     """Betti numbers and count of the closed grid squares whose four corners
     pass in ok, by triangulating the squares and taking ranks."""
@@ -523,6 +542,16 @@ ORACLE_CASES = {
         ("superlevel", F(5)): (),
         ("band", (F(5), F(6))): (),
     }),
+    "affine_2_1_seed1": (random_network((2, 1), 1), 3, F(1, 4), {
+        ("sublevel", F(0)): (1,),
+        ("superlevel", F(0)): (1,),
+        ("band", (F(-1, 2), F(1, 2))): (1,),
+    }),
+    "deep_2_3_3_1_seed2": (random_network((2, 3, 3, 1), 2), 3, F(1, 4), {
+        ("sublevel", F(0)): None,
+        ("superlevel", F(0)): None,
+        ("band", (F(-1, 2), F(1, 2))): None,
+    }),
 }
 
 
@@ -534,6 +563,53 @@ def test_grid_oracle_matches_triangulated_reference(name):
         assert got == reference_oracle(net, mode, c, res, box), (mode, c)
         if want is not None:
             assert got.betti == want, (mode, c)
+
+
+def dead_unit_net():
+    """A hidden unit with an all-zero weight row and negative bias (dead
+    everywhere), one with a zero row and positive bias, and one dead on the
+    grid below."""
+    return Network(
+        (
+            AffineLayer.make([[0, 0], [1, -1], [0, 0], [1, 0]], [2, 0, -1, -10], "relu"),
+            AffineLayer.make([[1, F(1, 2), 3, 5]], [-1], "none"),
+        )
+    )
+
+
+def zero_weight_net():
+    return Network(
+        (
+            AffineLayer.make([[1, 0], [F(-2, 3), 1]], [F(1, 5), 0], "relu"),
+            AffineLayer.make([[0, 2], [1, -1]], [1, 0], "relu"),
+            AffineLayer.make([[3, 0]], [F(-1, 7)], "none"),
+        )
+    )
+
+
+GRID_ROW_NETS = {
+    "affine_2_1": lambda: random_network((2, 1), 1),
+    "dead_unit": dead_unit_net,
+    "zero_weight": zero_weight_net,
+    "random_2_3_3_1": lambda: random_network((2, 3, 3, 1), 2),
+    "golden_2_2_2_1_seed5": lambda: random_network((2, 2, 2, 1), 5),
+    "fan1": lambda: build_fan_network(1),
+    "abs_sum": abs_sum_net,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ROW_NETS))
+def test_grid_rows_match_network_evaluate(name):
+    """Row i of _grid_rows is sigma * F(X/q) at (xs[i], xs[j]) for every j,
+    where integer_layers(net, q) gives F = G/sigma."""
+    net = GRID_ROW_NETS[name]()
+    q = 6
+    xs = list(range(-3 * q, 3 * q + 1, 3))
+    layers, sigma = integer_layers(net, q)
+    rows = list(_grid_rows(layers, xs))
+    assert len(rows) == len(xs)
+    for x, row in zip(xs, rows):
+        assert row == [sigma * net.evaluate((F(x, q), F(y, q)))[0] for y in xs], x
 
 
 _BASE_FACES = face_closure([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
