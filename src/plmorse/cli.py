@@ -109,15 +109,8 @@ def _fraction_arg(text: str, what: str) -> Fraction:
 
 def _cmd_oracle(args) -> int:
     net = _load(args.network)
-    thresholds = [_fraction_arg(t, "--threshold") for t in args.threshold]
-    if args.mode == "band":
-        if len(thresholds) != 2:
-            raise SystemExit("band mode needs two --threshold values")
-        c = (thresholds[0], thresholds[1])
-    else:
-        if len(thresholds) != 1:
-            raise SystemExit(f"{args.mode} mode needs one --threshold value")
-        c = thresholds[0]
+    thresholds = tuple(_fraction_arg(t, "--threshold") for t in args.threshold)
+    c = thresholds[0] if len(thresholds) == 1 else thresholds
     try:
         result = grid_oracle(
             net,

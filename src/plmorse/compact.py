@@ -13,6 +13,11 @@ the bounded pieces have the homotopy type of the set and of every
 face-closed union of its pieces, such as a flat component's closed star in
 a strip.  No hull is taken.  The model carries provenance back to the
 refined pieces, so distinguished subcomplexes can be marked.
+
+Pointedness is decided once per complex: every cell's lineality is ker(W1)
+(``build_complex``), which F's gradient does not cut, so a piece is pointed
+when its kernel cut spans ker(W1).  With no hidden layer the kernel cut
+leaves a line, and ``compact_part`` refuses its piece over the whole line.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .complexes import (
     LabeledCell,
     components,
 )
-from .geometry import Polyhedron, Vec, canon_constraint, dot, rank
+from .geometry import Vec
 
 Interval = tuple[Fraction | None, Fraction | None]
 # A piece is named by its parent's label and the index of its interval among
@@ -62,15 +67,20 @@ class RefinedCell:
     def key(self) -> PieceKey:
         return (self.source, self.index)
 
-    @cached_property
+    @property
     def pointed(self) -> bool:
-        """Whether the closed piece has no lines: every line of the cell is
-        cut by an end of the interval or by the kernel."""
-        lines = self.cell.geometry.lineality_basis
-        cuts = list(self.kernel)
-        if self.interval != (None, None):
-            cuts.append(self.cell.gradient)
-        return rank([[dot(c, b) for b in lines] for c in cuts]) == len(lines)
+        """Whether the closed piece has no lines.
+
+        The cell's lines form its lineality space, ker(W1) in a net with a
+        hidden layer (``build_complex``), and the kernel cut removes all of
+        them or none.  F's gradient lies in the row space of W1, so no end
+        of the interval cuts one: the piece is pointed exactly when its
+        kernel cut spans ker(W1).  With no hidden layer the cell is all of
+        input space, and the kernel cut leaves a line along the gradient
+        with no 0-face, which only a finite end of the interval cuts.
+        """
+        cuts = len(self.kernel) + (not self.faces.points and self.interval != (None, None))
+        return cuts == self.cell.lineality
 
     @property
     def dimension(self) -> int:
@@ -97,20 +107,6 @@ class RefinedCell:
         return (lo is not None and all(s < 0 for s in slopes)) or (
             hi is not None and all(s > 0 for s in slopes)
         )
-
-    @cached_property
-    def geometry(self) -> Polyhedron:
-        """The closed piece: the cell with F in the interval, cut by the
-        hyperplanes orthogonal to the kernel."""
-        c, poly = self.cell, self.cell.geometry
-        eqs, ges = [], []
-        if not c.flat:
-            eqs, ges = _interval_constraints(c.gradient, c.constant, self.interval)
-        eqs += [canon_constraint(d, 0, equality=True) for d in self.kernel]
-        if not (eqs or ges):
-            return poly
-        req, rst = poly.relint_system
-        return poly.with_constraints(eqs, ges, relint=(req + tuple(eqs), rst + tuple(ges)))
 
     @cached_property
     def vertices(self) -> list[Vec]:
@@ -181,17 +177,6 @@ class RefinedComplex:
     def components(self, keys) -> list[list[PieceKey]]:
         keys = sorted(keys)
         return components(keys, self.containment_pairs(keys))
-
-
-def _interval_constraints(g: Vec, k: Fraction, iv: Interval):
-    """Canonical (equalities, inequalities) expressing F in the interval."""
-    lo, hi = iv
-    if lo is not None and lo == hi:
-        return [canon_constraint(g, k - lo, equality=True)], []
-    ineqs = [] if lo is None else [canon_constraint(g, k - lo)]
-    if hi is not None:
-        ineqs.append(canon_constraint(tuple(-x for x in g), hi - k))
-    return [], ineqs
 
 
 def refine_at_levels(cx: CanonicalComplex, thresholds) -> RefinedComplex:

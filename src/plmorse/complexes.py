@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 from .geometry import (
@@ -56,6 +56,7 @@ class LabeledCell:
     constant: Fraction
     flat: bool
     dimension: int
+    lineality: int  # dimension of the lineality space, one for all cells
 
     def value_on_cell(self) -> Fraction:
         """F on the cell, defined when flat (F is then constant there)."""
@@ -253,14 +254,16 @@ def _label_refines(sub: Label, sup: Label) -> bool:
 def _relint_point(faces: CellFaces) -> Vec:
     """The centroid of the 0-faces plus the sum of the ray directions, a
     point of relint conv(V) + relint cone(R) for a cut cell conv(V) +
-    cone(R); the start of a line, which has no 0-face."""
+    cone(R); the start of a line, which has no 0-face.  Summed on integers
+    over one common denominator."""
     if not faces.points:
         return faces.edges[0].start
     pts = [p for p, _ in faces.points]
     rays = [e.direction for e in faces.edges if not e.bounded]
-    return tuple(
-        sum(p[i] for p in pts) / len(pts) + sum(r[i] for r in rays) for i in range(len(pts[0]))
-    )
+    weighted = [(p, 1) for p in pts] + [(r, len(pts)) for r in rays]
+    den = lcm(*(x.denominator for v, _ in weighted for x in v))
+    ints = [[w * x.numerator * (den // x.denominator) for x in v] for v, w in weighted]
+    return tuple(Fraction(sum(col), den * len(pts)) for col in zip(*ints))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +332,12 @@ def _layer_stages(n: int, layers):
 
 
 def build_complex(net: Network) -> CanonicalComplex:
-    """Subdivide input space layer by layer into sign-labeled cells."""
+    """Subdivide input space layer by layer into sign-labeled cells.
+
+    Each nonzero row of W1 gives every cell an equality or a strict row
+    along it, and every later normal, like F's gradient, combines rows of
+    W1: each cell's lineality space is ker(W1) (all of input space with no
+    hidden layer), so its dimension is found once."""
     n = net.n0
     witnesses: list[str] = []
     layers, sigma = integer_layers(net)
@@ -348,13 +356,15 @@ def build_complex(net: Network) -> CanonicalComplex:
                             f"on the cell labeled {label}"
                         )
     (weights, bias), work = next(stages)
+    lines = n - rank(layers[0][0]) if net.depth else n
     cells: dict[Label, LabeledCell] = {}
     for label, eqs, ineqs, rows, offs in work:
         g, k = _node_form(weights[0], bias[0], rows, offs)
         normals = [c for c, _ in eqs]
         poly = Polyhedron(n, eqs=eqs, ges=ineqs, relint=(eqs, ineqs))
         grad, dim = tuple(Fraction(x, sigma) for x in g), n - rank(normals)
-        cells[label] = LabeledCell(label, poly, grad, Fraction(k, sigma), in_span(g, normals), dim)
+        flat = in_span(g, normals)
+        cells[label] = LabeledCell(label, poly, grad, Fraction(k, sigma), flat, dim, lines)
     return CanonicalComplex(net, cells, witnesses)
 
 

@@ -102,14 +102,17 @@ def rank(rows) -> int:
 
 def nullspace_basis(rows, n: int) -> list[Vec]:
     """Basis of {x in Q^n : row . x = 0 for every row}."""
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    return _nullspace(*rref(rows), n)
+
+
+def _nullspace(red, pivots, n: int) -> list[Vec]:
+    """Nullspace basis read off a reduced row echelon form's free columns."""
     basis = []
-    for f in free:
+    for f in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
         basis.append(tuple(v))
     return basis
 
@@ -125,16 +128,17 @@ def in_span(target, rows) -> bool:
 def solve_linear(rows, rhs, n: int) -> tuple[Vec | None, list[Vec]]:
     """Solve rows . x = rhs exactly.
 
-    Returns (particular solution or None if inconsistent, nullspace basis).
+    Returns (particular solution or None if inconsistent, nullspace basis),
+    from one elimination: the augmented system's reduced form is that of
+    ``rows`` with a right-hand column, plus [0 ... 0 | 1] when inconsistent.
     """
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None, nullspace_basis(rows, n)
+    red, pivots = rref([list(row) + [r] for row, r in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None, _nullspace(red, pivots[:-1], n)
     x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = red[i][n]
-    return tuple(x), nullspace_basis(rows, n)
+    for row, p in zip(red, pivots):
+        x[p] = row[n]
+    return tuple(x), _nullspace(red, pivots, n)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,8 @@ def build_complex(net) -> CanonicalComplex:
         poly = Polyhedron(n, eqs=eqs, ges=ineqs, relint=(eqs, ineqs))
         flat = in_span(grad, [c for c, _ in poly.hull_eqs])
         dim = poly.dim if poly.nonempty else -1  # tests the cell for emptiness
-        cells[label] = LabeledCell(label, poly, grad, const, flat, dim)
+        lines = len(poly.lineality_basis)
+        cells[label] = LabeledCell(label, poly, grad, const, flat, dim, lines)
     return CanonicalComplex(net, cells, witnesses)
 
 

@@ -25,6 +25,7 @@ from plmorse.geometry import dot, nullspace_basis, primitive_direction, rank, rr
 from plmorse.homology import Triangulation
 
 from order_complex import from_maximal
+from piece_geometry import piece_geometry
 
 
 def row_space_basis(rows) -> list:
@@ -115,7 +116,7 @@ def hull_compact_part(pieces) -> CompactModel:
     memo: dict = {}
     sources: dict = {}
     for p in pieces:
-        if not p.pointed:
+        if not piece_geometry(p).pointed:
             raise ValueError(f"cell {p.source} over F-interval {p.interval} is unpointed")
         for face in polytope_faces(tuple(p.vertices), memo):
             sources.setdefault(face, set()).add(p.key)

@@ -8,7 +8,6 @@ from plmorse import morse
 from plmorse.complexes import CellFaces, FlatComponent, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
-    _interval_constraints,
     compact_part,
     essentialize,
     level_model,
@@ -18,7 +17,7 @@ from plmorse.compact import (
     sublevel_model,
     superlevel_model,
 )
-from plmorse.geometry import Polyhedron, canon_constraint, feasible, nullspace_basis
+from plmorse.geometry import Polyhedron, canon_constraint, feasible, nullspace_basis, rank
 from plmorse.homology import (
     SimplicialComplex,
     SimplicialPair,
@@ -40,6 +39,7 @@ from plmorse.network import (
 from fm_reference import contained
 from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
 from order_complex import carried_simplices
+from piece_geometry import interval_constraints, piece_geometry
 from strip_reference import reference_local_records, whole_strip_model
 
 F = Fraction
@@ -68,12 +68,12 @@ def test_refine_splits_first_quadrant_at_one():
     rcx = refine_at_levels(cx, [F(1)])
     quadrant = [p for (lab, _), p in rcx.cells.items() if lab == (1, 1)]
     assert [(p.index, p.interval) for p in quadrant] == list(enumerate(AT_ONE))
-    assert [p.geometry.dim for p in quadrant] == [2, 1, 2]
+    assert [piece_geometry(p).dim for p in quadrant] == [2, 1, 2]
     # the two new vertices sit where x+y=1 crosses the axes
     x_axis = rcx.cells[((1, 0), 1)]
     y_axis = rcx.cells[((0, 1), 1)]
-    assert x_axis.geometry.affine_hull_point == (F(1), F(0))
-    assert y_axis.geometry.affine_hull_point == (F(0), F(1))
+    assert piece_geometry(x_axis).affine_hull_point == (F(1), F(0))
+    assert piece_geometry(y_axis).affine_hull_point == (F(0), F(1))
 
 
 def test_refine_below_range_changes_nothing():
@@ -81,7 +81,7 @@ def test_refine_below_range_changes_nothing():
     rcx = refine_at_levels(cx, [F(-1)])
     assert len(rcx.cells) == len(cx.cells)
     for (lab, _iv), piece in rcx.cells.items():
-        assert piece.geometry.dim == cx.cells[lab].dimension
+        assert piece_geometry(piece).dim == cx.cells[lab].dimension
 
 
 def test_refine_fan2_level_zero_is_flat_set():
@@ -100,8 +100,8 @@ def test_refine_fan2_level_zero_is_flat_set():
         src = cx.cells[k[0]]
         if src.flat:
             assert src.value_on_cell() == 0
-        elif rcx.cells[k].geometry.pointed:
-            for v in rcx.cells[k].geometry.vertices:
+        elif (geo := piece_geometry(rcx.cells[k])).pointed:
+            for v in geo.vertices:
                 assert net.evaluate(v)[0] == 0
 
 
@@ -111,8 +111,9 @@ def test_piece_values_stay_inside_interval():
     checked = 0
     for piece in rcx.cells.values():
         lo, hi = piece.interval
-        assert piece.geometry.pointed
-        for p in piece.geometry.vertices:
+        geo = piece_geometry(piece)
+        assert geo.pointed
+        for p in geo.vertices:
             v = cx.network.evaluate(p)[0]
             assert lo is None or v >= lo
             assert hi is None or v <= hi
@@ -124,17 +125,17 @@ def test_essentialize_half_plane_complex_onto_axis():
     cx = build_complex(half_plane_net())
     rcx = refine_at_levels(cx, [])
     pieces = [rcx.cells[k] for k in rcx.keys_in(None, None)]
-    assert all(not p.geometry.pointed for p in pieces)
+    assert all(not piece_geometry(p).pointed for p in pieces)
     ess, desc = essentialize(pieces, cx)
     assert desc.rank == 1
     assert desc.kernel == ((F(0), F(1)),)
-    dims = sorted(p.geometry.dim for p in ess)
+    dims = sorted(piece_geometry(p).dim for p in ess)
     assert dims == [0, 1, 1]
     for before, after in zip(pieces, ess):
-        assert after.geometry.dim == before.geometry.dim - 1
-        assert after.geometry.pointed
-    point = [p for p in ess if p.geometry.dim == 0][0]
-    assert point.geometry.affine_hull_point == (F(0), F(0))
+        assert piece_geometry(after).dim == piece_geometry(before).dim - 1
+        assert piece_geometry(after).pointed
+    point = [p for p in ess if piece_geometry(p).dim == 0][0]
+    assert piece_geometry(point).affine_hull_point == (F(0), F(0))
 
 
 def test_essentialize_pointed_component_is_identity():
@@ -144,8 +145,8 @@ def test_essentialize_pointed_component_is_identity():
     ess, desc = essentialize(pieces, cx)
     assert desc.rank == 2
     assert desc.kernel == ()
-    assert [p.geometry.eqs for p in ess] == [p.geometry.eqs for p in pieces]
-    assert [p.geometry.ges for p in ess] == [p.geometry.ges for p in pieces]
+    assert [piece_geometry(p).eqs for p in ess] == [piece_geometry(p).eqs for p in pieces]
+    assert [piece_geometry(p).ges for p in ess] == [piece_geometry(p).ges for p in pieces]
 
 
 def test_compact_part_of_quadrant_is_origin():
@@ -460,18 +461,17 @@ def _pairwise_containment(rcx, keys):
     its F-interval lies in the outer one, and on deep nets the closed pieces
     nest (exact Fourier-Motzkin test)."""
     deep = rcx.source.network.depth > 1
+    geo = {k: piece_geometry(rcx.cells[k]) for k in keys}
     pairs = set()
     for a in keys:
-        pa = rcx.cells[a]
         for b in keys:
-            pb = rcx.cells[b]
-            if a == b or pa.geometry.dim >= pb.geometry.dim:
+            if a == b or geo[a].dim >= geo[b].dim:
                 continue
             if not all(x == y or x == 0 for x, y in zip(a[0], b[0])):
                 continue
-            if not _interval_subset(pa.interval, pb.interval):
+            if not _interval_subset(rcx.cells[a].interval, rcx.cells[b].interval):
                 continue
-            if deep and a[0] != b[0] and not contained(pa.geometry, pb.geometry):
+            if deep and a[0] != b[0] and not contained(geo[a], geo[b]):
                 continue
             pairs.add((a, b))
     return pairs
@@ -581,7 +581,7 @@ def test_stable_measures_match_separate_models(make):
     n = cx.network.n0
     for comp in rcx.components(keys):
         pieces = [rcx.cells[k] for k in comp]
-        normals = [c for p in pieces for c in p.geometry.all_normals]
+        normals = [c for p in pieces for c in piece_geometry(p).all_normals]
         assert essentialize(pieces, cx)[1].kernel == tuple(nullspace_basis(normals, n))
 
 
@@ -603,7 +603,7 @@ def _reference_pieces(cx, levels):
     for lab, c in cx.cells.items():
         req, rst = c.geometry.relint_system
         for iv in intervals:
-            eqc, inc = _interval_constraints(c.gradient, c.constant, iv)
+            eqc, inc = interval_constraints(c.gradient, c.constant, iv)
             if feasible(n, eqs=list(req) + eqc, gts=list(rst) + inc):
                 kept[(lab, iv)] = (c.geometry, eqc, inc)
     normals = [
@@ -641,8 +641,15 @@ REFERENCE_NETS = {
 def test_pieces_and_vertices_match_feasibility_and_enumeration(name):
     """Pieces kept by the F-range rule and vertices read off the parent
     cell's 0- and 1-faces equal what Fourier-Motzkin and subset enumeration
-    give, on full-rank and rank-deficient first layers alike."""
+    give, on full-rank and rank-deficient first layers alike.  Every cell's
+    lineality is ker(W1), the rule pointedness is decided by."""
     cx = build_complex(REFERENCE_NETS[name]())
+    k = len(cx.kernel)
+    assert cx.network.depth >= 1
+    for c in cx.cells.values():
+        lines = c.geometry.lineality_basis
+        assert c.lineality == len(lines) == k
+        assert rank([*lines, *cx.kernel]) == k
     for levels, lo, hi in _level_queries(cx):
         rcx = refine_at_levels(cx, levels)
         want = _reference_pieces(cx, levels)
@@ -650,11 +657,12 @@ def test_pieces_and_vertices_match_feasibility_and_enumeration(name):
         assert set(got) == set(want), levels
         for key, piece in got.items():
             assert piece.vertices == want[key], (levels, key)
-            assert piece.pointed == piece.geometry.pointed
+            assert piece.pointed == piece_geometry(piece).pointed
         keys = rcx.keys_in(lo, hi)
         for piece in essentialize([rcx.cells[k] for k in keys], cx)[0]:
-            assert piece.pointed and piece.geometry.pointed
-            assert all(piece.geometry.contains(v) for v in piece.vertices)
+            geo = piece_geometry(piece)
+            assert piece.pointed and geo.pointed
+            assert all(geo.contains(v) for v in piece.vertices)
 
 
 def test_affine_net_pieces_are_cut_from_a_line():
@@ -674,6 +682,22 @@ def test_affine_net_pieces_are_cut_from_a_line():
     }
     for model in (sublevel_model, superlevel_model, level_model):
         assert betti(triangulate(model(cx, F(1))).complex) == (1,)
+
+
+def test_affine_net_whole_line_stays_unpointed():
+    """With no hidden layer the kernel cut leaves the cell a line along F's
+    gradient: only a finite end of the interval makes a piece pointed."""
+    cx = build_complex(Network((AffineLayer.make([[1, 2]], [3], "none"),)))
+    rcx = refine_at_levels(cx, [])
+    keys = rcx.keys_in(None, None)
+    pieces, _ = essentialize([rcx.cells[k] for k in keys], cx)
+    assert [p.pointed for p in pieces] == [False]
+    assert not piece_geometry(pieces[0]).pointed
+    with pytest.raises(ValueError, match="unpointed; essentialize"):
+        compact_part(pieces, rcx.containment_pairs(keys))
+    rcx = refine_at_levels(cx, [F(1)])
+    pieces, _ = essentialize(list(rcx.cells.values()), cx)
+    assert all(p.pointed and piece_geometry(p).pointed for p in pieces)
 
 
 # pieces of two_relu_net refined at F = 1, by name: interval 0 is F < 1,

@@ -498,6 +498,11 @@ HAND_NETS = {
         AffineLayer.make([[1, 0, -1]], [0], "relu"),
         AffineLayer.make([[1]], [0], "none"),
     )),
+    "no hidden layer": Network((AffineLayer.make([[1, 2]], [3], "none"),)),
+    "zero first layer": Network((
+        AffineLayer.make([[0, 0]], [1], "relu"),
+        AffineLayer.make([[1]], [0], "none"),
+    )),
 }
 
 
@@ -517,7 +522,7 @@ def _reference_corpus():
 def _cell_record(c):
     geo = c.geometry
     return (c.label, geo.eqs, geo.ges, geo.relint_system, c.gradient, c.constant,
-            c.dimension, c.flat, geo.affine_hull_point)
+            c.dimension, c.flat, geo.affine_hull_point, c.lineality)
 
 
 @pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _reference_corpus()])

@@ -110,6 +110,64 @@ def test_rref_matches_fraction_elimination(rows):
     assert rank(rows) == len(want[1])
 
 
+def two_elimination_solve(rows, rhs, n):
+    """The reference for ``solve_linear``: one elimination of the augmented
+    system for the solution, and a second, of ``rows`` alone, for the
+    nullspace."""
+    red, pivots = rref([list(row) + [r] for row, r in zip(rows, rhs)])
+    if n in pivots:
+        return None, nullspace_basis(rows, n)
+    x = [F(0)] * n
+    for i, p in enumerate(pivots):
+        x[p] = red[i][n]
+    return tuple(x), nullspace_basis(rows, n)
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs, n) with n <= 4: rows as in ``small_matrices`` (zero and
+    dependent rows included; the empty system is an edge case below), and a
+    right-hand side either taken at a rational point, so the system is
+    consistent, or drawn freely, which makes a system with dependent rows
+    inconsistent more often than not."""
+    rows = draw(small_matrices().filter(lambda rows: rows and len(rows[0]) <= 4))
+    n = len(rows[0])
+    scalar = st.one_of(st.integers(-4, 4), st.fractions(F(-3), F(3), max_denominator=5))
+    if draw(st.booleans()):
+        point = draw(st.lists(scalar, min_size=n, max_size=n))
+        rhs = [dot(row, point) for row in rows]
+    else:
+        rhs = draw(st.lists(scalar, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, n
+
+
+@settings(max_examples=600, deadline=None)
+@given(linear_systems())
+def test_solve_linear_matches_two_eliminations(system):
+    """Reading the nullspace off the augmented system's reduced form gives
+    the solution and the nullspace basis of two separate eliminations."""
+    rows, rhs, n = system
+    sol, null = solve_linear(rows, rhs, n)
+    assert (sol, null) == two_elimination_solve(rows, rhs, n)
+    if sol is not None:
+        assert [dot(row, sol) for row in rows] == [F(r) for r in rhs]
+    assert all(dot(row, v) == 0 for row in rows for v in null)
+    assert rank(rows) + len(null) == n
+
+
+def test_solve_linear_eliminates_once(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr("plmorse.geometry.rref", counted)
+    for rhs in ([4, 3, 7], [4, 3, 0]):  # consistent, inconsistent
+        solve_linear([[2, 0, 1], [1, 1, 0], [3, 1, 1]], rhs, 3)
+    assert calls == [3, 3]
+
+
 def test_rref_edge_cases():
     assert rref([]) == ([], [])
     assert rank([]) == 0
