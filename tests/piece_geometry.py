@@ -1,10 +1,10 @@
 """H-representation of a refined piece, the reference for what
 ``plmorse.compact`` reads off the complex's combinatorics.
 
-The program never builds a piece's polyhedron: its vertices, boundedness and
-pointedness come from the parent cell's 0- and 1-faces and the complex's
-kernel.  The tests rebuild the closed piece from the parent's constraints,
-F's interval and the kernel cut, and compare.
+The program never builds a piece's polyhedron: its vertices and boundedness
+come from the parent cell's 0- and 1-faces, and its pointedness from the
+cell's lineality and the kernel cut.  The tests rebuild the closed piece from
+the parent's constraints, F's interval and the kernel cut, and compare.
 """
 
 from plmorse.geometry import Polyhedron, canon_constraint
