@@ -112,13 +112,8 @@ def _cmd_oracle(args) -> int:
     thresholds = tuple(_fraction_arg(t, "--threshold") for t in args.threshold)
     c = thresholds[0] if len(thresholds) == 1 else thresholds
     try:
-        result = grid_oracle(
-            net,
-            args.mode,
-            c,
-            _fraction_arg(args.resolution, "--resolution"),
-            _fraction_arg(args.box, "--box"),
-        )
+        result = grid_oracle(net, args.mode, c, _fraction_arg(args.resolution, "--resolution"),
+                             _fraction_arg(args.box, "--box"))
     except ValueError as exc:
         raise SystemExit(str(exc))
     doc = {

@@ -213,14 +213,6 @@ def refine_at_levels(cx: CanonicalComplex, thresholds) -> RefinedComplex:
 # essentialization
 
 
-@dataclass(frozen=True)
-class Essentialization:
-    """Projection record: normal-span rank and the directions projected out."""
-
-    rank: int
-    kernel: tuple[Vec, ...]
-
-
 def essentialize(pieces, cx: CanonicalComplex):
     """Intersect pieces of the complex with the row space of W1.
 
@@ -230,8 +222,7 @@ def essentialize(pieces, cx: CanonicalComplex):
     unchanged.
     """
     kernel = cx.kernel
-    out = [replace(p, kernel=kernel) for p in pieces] if kernel else list(pieces)
-    return out, Essentialization(cx.network.n0 - len(kernel), kernel)
+    return [replace(p, kernel=kernel) for p in pieces] if kernel else list(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +321,7 @@ def compact_part(pieces, pairs) -> CompactModel:
 
 def _selected_model(rcx: RefinedComplex, lo, hi) -> CompactModel:
     keys = rcx.keys_in(lo, hi)
-    pieces, _ = essentialize([rcx.cells[k] for k in keys], rcx.source)
+    pieces = essentialize([rcx.cells[k] for k in keys], rcx.source)
     return compact_part(pieces, rcx.containment_pairs(keys))
 
 
@@ -396,6 +387,6 @@ def strip_pair_model(rcx: RefinedComplex, comp: FlatComponent, lower):
         if first <= i
     }
     keys = sorted(closed)
-    pieces, _ = essentialize([rcx.cells[k] for k in keys], cx)
+    pieces = essentialize([rcx.cells[k] for k in keys], cx)
     model = compact_part(pieces, rcx.containment_pairs(keys))
     return model, model.cells_with_source(k_keys)

@@ -484,14 +484,10 @@ def is_generic(net: Network) -> Check:
                     return Check(False, f"hidden layer 0 nodes {T}: degenerate intersection")
             elif point is not None:
                 return Check(False, f"hidden layer 0 nodes {T}: common point {point}")
-    if net.depth > 1:
-        deep = _deep_genericity(net)
-        if deep is not None:
-            return deep
-    return Check(True)
+    return _deep_genericity(net) if net.depth > 1 else Check(True)
 
 
-def _deep_genericity(net: Network) -> Check | None:
+def _deep_genericity(net: Network) -> Check:
     """Per-cell solution-set checks for layers past the first."""
     n = net.n0
     stages = islice(_layer_stages(n, integer_layers(net)[0]), 1, net.depth)
@@ -510,12 +506,9 @@ def _deep_genericity(net: Network) -> Check | None:
                         continue
                     got = rank(eq_normals + [forms[i][0] for i in T])
                     if got != base + size:
-                        return Check(
-                            False,
-                            f"hidden layer {li} nodes {T} on cell {label}: "
-                            "degenerate intersection",
-                        )
-    return None
+                        return Check(False, f"hidden layer {li} nodes {T} on cell {label}: "
+                                     "degenerate intersection")
+    return Check(True)
 
 
 def is_transversal(net: Network) -> Check:

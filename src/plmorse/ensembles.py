@@ -4,9 +4,10 @@ Each trial is a pure function of (seed, index), so runs are deterministic and
 embarrassingly parallel; PLMORSE_THREADS caps the worker pool (default 1,
 meaning in-process serial execution).  Trials run on integer draws: each
 takes its weights and point as int numerators over 2**53 from the same seeded
-streams as ``random_network`` and ``random_point`` and builds no Fraction.
-The all-minus region goes through the integer feasibility test, the flat
-cell through the integer layer walk that ``minimal_cell_is_flat`` runs.
+streams as ``random_network`` and ``random_point`` (random.gauss's Box-Muller
+pairs, computed inline) and builds no Fraction.  The PL-Morse trial draws only
+the first layer and tests its all-minus region for integer feasibility; the
+flat cell goes through ``minimal_cell_is_flat``'s integer layer walk.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _experiment(kind, arch, worker, trials, seed, scheme, closed_form, bound) ->
 
 def _plmorse_trial(args) -> bool:
     arch, seed, scheme, index = args
-    (rows, bias), _ = random_int_layers(arch, trial_seed(seed, index), scheme)
+    rows, bias = next(random_int_layers(arch, trial_seed(seed, index), scheme))
     return not strict_feasible(arch[0], inactive_walls(rows, bias))
 
 
@@ -104,7 +105,7 @@ def montecarlo_plmorse(
                        closed_form, None)
 
 
-def _point_ints(n: int, seed: int, scheme: str) -> list[int]:
+def _point_ints(n: int, seed: int, scheme: str) -> tuple[int, ...]:
     return _sampler(scheme, f"plmorse|point|{scheme}|{n}|{seed}")(n)
 
 
@@ -133,20 +134,20 @@ def _flat_walk(layers, values) -> bool:
     """``minimal_cell_is_flat`` on integer layers (A, B) and the integer
     point they take, as ``integer_layers`` scales them."""
     n = len(values)
-    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    cols = None  # the columns of the walk's Jacobian so far; None is the identity
     normals: list[tuple[int, ...]] = []
     for weights, bias in layers[:-1]:
-        cols = list(zip(*rows))
         rows, new_values = [], []
         for wrow, b in zip(weights, bias):
-            coeffs = tuple(sum(map(mul, wrow, col)) for col in cols)
+            coeffs = wrow if cols is None else tuple(sum(map(mul, wrow, col)) for col in cols)
             val = sum(map(mul, wrow, values)) + b
             if val == 0:
                 normals.append(coeffs)
             rows.append(coeffs if val > 0 else (0,) * n)
             new_values.append(max(val, 0))
-        values = new_values
-    gradient = tuple(sum(map(mul, layers[-1][0][0], col)) for col in zip(*rows))
+        values, cols = new_values, list(zip(*rows))
+    out = layers[-1][0][0]
+    gradient = out if cols is None else tuple(sum(map(mul, out, col)) for col in cols)
     return in_span(gradient, normals)
 
 

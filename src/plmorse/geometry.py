@@ -206,6 +206,8 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
             else:
                 rest.add(con)
         work = rest
+        if len(counts) == 1:  # x_j alone is left: only its tightest bounds matter
+            pos, neg = _tightest(pos, j), _tightest(neg, j)
         for pc, po, ps in pos:
             for nc, no, ns in neg:
                 a, b = pc[j], -nc[j]
@@ -214,6 +216,17 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
                 if not _keep(work, _coprime(row), ps or ns, n):
                     return False
     return True
+
+
+def _tightest(side: list, j: int) -> list:
+    """Of rows c*x_j + o >= 0 (or > 0) with c of one sign, the one with the
+    least o/|c| as a one-row list, a strict one on a tie; [] for no rows."""
+    best = side[:1]
+    for con in side[1:]:
+        d = con[1] * abs(best[0][0][j]) - best[0][1] * abs(con[0][j])
+        if d < 0 or (d == 0 and con[2]):
+            best = [con]
+    return best
 
 
 def strict_feasible(n: int, ineqs) -> bool:

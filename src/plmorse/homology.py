@@ -391,7 +391,8 @@ def grid_oracle(net: Network, mode: str, c, resolution, box) -> OracleResult:
     except TypeError:
         ts = ()
     if len(ts) != len(signs):
-        raise ValueError(f"{mode} mode needs {len(signs)} threshold value(s), got {c!r}")
+        got = ", ".join(map(str, c)) if isinstance(c, (tuple, list)) else c
+        raise ValueError(f"{mode} mode needs {len(signs)} threshold value(s), got {got}")
     if mode == "band" and ts[0] > ts[1]:
         raise ValueError(f"band needs lo <= hi, got {ts[0]} > {ts[1]}")
 

@@ -227,13 +227,10 @@ def _classify_zero_cell(cx: CanonicalComplex, label: Label) -> VertexClass:
 def _require_shallow_generic(cx: CanonicalComplex) -> None:
     net = cx.network
     if net.depth != 1:
-        raise UnsupportedNetworkError(
-            "vertex classification needs a single hidden layer"
-        )
+        raise UnsupportedNetworkError("vertex classification needs a single hidden layer")
     if cx.transversality_witnesses:
         raise UnsupportedNetworkError(
-            f"network is not transversal: {cx.transversality_witnesses[0]}"
-        )
+            f"network is not transversal: {cx.transversality_witnesses[0]}")
     ok = is_generic(net)
     if not ok:
         raise UnsupportedNetworkError(f"network is not generic: {ok.witness}")
@@ -279,8 +276,7 @@ def analyze(net: Network) -> ComplexityReport:
     cx = build_complex(net)
     if cx.transversality_witnesses:
         raise UnsupportedNetworkError(
-            f"network is not transversal: {cx.transversality_witnesses[0]}"
-        )
+            f"network is not transversal: {cx.transversality_witnesses[0]}")
     records = local_records(cx)
     glob = sum(rec.total for rec in records)
     stable, coarse, counts = stable_measures(cx)

@@ -10,10 +10,11 @@ tangent to the unit circle, plus seeded random ensembles.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import cos, lcm, log, pi, sin, sqrt, tan, tau
 
 from .geometry import Polyhedron, Vec, dot, strict_feasible, vec
 
@@ -151,8 +152,8 @@ def integer_layers(net: Network, q: int = 1):
     sigma = q
     out = []
     for layer in net.layers:
-        e = math.lcm(*(x.denominator for row in layer.weights for x in row),
-                     *(c.denominator for c in layer.bias))
+        e = lcm(*(x.denominator for row in layer.weights for x in row),
+                *(c.denominator for c in layer.bias))
         a = tuple(tuple(w.numerator * (e // w.denominator) for w in row)
                   for row in layer.weights)
         b = tuple(c.numerator * (e // c.denominator) * sigma for c in layer.bias)
@@ -263,9 +264,9 @@ def _circle_point(theta: float, precision: int = 1 << 20) -> Vec:
     clockwise), via the tangent half-angle parametrization."""
     # (sin, cos) = (2t/(1+t^2), (1-t^2)/(1+t^2)) with t = tan(theta/2)
     half = theta / 2.0
-    if abs(math.cos(half)) < 1e-9:
+    if abs(cos(half)) < 1e-9:
         return vec((0, -1))
-    t = Fraction(round(math.tan(half) * precision), precision)
+    t = Fraction(round(tan(half) * precision), precision)
     d = 1 + t * t
     return (2 * t / d, (1 - t * t) / d)
 
@@ -296,7 +297,7 @@ def build_fan_network(n: int) -> Network:
     if n < 1:
         raise ValueError("need n >= 1")
     count = 2 * n + 2
-    points = [_circle_point(math.pi * j / (n + 1)) for j in range(1, count + 1)]
+    points = [_circle_point(pi * j / (n + 1)) for j in range(1, count + 1)]
     _check_cyclic_tangency_points(points)
     hidden = AffineLayer(
         tuple((p[0], p[1]) for p in points),
@@ -317,7 +318,7 @@ def build_coarse_bound_network(m: int) -> Network:
     below every threshold keep m-2 bounded loops' worth of relative cycles."""
     if m < 3:
         raise ValueError("need m >= 3")
-    points = [_circle_point(math.pi * i / (m + 1)) for i in range(1, m + 1)]
+    points = [_circle_point(pi * i / (m + 1)) for i in range(1, m + 1)]
     _check_cyclic_tangency_points(points, wraparound=False)
     hidden = AffineLayer(
         tuple((-p[0], -p[1]) for p in points),
@@ -375,20 +376,29 @@ _SNAP = 1 << 53
 
 
 def _sampler(scheme: str, key: str):
-    """count -> the next count coordinates of the stream seeded by key, drawn
-    from the scheme's law, 'gaussian' or 'uniform' (both symmetric about
-    zero), as numerators over 2**53."""
-    rng = random.Random(key)
-    if scheme == "gaussian":
-        return lambda k: [round(rng.gauss(0.0, 1.0) * _SNAP) for _ in range(k)]
-    if scheme == "uniform":
-        return lambda k: [round(rng.uniform(-1.0, 1.0) * _SNAP) for _ in range(k)]
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """count -> the next count coordinates of the stream seeded by key, as
+    numerators over 2**53: ``random.Random(key)``'s ``gauss(0.0, 1.0)`` or
+    ``uniform(-1.0, 1.0)``, computed here as those methods compute them."""
+    if scheme not in ("gaussian", "uniform"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    r = random.Random(key).random
+    stream = _box_muller(r) if scheme == "gaussian" else (
+        round((-1.0 + 2.0 * u) * _SNAP) for u in iter(r, None))  # r() never returns None
+    return lambda k: tuple(islice(stream, k))
+
+
+def _box_muller(r):
+    """gauss's Box-Muller pairs from two ``random()`` calls, cosine value first."""
+    while True:
+        x2pi = r() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - r()))
+        yield round(cos(x2pi) * g2rad * _SNAP)
+        yield round(sin(x2pi) * g2rad * _SNAP)
 
 
 def random_int_layers(arch, seed: int, scheme: str = "gaussian"):
     """Each layer's (rows, bias) of ``random_network`` as int numerators over
-    2**53, drawn from the same seeded stream in the same order."""
+    2**53, drawn lazily, in order, from the same seeded stream."""
     arch = tuple(int(a) for a in arch)
     if len(arch) < 2:
         raise ValueError("architecture needs at least input and output widths")
@@ -397,8 +407,7 @@ def random_int_layers(arch, seed: int, scheme: str = "gaussian"):
     if arch[-1] != 1:
         raise ValueError("output width must be 1")
     draw = _sampler(scheme, f"plmorse|{scheme}|{','.join(map(str, arch))}|{seed}")
-    return [(tuple(tuple(draw(a)) for _ in range(b)), tuple(draw(b)))
-            for a, b in zip(arch, arch[1:])]
+    return ((tuple(draw(a) for _ in range(b)), draw(b)) for a, b in zip(arch, arch[1:]))
 
 
 def random_network(arch, seed: int, scheme: str = "gaussian") -> Network:
@@ -407,7 +416,7 @@ def random_network(arch, seed: int, scheme: str = "gaussian") -> Network:
     arch lists all widths (n0, ..., nm, 1); scheme is 'gaussian' or 'uniform',
     both symmetric about zero.  Deterministic in (arch, seed, scheme).
     """
-    layers = random_int_layers(arch, seed, scheme)
+    layers = list(random_int_layers(arch, seed, scheme))
     last = len(layers) - 1
     return Network(tuple(
         AffineLayer(tuple(tuple(Fraction(w, _SNAP) for w in row) for row in rows),

@@ -44,7 +44,7 @@ def whole_strip_model(cx: CanonicalComplex, a, lower) -> StripModel:
             raise ValueError(f"nontransversal threshold {t} inside the strip [{lower}, {a})")
     rcx = refine_at_levels(cx, [lower, a])
     keys = rcx.keys_in(lower, a)
-    pieces, _ = essentialize([rcx.cells[k] for k in keys], cx)
+    pieces = essentialize([rcx.cells[k] for k in keys], cx)
     model = compact_part(pieces, rcx.containment_pairs(keys))
     key_set = set(keys)
     floor = model.cells_with_source(rcx.keys_in(lower, lower))

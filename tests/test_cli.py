@@ -181,10 +181,10 @@ def test_oracle_band_flag_count(tmp_path, capsys):
     _two_relu_json(net_file)
     assert main(["oracle", str(net_file), "--mode", "band", "--threshold", "1",
                  "--resolution", "1/4", "--box", "2"]) == 2
-    assert "band mode needs 2 threshold value(s)" in capsys.readouterr().err
+    assert capsys.readouterr().err == "band mode needs 2 threshold value(s), got 1\n"
     assert main(["oracle", str(net_file), "--threshold", "0", "--threshold", "1",
                  "--resolution", "1/4", "--box", "2"]) == 2
-    assert "sublevel mode needs 1 threshold value(s)" in capsys.readouterr().err
+    assert capsys.readouterr().err == "sublevel mode needs 1 threshold value(s), got 0, 1\n"
     assert main(["oracle", str(net_file), "--mode", "band", "--threshold=-1/3",
                  "--threshold=1/3", "--resolution", "1/4", "--box", "2"]) == 0
     json.loads(capsys.readouterr().out)

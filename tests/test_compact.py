@@ -126,9 +126,10 @@ def test_essentialize_half_plane_complex_onto_axis():
     rcx = refine_at_levels(cx, [])
     pieces = [rcx.cells[k] for k in rcx.keys_in(None, None)]
     assert all(not piece_geometry(p).pointed for p in pieces)
-    ess, desc = essentialize(pieces, cx)
-    assert desc.rank == 1
-    assert desc.kernel == ((F(0), F(1)),)
+    ess = essentialize(pieces, cx)
+    assert cx.network.n0 - len(cx.kernel) == 1
+    assert cx.kernel == ((F(0), F(1)),)
+    assert all(p.kernel == cx.kernel for p in ess)
     dims = sorted(piece_geometry(p).dim for p in ess)
     assert dims == [0, 1, 1]
     for before, after in zip(pieces, ess):
@@ -142,9 +143,9 @@ def test_essentialize_pointed_component_is_identity():
     cx = build_complex(two_relu_net())
     rcx = refine_at_levels(cx, [])
     pieces = [rcx.cells[k] for k in rcx.keys_in(None, None)]
-    ess, desc = essentialize(pieces, cx)
-    assert desc.rank == 2
-    assert desc.kernel == ()
+    ess = essentialize(pieces, cx)
+    assert cx.network.n0 - len(cx.kernel) == 2
+    assert cx.kernel == ()
     assert [piece_geometry(p).eqs for p in ess] == [piece_geometry(p).eqs for p in pieces]
     assert [piece_geometry(p).ges for p in ess] == [piece_geometry(p).ges for p in pieces]
 
@@ -582,7 +583,8 @@ def test_stable_measures_match_separate_models(make):
     for comp in rcx.components(keys):
         pieces = [rcx.cells[k] for k in comp]
         normals = [c for p in pieces for c in piece_geometry(p).all_normals]
-        assert essentialize(pieces, cx)[1].kernel == tuple(nullspace_basis(normals, n))
+        assert cx.kernel == tuple(nullspace_basis(normals, n))
+        assert all(p.kernel == cx.kernel for p in essentialize(pieces, cx))
 
 
 def _reference_pieces(cx, levels):
@@ -659,7 +661,7 @@ def test_pieces_and_vertices_match_feasibility_and_enumeration(name):
             assert piece.vertices == want[key], (levels, key)
             assert piece.pointed == piece_geometry(piece).pointed
         keys = rcx.keys_in(lo, hi)
-        for piece in essentialize([rcx.cells[k] for k in keys], cx)[0]:
+        for piece in essentialize([rcx.cells[k] for k in keys], cx):
             geo = piece_geometry(piece)
             assert piece.pointed and geo.pointed
             assert all(geo.contains(v) for v in piece.vertices)
@@ -690,13 +692,13 @@ def test_affine_net_whole_line_stays_unpointed():
     cx = build_complex(Network((AffineLayer.make([[1, 2]], [3], "none"),)))
     rcx = refine_at_levels(cx, [])
     keys = rcx.keys_in(None, None)
-    pieces, _ = essentialize([rcx.cells[k] for k in keys], cx)
+    pieces = essentialize([rcx.cells[k] for k in keys], cx)
     assert [p.pointed for p in pieces] == [False]
     assert not piece_geometry(pieces[0]).pointed
     with pytest.raises(ValueError, match="unpointed; essentialize"):
         compact_part(pieces, rcx.containment_pairs(keys))
     rcx = refine_at_levels(cx, [F(1)])
-    pieces, _ = essentialize(list(rcx.cells.values()), cx)
+    pieces = essentialize(list(rcx.cells.values()), cx)
     assert all(p.pointed and piece_geometry(p).pointed for p in pieces)
 
 
@@ -807,7 +809,7 @@ def test_bounded_subcomplex_matches_hull_model(name):
         ((c - h, c), (c, c)),
     ]:
         model, ids = modeled_pair(rcx, outer, inner)
-        pieces, _ = essentialize([rcx.cells[k] for k in rcx.keys_in(*outer)], cx)
+        pieces = essentialize([rcx.cells[k] for k in rcx.keys_in(*outer)], cx)
         hull = hull_compact_part(pieces)
         hull_ids = hull.cells_with_source(rcx.keys_in(*inner))
         tri, pulled = triangulate(model), pulling_triangulation(model)

@@ -1,5 +1,7 @@
 """Exact linear algebra, feasibility, and polyhedron tests."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from plmorse.geometry import (
     strict_feasible,
     vec,
 )
+from plmorse.network import inactive_walls, random_int_layers
 
 from fm_reference import feasible as fraction_feasible
 from fm_reference import rref as fraction_rref
@@ -294,6 +297,57 @@ def test_feasible_matches_fraction_elimination(system):
     """Feasible and infeasible answers both agree with the rational reference."""
     n, eqs, ges, gts = system
     assert feasible(n, eqs, ges, gts) == fraction_feasible(n, eqs, ges, gts)
+
+
+# The elimination keeps only the tightest bound on each side of the last
+# variable: (ges, gts, feasible) over x in Q^1, each row (coef, off).
+LAST_VARIABLE_CASES = [
+    ([((1,), -1), ((-1,), 1)], [], True),  # x >= 1, -x + 1 >= 0
+    ([((-1,), 1)], [((1,), -1)], False),  # x - 1 > 0, -x + 1 >= 0
+    # several rows at the lower bound 1, one of them strict
+    ([((1,), -1), ((2,), -2), ((-1,), 1)], [((1,), -1)], False),
+    ([((1,), -1), ((2,), -2), ((-1,), 1), ((-1,), 3)], [], True),
+    # the tightest row on each side is not the first one listed
+    ([((1,), -1), ((1,), -3), ((-1,), 5), ((-1,), 3)], [((1,), -2)], True),
+    ([((1,), -1), ((1,), -3), ((-1,), 5)], [((1,), -2), ((-1,), 3)], False),
+    ([((2,), -1), ((-3,), 2)], [((-1,), 1)], True),  # 1/2 <= x <= 2/3, x < 1
+    ([((3,), -2), ((-2,), 1)], [], False),  # 2/3 <= x <= 1/2
+    # a side with no bound
+    ([((1,), -1), ((1,), -7), ((3,), 1)], [((1,), -2)], True),
+    ([((-1,), 1), ((-2,), -9)], [((-5,), 4)], True),
+]
+
+
+@pytest.mark.parametrize("ges, gts, want", LAST_VARIABLE_CASES)
+def test_last_variable_keeps_the_tightest_bounds(ges, gts, want):
+    """In every order of the rows, and with a second variable eliminated
+    first (y between two bounds that x does not touch)."""
+    assert fraction_feasible(1, [], ges, gts) == want
+    rows = [(r, False) for r in ges] + [(r, True) for r in gts]
+    for order in itertools.permutations(rows):
+        g = [r for r, s in order if not s]
+        t = [r for r, s in order if s]
+        assert feasible(1, ges=g, gts=t) == want, order
+    lifted_ges = [((c[0], 0), o) for c, o in ges] + [((0, 1), 0), ((0, -1), 1)]
+    lifted_gts = [((c[0], 0), o) for c, o in gts]
+    assert feasible(2, ges=lifted_ges, gts=lifted_gts) == want
+
+
+def test_last_variable_finish_on_trial_systems():
+    """The all-inactive systems of the PL-Morse trials on random (3, 6, 1)
+    nets, six strict rows of 53-bit numerators each, and 100 systems of six
+    rows of uniform 53-bit integers, against the rational elimination."""
+    rng = random.Random(17)
+    systems = [inactive_walls(*next(random_int_layers((3, 6, 1), seed, scheme)))
+               for scheme, count in (("gaussian", 200), ("uniform", 40)) for seed in range(count)]
+    systems += [[(tuple(rng.randint(-2**53, 2**53) for _ in range(3)), rng.randint(-2**53, 2**53))
+                 for _ in range(6)] for _ in range(100)]
+    answers = set()
+    for gts in systems:
+        got = strict_feasible(3, gts)
+        assert got == fraction_feasible(3, [], [], gts), gts
+        answers.add(got)
+    assert answers == {True, False}
 
 
 # -- polyhedra --------------------------------------------------------------

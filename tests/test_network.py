@@ -1,6 +1,7 @@
 """Network model: evaluation, serialization, explicit families, ensembles."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,13 @@ from plmorse.network import (
     NetworkShapeError,
     RationalParseError,
     _check_cyclic_tangency_points,
+    _sampler,
     build_coarse_bound_network,
     build_fan_network,
     integer_layers,
     load_network,
     prescribe_edge_orientations,
+    random_int_layers,
     random_network,
     save_network,
 )
@@ -324,6 +327,36 @@ def test_random_network_matches_snapped_draws(scheme):
                 for layer in net.layers
                 for v in (*layer.bias, *(w for row in layer.weights for w in row))
             )
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "uniform"])
+def test_sampler_matches_the_standard_library(scheme):
+    """Read in chunks of 1 to 7 values, so that odd chunks end between the
+    two values of a Box-Muller pair, the sampler gives exactly the snapped
+    values of ``random.Random(key).gauss(0.0, 1.0)`` or ``.uniform(-1.0, 1.0)``,
+    the second value of each pair carried across calls as ``gauss`` carries it."""
+    for i in range(60):
+        key = f"plmorse|{scheme}|{i}"
+        rng = random.Random(key)
+        law = (lambda: rng.gauss(0.0, 1.0)) if scheme == "gaussian" else (
+            lambda: rng.uniform(-1.0, 1.0))
+        draw = _sampler(scheme, key)
+        for k in (1, 2, 3, 4, 5, 6, 7, 3, 1, 5):
+            assert draw(k) == tuple(round(law() * 2**53) for _ in range(k)), (key, k)
+
+
+def test_sampler_refuses_unknown_scheme():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        _sampler("cauchy", "key")
+
+
+def test_first_layer_draws_alone_match_the_whole_network():
+    """The lazily drawn first layer is the first layer of every later draw."""
+    for arch in ((3, 6, 1), (3, 4, 4, 1), (2, 1)):
+        for seed in (0, 5, 10004):
+            layers = list(random_int_layers(arch, seed))
+            assert next(random_int_layers(arch, seed)) == layers[0]
+            assert [len(rows) for rows, _ in layers] == list(arch[1:])
 
 
 def test_negate_pointwise():
