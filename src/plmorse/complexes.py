@@ -36,12 +36,13 @@ from .geometry import (
     canon_constraint,
     canonical_line_direction,
     dot,
+    echelon,
     feasible,
-    in_span,
     nullspace_basis,
     primitive_direction,
     rank,
     solve_linear,
+    spans,
 )
 from .network import Network, integer_layers
 
@@ -343,28 +344,28 @@ def build_complex(net: Network) -> CanonicalComplex:
     layers, sigma = integer_layers(net)
     stages = _layer_stages(n, layers)
     for li, ((weights, bias), work) in enumerate(islice(stages, net.depth)):
-        # node-map transversality against the complex built so far
+        # node-map transversality: on a nonempty cell an affine form is
+        # identically zero iff it lies in the span of the cell's equalities
         for label, eqs, ineqs, rows, offs in work:
-            eq_normals = [c for c, _ in eqs]
+            basis = echelon([[*c, o] for c, o in eqs])
             for ni, (arow, b) in enumerate(zip(weights, bias)):
                 g, k = _node_form(arow, b, rows, offs)
-                if in_span(g, eq_normals):
-                    point, _ = solve_linear(eq_normals, [-o for _, o in eqs], n)
-                    if point is not None and dot(g, point) + k == 0:
-                        witnesses.append(
-                            f"node {ni} of hidden layer {li} is identically zero "
-                            f"on the cell labeled {label}"
-                        )
+                if spans(basis, (*g, k)):
+                    witnesses.append(
+                        f"node {ni} of hidden layer {li} is identically zero "
+                        f"on the cell labeled {label}"
+                    )
     (weights, bias), work = next(stages)
     lines = n - rank(layers[0][0]) if net.depth else n
     cells: dict[Label, LabeledCell] = {}
     for label, eqs, ineqs, rows, offs in work:
         g, k = _node_form(weights[0], bias[0], rows, offs)
-        normals = [c for c, _ in eqs]
-        poly = Polyhedron(n, eqs=eqs, ges=ineqs, relint=(eqs, ineqs))
-        grad, dim = tuple(Fraction(x, sigma) for x in g), n - rank(normals)
-        flat = in_span(g, normals)
-        cells[label] = LabeledCell(label, poly, grad, Fraction(k, sigma), flat, dim, lines)
+        eqs, ineqs = tuple(sorted(set(eqs))), tuple(sorted(set(ineqs)))  # canonical rows
+        basis = echelon([c for c, _ in eqs])
+        dim, flat = n - len(basis[1]), spans(basis, g)
+        grad, const = tuple(Fraction(x, sigma) for x in g), Fraction(k, sigma)
+        poly = Polyhedron.cell(n, eqs, ineqs)
+        cells[label] = LabeledCell(label, poly, grad, const, flat, dim, lines)
     return CanonicalComplex(net, cells, witnesses)
 
 
@@ -478,9 +479,9 @@ def is_generic(net: Network) -> Check:
         for T in combinations(range(m1), size):
             rows = [first.weights[i] for i in T]
             rhs = [-first.bias[i] for i in T]
-            point, _ = solve_linear(rows, rhs, n)
+            point, null = solve_linear(rows, rhs, n)
             if size <= n:
-                if point is None or rank(rows) != size:
+                if point is None or n - len(null) != size:
                     return Check(False, f"hidden layer 0 nodes {T}: degenerate intersection")
             elif point is not None:
                 return Check(False, f"hidden layer 0 nodes {T}: common point {point}")
@@ -498,14 +499,9 @@ def _deep_genericity(net: Network) -> Check:
             forms = [_node_form(arow, b, rows, offs) for arow, b in zip(weights, bias)]
             for size in range(1, min(len(bias), n + 1) + 1):
                 for T in combinations(range(len(bias)), size):
-                    sub_eqs = tuple(
-                        canon_constraint(forms[i][0], forms[i][1], equality=True)
-                        for i in T
-                    )
-                    if not feasible(n, eqs=eqs + sub_eqs, gts=ineqs):
+                    if not feasible(n, eqs=eqs + tuple(forms[i] for i in T), gts=ineqs):
                         continue
-                    got = rank(eq_normals + [forms[i][0] for i in T])
-                    if got != base + size:
+                    if rank(eq_normals + [forms[i][0] for i in T]) != base + size:
                         return Check(False, f"hidden layer {li} nodes {T} on cell {label}: "
                                      "degenerate intersection")
     return Check(True)

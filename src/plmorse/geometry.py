@@ -11,7 +11,7 @@ their first nonzero coefficient positive, so that a hyperplane has one key.
 Polyhedra are kept in H-representation.  The relative interior of a polyhedron
 is characterised by a system ``(eqs, stricts)``: the points satisfying every
 equality and every strict inequality.  Cell-construction code passes this
-system in explicitly (it is the sign-pattern system of the cell) and only when
+system in through ``Polyhedron.cell`` (the sign-pattern system of the cell), once
 it has shown the cell nonempty, so such a polyhedron is never tested for
 emptiness; for ad hoc polyhedra it is recovered by implicit-equality probing.
 """
@@ -36,9 +36,13 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _primitive_ints(entries: list[Fraction]) -> list[int]:
+def _primitive_ints(entries) -> list[int]:
     """The rationals times the one positive scale that makes them coprime
-    integers (all zeros stay zeros)."""
+    integers (all zeros stay zeros); ints are only divided by their gcd."""
+    try:
+        return _coprime(entries)
+    except TypeError:  # math.gcd takes ints only
+        pass
     scale = lcm(*(e.denominator for e in entries))
     return _coprime([e.numerator * (scale // e.denominator) for e in entries])
 
@@ -65,7 +69,7 @@ def canon_constraint(coef, off, equality: bool = False) -> Constraint:
 # dense exact linear algebra
 
 
-def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+def echelon(rows) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination.  Each row is scaled once to
     primitive integers, and each step is pv*row - f*pivot_row divided by its
     gcd, so every returned row is a nonzero multiple of its row in the
@@ -92,12 +96,12 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of int or Fraction rows: (nonzero rows, pivots)."""
-    mat, pivots = _echelon(rows)
+    mat, pivots = echelon(rows)
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(mat, pivots)], pivots
 
 
 def rank(rows) -> int:
-    return len(_echelon(rows)[1])
+    return len(echelon(rows)[1])
 
 
 def nullspace_basis(rows, n: int) -> list[Vec]:
@@ -119,10 +123,16 @@ def _nullspace(red, pivots, n: int) -> list[Vec]:
 
 def in_span(target, rows) -> bool:
     """Whether target lies in the row space of rows."""
-    if all(x == 0 for x in target):
-        return True
-    base = [row for row in rows if any(x != 0 for x in row)]
-    return bool(base) and rank(base + [list(target)]) == rank(base)
+    return spans(echelon(rows), target)
+
+
+def spans(basis, target) -> bool:
+    """Whether target lies in the row space of an ``echelon`` result: each
+    reduced row clears its own pivot entry only, so nothing is left iff so."""
+    for row, p in zip(*basis):
+        if target[p]:
+            target = [row[p] * a - target[p] * b for a, b in zip(target, row)]
+    return not any(target)
 
 
 def solve_linear(rows, rhs, n: int) -> tuple[Vec | None, list[Vec]]:
@@ -145,10 +155,14 @@ def solve_linear(rows, rhs, n: int) -> tuple[Vec | None, list[Vec]]:
 # exact feasibility (Fourier-Motzkin with strictness tracking)
 
 
-def _keep(work: set, row: list[int], strict: bool, n: int) -> bool:
-    """Add a primitive row to the work set; False if it is a violated constant."""
-    if any(row[:n]):
-        work.add((tuple(row[:n]), row[n], strict))
+def _keep(work: dict, row: list[int], strict: bool, mask: int, n: int) -> bool:
+    """Add a primitive row with its history mask to the work rows, keeping the
+    smaller history of a row met twice; False if it is a violated constant."""
+    coef = tuple(row[:n])
+    if any(coef):
+        key = (coef, row[n], strict)
+        if key not in work or mask.bit_count() < work[key].bit_count():
+            work[key] = mask
         return True
     return row[n] > 0 if strict else row[n] >= 0
 
@@ -156,17 +170,20 @@ def _keep(work: set, row: list[int], strict: bool, n: int) -> bool:
 def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
     """Exact feasibility of {x : eqs = 0, ges >= 0, gts > 0} over Q^n.
 
-    Every form is scaled once to primitive integers.  Equalities are removed
-    by integer substitution, then Fourier-Motzkin eliminates the remaining
-    variables, each step a positive integer combination divided by its gcd.
-    Each row is thus a positive multiple of its rational counterpart, so no
-    sign changes.  Total and exact; the combination of a strict inequality
-    with any other is strict.
-    """
-    ineqs = [(_primitive_ints([*c, o]), False) for c, o in ges]
-    ineqs += [(_primitive_ints([*c, o]), True) for c, o in gts]
+    Equalities are removed by substitution on primitive-integer pivots, and
+    each inequality is then scaled once to primitive integers.  Fourier-Motzkin
+    eliminates the remaining variables, each step a positive integer
+    combination divided by its gcd.  Each row is thus a positive multiple of
+    its rational counterpart, so no sign changes.  Total and exact; the
+    combination of a strict inequality with any other is strict.
 
-    # Integer substitution for the equalities.
+    Each row carries the bitmask of the inequalities it combines; Chernikov's
+    rule drops one of more than k + 1 made at the k-th elimination (rows kept
+    imply it), but not at the last, where ``_tightest`` keeps one per side.
+    """
+    ineqs = [([*c, o], False) for c, o in ges] + [([*c, o], True) for c, o in gts]
+
+    # Substitution for the equalities.
     pending = [_primitive_ints([*c, o]) for c, o in eqs]
     while pending:
         pivot = pending.pop()
@@ -179,53 +196,59 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
 
         def sub(row):  # |p|*row - sgn(p)*row[j]*pivot: zero at j, same sign
             t = sp * row[j]
-            return _coprime([p * a - t * b for a, b in zip(row, pivot)]) if t else row
+            return [p * a - t * b for a, b in zip(row, pivot)] if t else row
 
-        pending = [sub(row) for row in pending]
+        pending = [_primitive_ints(sub(row)) for row in pending]
         ineqs = [(sub(row), s) for row, s in ineqs]
 
     # Fourier-Motzkin elimination of the remaining variables.
-    work = set()
-    for row, s in ineqs:
-        if not _keep(work, row, s, n):
+    work: dict = {}  # (coef, off, strict) -> mask of the rows of ineqs it combines
+    for i, (row, s) in enumerate(ineqs):
+        if not _keep(work, _primitive_ints(row), s, 1 << i, n):
             return False
+    cap = 1  # at the k-th elimination, k + 1
     while work:
+        cap += 1
         counts = {}  # variable -> [rows with it positive, negative], by first use
         for coef, _, _ in work:
             for k, v in enumerate(coef):
                 if v:
                     counts.setdefault(k, [0, 0])[v < 0] += 1
         j = min(counts, key=lambda k: counts[k][0] * counts[k][1])
-        pos, neg, rest = [], [], set()
-        for con in work:
+        pos, neg, rest = [], [], {}
+        for con, h in work.items():
             cj = con[0][j]
             if cj > 0:
-                pos.append(con)
+                pos.append((con, h))
             elif cj < 0:
-                neg.append(con)
+                neg.append((con, h))
             else:
-                rest.add(con)
+                rest[con] = h
         work = rest
         if len(counts) == 1:  # x_j alone is left: only its tightest bounds matter
-            pos, neg = _tightest(pos, j), _tightest(neg, j)
-        for pc, po, ps in pos:
-            for nc, no, ns in neg:
+            pos, neg, cap = _tightest(pos, j), _tightest(neg, j), len(ineqs)
+        for (pc, po, ps), ph in pos:
+            for (nc, no, ns), nh in neg:
+                if (h := ph | nh).bit_count() > cap:
+                    continue
                 a, b = pc[j], -nc[j]
                 row = [b * x + a * y for x, y in zip(pc, nc)]
                 row.append(b * po + a * no)
-                if not _keep(work, _coprime(row), ps or ns, n):
+                if not _keep(work, _coprime(row), ps or ns, h, n):
                     return False
     return True
 
 
 def _tightest(side: list, j: int) -> list:
-    """Of rows c*x_j + o >= 0 (or > 0) with c of one sign, the one with the
-    least o/|c| as a one-row list, a strict one on a tie; [] for no rows."""
+    """Of (row, mask) pairs with rows c*x_j + o >= 0 (or > 0), c of one sign,
+    the one of least o/|c| as a one-item list, a strict one on a tie, or []."""
     best = side[:1]
-    for con in side[1:]:
-        d = con[1] * abs(best[0][0][j]) - best[0][1] * abs(con[0][j])
-        if d < 0 or (d == 0 and con[2]):
-            best = [con]
+    for item in side[1:]:
+        (c, o, s), _ = item
+        (bc, bo, _), _ = best[0]
+        d = o * abs(bc[j]) - bo * abs(c[j])
+        if d < 0 or (d == 0 and s):
+            best = [item]
     return best
 
 
@@ -245,17 +268,20 @@ class VertexEnumerationError(ValueError):
 class Polyhedron:
     """Closed convex polyhedron {x : eqs = 0, ges >= 0} in Q^n."""
 
-    def __init__(self, n: int, eqs=(), ges=(), relint=None):
+    def __init__(self, n: int, eqs=(), ges=()):
         self.n = n
         self.eqs = tuple(sorted({canon_constraint(c, o, equality=True) for c, o in eqs}))
         self.ges = tuple(sorted({canon_constraint(c, o) for c, o in ges}))
-        if relint is not None:
-            req, rst = relint
-            relint = (
-                tuple(sorted({canon_constraint(c, o, equality=True) for c, o in req})),
-                tuple(sorted({canon_constraint(c, o) for c, o in rst})),
-            )
-        self._relint = relint
+        self._relint = None
+
+    @classmethod
+    def cell(cls, n: int, eqs, stricts) -> "Polyhedron":
+        """The closure of the nonempty cell {eqs = 0, stricts > 0}, whose rows
+        are canonical, sorted and distinct: its constraints and its
+        relative-interior system, taken as they are."""
+        poly = cls(n)
+        poly.eqs, poly.ges, poly._relint = eqs, stricts, (eqs, stricts)
+        return poly
 
     def __repr__(self):
         return f"Polyhedron(n={self.n}, eqs={len(self.eqs)}, ges={len(self.ges)}, dim={self.dim})"
@@ -345,25 +371,15 @@ class Polyhedron:
         eqs, stricts = self.relint_system
         eq_rows = [c for c, _ in eqs]
         eq_rhs = [-o for _, o in eqs]
-        base_rank = rank(eq_rows)
-        need = self.n - base_rank
+        need = self.n - rank(eq_rows)
         found = set()
         for subset in combinations(stricts, need):
             rows = eq_rows + [c for c, _ in subset]
             rhs = eq_rhs + [-o for _, o in subset]
-            if rank(rows) != self.n:
-                continue
-            sol, _ = solve_linear(rows, rhs, self.n)
-            if sol is not None and self.contains(sol):
+            sol, null = solve_linear(rows, rhs, self.n)
+            if sol is not None and not null and self.contains(sol):
                 found.add(sol)
         return sorted(found)
-
-    # -- constructors -------------------------------------------------------
-
-    def with_constraints(self, eqs=(), ges=(), relint=None) -> "Polyhedron":
-        return Polyhedron(
-            self.n, list(self.eqs) + list(eqs), list(self.ges) + list(ges), relint=relint
-        )
 
 
 def primitive_direction(v) -> Vec:

@@ -364,7 +364,7 @@ def prescribe_edge_orientations(layer1: AffineLayer, signs) -> tuple[Fraction, .
         raise ValueError("inactive region of layer is empty or lower-dimensional")
     out = []
     for wall, s in zip(walls, signs):
-        facet = region.with_constraints(eqs=[wall])
+        facet = Polyhedron(n, eqs=[wall], ges=walls)
         out.append(Fraction(s) if facet.dim == n - 1 else Fraction(0))
     return tuple(out)
 

@@ -36,14 +36,11 @@ def viewport_box(cx: CanonicalComplex, pad: Fraction = Fraction(1)):
     return (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
 
 
-def _box_ges(box):
+def _clipped_vertices(geometry: Polyhedron, box) -> list:
+    """Vertices of the polyhedron cut by the box."""
     xmin, xmax, ymin, ymax = box
-    return (
-        ((Fraction(1), Fraction(0)), -xmin),
-        ((Fraction(-1), Fraction(0)), xmax),
-        ((Fraction(0), Fraction(1)), -ymin),
-        ((Fraction(0), Fraction(-1)), ymax),
-    )
+    walls = (((1, 0), -xmin), ((-1, 0), xmax), ((0, 1), -ymin), ((0, -1), ymax))
+    return Polyhedron(2, geometry.eqs, [*geometry.ges, *walls]).vertices
 
 
 class _Canvas:
@@ -66,17 +63,8 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _clipped_segment(geometry: Polyhedron, box):
-    cut = geometry.with_constraints(ges=_box_ges(box))
-    verts = cut.vertices
-    if len(verts) != 2:
-        return None
-    return verts
-
-
 def _polygon_points(geometry: Polyhedron, box, canvas: _Canvas) -> str | None:
-    cut = geometry.with_constraints(ges=_box_ges(box))
-    verts = cut.vertices
+    verts = _clipped_vertices(geometry, box)
     if len(verts) < 3:
         return None
     px = [canvas.to_px(v) for v in verts]
@@ -124,8 +112,8 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
     layer = cx.network.layers[0]
     for row, b in zip(layer.weights, layer.bias):
         wall = Polyhedron(2, eqs=[(row, b)])
-        seg = _clipped_segment(wall, box)
-        if seg is None:
+        seg = _clipped_vertices(wall, box)
+        if len(seg) != 2:
             continue
         (x1, y1), (x2, y2) = (canvas.to_px(v) for v in seg)
         parts.append(
@@ -134,8 +122,8 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
         )
 
     for cell in cx.cells_of_dim(1):
-        seg = _clipped_segment(cell.geometry, box)
-        if seg is None:
+        seg = _clipped_vertices(cell.geometry, box)
+        if len(seg) != 2:
             continue
         (x1, y1), (x2, y2) = (canvas.to_px(v) for v in seg)
         css = "flat-edge" if cell.label in flats else "edge"

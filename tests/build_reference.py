@@ -6,8 +6,10 @@ node splits a cell with three feasibility tests, one per sign.  Every cell is
 tested for emptiness once more before its dimension is read.  The program
 carries the maps as positive integer multiples of these (over the scale of
 ``plmorse.network.integer_layers``), decides the zero side from the other two
-tests, and reads the dimension off the equalities; on every network the two
-must give the same cells, labels, forms and verdicts.
+tests, and reads the dimension, flatness and transversality off one
+elimination of each cell's equalities, where this module compares ranks and
+evaluates the node at a point; on every network the two must give the same
+cells, labels, forms and verdicts.
 """
 
 from fractions import Fraction
@@ -15,14 +17,19 @@ from itertools import combinations, islice
 
 from plmorse.complexes import CanonicalComplex, LabeledCell, _sign
 from plmorse.geometry import (
-    Polyhedron,
     canon_constraint,
     dot,
     feasible,
-    in_span,
     rank,
     solve_linear,
 )
+
+from piece_geometry import cell_polyhedron
+
+
+def _in_span(target, rows) -> bool:
+    """Whether target lies in the row space of rows, by comparing two ranks."""
+    return rank([*rows, target]) == rank(rows)
 
 
 def _initial_cell(n: int):
@@ -97,7 +104,7 @@ def build_complex(net) -> CanonicalComplex:
             eq_normals = [c for c, _ in eqs]
             for ni, (wrow, b) in enumerate(zip(layer.weights, layer.bias)):
                 g, k = _node_form(wrow, b, rows, offs)
-                if in_span(g, eq_normals):
+                if _in_span(g, eq_normals):
                     point, _ = solve_linear(eq_normals, [-o for _, o in eqs], n)
                     if point is not None and dot(g, point) + k == 0:
                         witnesses.append(
@@ -108,8 +115,8 @@ def build_complex(net) -> CanonicalComplex:
     cells = {}
     for label, eqs, ineqs, rows, offs in work:
         grad, const = _node_form(out.weights[0], out.bias[0], rows, offs)
-        poly = Polyhedron(n, eqs=eqs, ges=ineqs, relint=(eqs, ineqs))
-        flat = in_span(grad, [c for c, _ in poly.hull_eqs])
+        poly = cell_polyhedron(n, eqs, ineqs)
+        flat = _in_span(grad, [c for c, _ in poly.hull_eqs])
         dim = poly.dim if poly.nonempty else -1  # tests the cell for emptiness
         lines = len(poly.lineality_basis)
         cells[label] = LabeledCell(label, poly, grad, const, flat, dim, lines)

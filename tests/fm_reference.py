@@ -2,7 +2,9 @@
 ``Fraction``, the references for ``plmorse.geometry.feasible`` and
 ``plmorse.geometry.rref``, and the exact polyhedron containment test built on
 that feasibility, the reference for the face relation of
-``plmorse.complexes.CanonicalComplex.face_pairs``.
+``plmorse.complexes.CanonicalComplex.face_pairs``.  ``integer_feasible`` is a
+second reference for ``feasible``: the same integer elimination without
+Chernikov's rule, keeping every combination.
 
 The feasibility test is the rational form of the same elimination:
 equalities are removed by Gaussian substitution with ``Fraction``
@@ -17,7 +19,7 @@ echelon form is unique, so the two must return equal rows.
 
 from fractions import Fraction
 
-from plmorse.geometry import canon_constraint
+from plmorse.geometry import _coprime, _primitive_ints, canon_constraint
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -129,6 +131,90 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
                     continue
                 work.add(canon(c, off, s))
     return True
+
+
+def _keep(work: set, row: list[int], strict: bool, n: int) -> bool:
+    """Add a primitive row to the work set; False if it is a violated constant."""
+    if any(row[:n]):
+        work.add((tuple(row[:n]), row[n], strict))
+        return True
+    return row[n] > 0 if strict else row[n] >= 0
+
+
+def integer_feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
+    """Exact feasibility of {x : eqs = 0, ges >= 0, gts > 0} over Q^n.
+
+    Every form is scaled once to primitive integers.  Equalities are removed
+    by integer substitution, then Fourier-Motzkin eliminates the remaining
+    variables, each step a positive integer combination divided by its gcd.
+    Each row is thus a positive multiple of its rational counterpart, so no
+    sign changes.  Total and exact; the combination of a strict inequality
+    with any other is strict.
+    """
+    ineqs = [(_primitive_ints([*c, o]), False) for c, o in ges]
+    ineqs += [(_primitive_ints([*c, o]), True) for c, o in gts]
+
+    # Integer substitution for the equalities.
+    pending = [_primitive_ints([*c, o]) for c, o in eqs]
+    while pending:
+        pivot = pending.pop()
+        j = next((k for k in range(n) if pivot[k] != 0), None)
+        if j is None:
+            if pivot[n] != 0:
+                return False
+            continue
+        p, sp = abs(pivot[j]), (1 if pivot[j] > 0 else -1)
+
+        def sub(row):  # |p|*row - sgn(p)*row[j]*pivot: zero at j, same sign
+            t = sp * row[j]
+            return _coprime([p * a - t * b for a, b in zip(row, pivot)]) if t else row
+
+        pending = [sub(row) for row in pending]
+        ineqs = [(sub(row), s) for row, s in ineqs]
+
+    # Fourier-Motzkin elimination of the remaining variables.
+    work = set()
+    for row, s in ineqs:
+        if not _keep(work, row, s, n):
+            return False
+    while work:
+        counts = {}  # variable -> [rows with it positive, negative], by first use
+        for coef, _, _ in work:
+            for k, v in enumerate(coef):
+                if v:
+                    counts.setdefault(k, [0, 0])[v < 0] += 1
+        j = min(counts, key=lambda k: counts[k][0] * counts[k][1])
+        pos, neg, rest = [], [], set()
+        for con in work:
+            cj = con[0][j]
+            if cj > 0:
+                pos.append(con)
+            elif cj < 0:
+                neg.append(con)
+            else:
+                rest.add(con)
+        work = rest
+        if len(counts) == 1:  # x_j alone is left: only its tightest bounds matter
+            pos, neg = _tightest(pos, j), _tightest(neg, j)
+        for pc, po, ps in pos:
+            for nc, no, ns in neg:
+                a, b = pc[j], -nc[j]
+                row = [b * x + a * y for x, y in zip(pc, nc)]
+                row.append(b * po + a * no)
+                if not _keep(work, _coprime(row), ps or ns, n):
+                    return False
+    return True
+
+
+def _tightest(side: list, j: int) -> list:
+    """Of rows c*x_j + o >= 0 (or > 0) with c of one sign, the one with the
+    least o/|c| as a one-row list, a strict one on a tie; [] for no rows."""
+    best = side[:1]
+    for con in side[1:]:
+        d = con[1] * abs(best[0][0][j]) - best[0][1] * abs(con[0][j])
+        if d < 0 or (d == 0 and con[2]):
+            best = [con]
+    return best
 
 
 def contained(inner, outer) -> bool:

@@ -32,5 +32,11 @@ def piece_geometry(piece) -> Polyhedron:
     eqs += [canon_constraint(d, 0, equality=True) for d in piece.kernel]
     if not (eqs or ges):
         return poly
-    req, rst = poly.relint_system
-    return poly.with_constraints(eqs, ges, relint=(req + tuple(eqs), rst + tuple(ges)))
+    return cell_polyhedron(poly.n, [*poly.eqs, *eqs], [*poly.ges, *ges])
+
+
+def cell_polyhedron(n, eqs, ges) -> Polyhedron:
+    """The closed polyhedron {eqs = 0, ges >= 0} whose relative interior is
+    {eqs = 0, ges > 0}, handed to ``Polyhedron.cell`` in canonical form."""
+    closed = Polyhedron(n, eqs, ges)
+    return Polyhedron.cell(n, closed.eqs, closed.ges)

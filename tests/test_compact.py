@@ -17,7 +17,7 @@ from plmorse.compact import (
     sublevel_model,
     superlevel_model,
 )
-from plmorse.geometry import Polyhedron, canon_constraint, feasible, nullspace_basis, rank
+from plmorse.geometry import canon_constraint, feasible, nullspace_basis, rank
 from plmorse.homology import (
     SimplicialComplex,
     SimplicialPair,
@@ -39,7 +39,7 @@ from plmorse.network import (
 from fm_reference import contained
 from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
 from order_complex import carried_simplices
-from piece_geometry import interval_constraints, piece_geometry
+from piece_geometry import cell_polyhedron, interval_constraints, piece_geometry
 from strip_reference import reference_local_records, whole_strip_model
 
 F = Fraction
@@ -614,14 +614,7 @@ def _reference_pieces(cx, levels):
     cut = [canon_constraint(d, 0, equality=True) for d in nullspace_basis(normals, n)]
     out = {}
     for key, (geo, eqc, inc) in kept.items():
-        req, rst = geo.relint_system
-        poly = Polyhedron(
-            n,
-            eqs=[*geo.eqs, *eqc, *cut],
-            ges=[*geo.ges, *inc],
-            relint=([*req, *eqc, *cut], [*rst, *inc]),
-        )
-        out[key] = poly.vertices
+        out[key] = cell_polyhedron(n, [*geo.eqs, *eqc, *cut], [*geo.ges, *inc]).vertices
     return out
 
 

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plmorse import geometry
 from plmorse.geometry import (
     Polyhedron,
     VertexEnumerationError,
     canon_constraint,
     canonical_line_direction,
     dot,
+    echelon,
     feasible,
     in_span,
     nullspace_basis,
@@ -21,12 +23,15 @@ from plmorse.geometry import (
     rank,
     rref,
     solve_linear,
+    spans,
     strict_feasible,
     vec,
 )
 from plmorse.network import inactive_walls, random_int_layers
 
+import fm_reference
 from fm_reference import feasible as fraction_feasible
+from fm_reference import integer_feasible
 from fm_reference import rref as fraction_rref
 from hull_model import bounded, rays
 
@@ -192,6 +197,21 @@ def test_in_span():
     assert in_span((0, 0), [])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=4),
+    st.tuples(*[st.integers(-3, 3)] * 4),
+    st.lists(st.tuples(*[st.integers(-2, 2)] * 4), max_size=3),
+)
+def test_spans_matches_two_ranks(rows, target, mixes):
+    """Membership read off one elimination agrees with comparing ranks, on
+    targets drawn freely and on targets built as integer combinations."""
+    basis = echelon(rows)
+    for t in [target] + [tuple(sum(w * r[k] for w, r in zip(mix, rows)) for k in range(4))
+                         for mix in mixes]:
+        assert spans(basis, t) == (rank([*rows, t]) == rank(rows)), t
+
+
 # -- feasibility: witnessed-feasible vs Farkas-certified infeasible ---------
 
 
@@ -350,6 +370,64 @@ def test_last_variable_finish_on_trial_systems():
     assert answers == {True, False}
 
 
+def _pruning_systems():
+    """400 seeded systems over Q^4 and Q^5: 0-2 equalities, 0-2 >= rows and
+    5-8 > rows, entries in [-3, 3].  Past n = 3 these run enough
+    eliminations for Chernikov's rule to drop rows."""
+    rng = random.Random(18)
+
+    def forms(lo, hi, n):
+        return [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-3, 3))
+                for _ in range(rng.randint(lo, hi))]
+
+    out = []
+    for _ in range(400):
+        n = rng.randint(4, 5)
+        out.append((n, forms(0, 2, n), forms(0, 2, n), forms(5, 8, n)))
+    return out
+
+
+def test_feasible_matches_the_unpruned_elimination(monkeypatch):
+    """Chernikov's rule changes no answer: the integer elimination that keeps
+    every combination agrees on every system, and so does the rational one
+    where at most four variables are free.  (With five free variables and no
+    last-variable finish the rational one can take seconds per system.)  The
+    rule does act here: the program makes fewer combinations in all."""
+    made = {"program": 0, "reference": 0}
+
+    def counting(module, key):
+        keep = module._keep
+
+        def counted(*args):
+            made[key] += 1
+            return keep(*args)
+        monkeypatch.setattr(module, "_keep", counted)
+
+    counting(geometry, "program")
+    counting(fm_reference, "reference")
+    answers = set()
+    for n, eqs, ges, gts in _pruning_systems():
+        got = feasible(n, eqs, ges, gts)
+        assert got == integer_feasible(n, eqs, ges, gts), (n, eqs, ges, gts)
+        if n == 4 or eqs:
+            assert got == fraction_feasible(n, eqs, ges, gts), (n, eqs, ges, gts)
+        answers.add(got)
+    assert answers == {True, False}
+    assert made["program"] < made["reference"]
+
+
+def test_last_variable_step_is_not_pruned():
+    """An infeasible all-strict system over Q^3 that a prune of the last
+    elimination, after ``_tightest`` has kept one row per side, calls
+    feasible; in every row order."""
+    gts = [((-3, -2, -2), 2), ((-1, -2, -3), 2), ((1, 3, 2), -3), ((1, -2, 2), -3),
+           ((-2, 1, -2), 1)]
+    assert not fraction_feasible(3, [], [], gts)
+    assert not integer_feasible(3, [], [], gts)
+    for order in itertools.permutations(gts):
+        assert not strict_feasible(3, list(order)), order
+
+
 # -- polyhedra --------------------------------------------------------------
 
 
@@ -430,15 +508,14 @@ def test_relint_membership():
     assert not p.contains((F(-1, 2), F(1, 2)))
 
 
-def test_relint_system_passed_through_unprobed():
-    p = Polyhedron(
-        2,
-        ges=[((1, 0), 0), ((0, 1), 0)],
-        relint=((), (((1, 0), 0), ((0, 1), 0))),
-    )
-    eqs, stricts = p.relint_system
-    assert eqs == ()
-    assert set(stricts) == {((1, 0), 0), ((0, 1), 0)}
+def test_relint_system_passed_through_unprobed(monkeypatch):
+    """A cell's closed and relative-interior systems are the rows it is
+    given, taken as they are, and nothing tests it for emptiness."""
+    monkeypatch.setattr("plmorse.geometry.feasible", None)
+    rows = (((0, 1), 0), ((1, 0), 0))
+    p = Polyhedron.cell(2, (), rows)
+    assert p.eqs == () and p.ges is rows
+    assert p.relint_system == ((), rows)
     assert p.dim == 2
 
 
