@@ -153,26 +153,24 @@ class RefinedComplex:
         last = 2 * len(self.thresholds) if hi is None else self.index_of(hi)
         return sorted(k for k in self.cells if first <= k[1] <= last)
 
-    def containment_pairs(self, keys):
-        """(inner, outer) over the given keys, inner in the closure of outer.
+    def closure(self, key: PieceKey) -> list[PieceKey]:
+        """The pieces in the closure of piece (b, j), itself first.
 
         Piece (a, i) lies in the closure of piece (b, j) exactly when a is b
-        or a face of b, and interval i is inside interval j: i is j, or i is
-        a threshold and j a gap next to it.  The faces come from the face
+        or a face of b, and interval i is inside interval j: i is j, or j is
+        a gap and i a threshold next to it.  The faces come from the face
         poset.
         """
+        b, j = key
+        near = (j,) if j % 2 else (j, j - 1, j + 1)
+        faces = (b, *self.source.faces_of(b))
+        return [(a, i) for a in faces for i in near if (a, i) in self.cells]
+
+    def containment_pairs(self, keys):
+        """(inner, outer) over the given keys, inner in the closure of outer."""
         keys = list(keys)
         present = set(keys)
-        pairs = []
-        for a in keys:
-            lab, i = a
-            near = (i - 1, i, i + 1) if i % 2 else (i,)
-            for outer in [lab, *self.source.cofaces_of(lab)]:
-                for j in near:
-                    b = (outer, j)
-                    if b != a and b in present:
-                        pairs.append((a, b))
-        return pairs
+        return [(a, b) for b in keys for a in self.closure(b) if a != b and a in present]
 
     def components(self, keys) -> list[list[PieceKey]]:
         keys = sorted(keys)
@@ -319,28 +317,30 @@ def compact_part(pieces, pairs) -> CompactModel:
 # level-split models
 
 
-def _selected_model(rcx: RefinedComplex, lo, hi) -> CompactModel:
-    keys = rcx.keys_in(lo, hi)
+def _model(rcx: RefinedComplex, keys, marked=()) -> tuple[CompactModel, frozenset]:
+    """Compact model of the pieces with the given keys, and the ids of its
+    cells coming from the marked ones."""
     pieces = essentialize([rcx.cells[k] for k in keys], rcx.source)
-    return compact_part(pieces, rcx.containment_pairs(keys))
+    model = compact_part(pieces, rcx.containment_pairs(keys))
+    return model, model.cells_with_source(marked)
 
 
 def sublevel_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F <= c."""
-    c = Fraction(c)
-    return _selected_model(refine_at_levels(cx, [c]), None, c)
+    rcx = refine_at_levels(cx, [c])
+    return _model(rcx, rcx.keys_in(None, Fraction(c)))[0]
 
 
 def superlevel_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F >= c."""
-    c = Fraction(c)
-    return _selected_model(refine_at_levels(cx, [c]), c, None)
+    rcx = refine_at_levels(cx, [c])
+    return _model(rcx, rcx.keys_in(Fraction(c), None))[0]
 
 
 def level_model(cx: CanonicalComplex, c) -> CompactModel:
     """Compact model of F = c."""
-    c = Fraction(c)
-    return _selected_model(refine_at_levels(cx, [c]), c, c)
+    rcx = refine_at_levels(cx, [c])
+    return _model(rcx, rcx.keys_in(Fraction(c), Fraction(c)))[0]
 
 
 def modeled_pair(rcx: RefinedComplex, outer, inner):
@@ -348,8 +348,7 @@ def modeled_pair(rcx: RefinedComplex, outer, inner):
 
     Returns (model, ids of model cells coming from the inner range).
     """
-    model = _selected_model(rcx, *outer)
-    return model, model.cells_with_source(rcx.keys_in(*inner))
+    return _model(rcx, rcx.keys_in(*outer), rcx.keys_in(*inner))
 
 
 def strip_pair_model(rcx: RefinedComplex, comp: FlatComponent, lower):
@@ -375,18 +374,8 @@ def strip_pair_model(rcx: RefinedComplex, comp: FlatComponent, lower):
     for k in k_keys:
         if k not in rcx.cells:
             raise RuntimeError(f"flat cell {k[0]} has no piece at level {a} in the strip")
-    present = rcx.cells.keys()
-    star = present & {
+    star = rcx.cells.keys() & {
         (b, j) for lab in comp.labels for b in (lab, *cx.cofaces_of(lab)) for j in (top - 1, top)
     }
-    closed = present & {
-        (c, i)
-        for b, j in star
-        for c in (b, *cx.faces_of(b))
-        for i in ((j - 1, j, j + 1) if j % 2 == 0 else (j,))
-        if first <= i
-    }
-    keys = sorted(closed)
-    pieces = essentialize([rcx.cells[k] for k in keys], cx)
-    model = compact_part(pieces, rcx.containment_pairs(keys))
-    return model, model.cells_with_source(k_keys)
+    closed = {k for s in star for k in rcx.closure(s) if k[1] >= first}
+    return _model(rcx, sorted(closed), k_keys)

@@ -12,7 +12,8 @@ ever needed here, and the split that made a cell showed it nonempty.
 
 The face poset and the 1-skeleton come from one pass over the cells by
 dimension (see ``CanonicalComplex.face_pairs``); edge orientations and the
-boundedness census read the skeleton's edges.
+boundedness census read the skeleton's edges, and 0-cell points and flat
+levels its 0-faces.
 
 Also provides the network-level sanity predicates (genericity of each layer's
 solution-set arrangement, transversality of node maps at level zero), flat
@@ -58,13 +59,6 @@ class LabeledCell:
     flat: bool
     dimension: int
     lineality: int  # dimension of the lineality space, one for all cells
-
-    def value_on_cell(self) -> Fraction:
-        """F on the cell, defined when flat (F is then constant there)."""
-        if not self.flat:
-            raise ValueError(f"F is not constant on the nonflat cell {self.label}")
-        p = self.geometry.affine_hull_point
-        return dot(self.gradient, p) + self.constant
 
     def form_at(self, point) -> Fraction:
         return dot(self.gradient, point) + self.constant
@@ -141,20 +135,21 @@ class CanonicalComplex:
         layer's forms affine on [x, y], and by induction (x, y] lies in sup.
         The pass visits cells by dimension, reads each cell's witness off the
         faces found so far (``_relint_point``), raises RuntimeError if it is off
-        the cell's relative interior, and records ``skeleton``.
+        the cell's relative interior, and records ``skeleton`` and each cell's
+        face and coface lists (``faces_of``, ``cofaces_of``).
         """
         k = len(self.kernel)
         by_dim: dict[int, list[LabeledCell]] = {}
         for c in self.cells.values():
             by_dim.setdefault(c.dimension, []).append(c)
-        below = {lab: [lab] for lab in self.cells}  # each cell and its faces of dim <= k + 1
-        above: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
+        self._faces: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
+        self._cofaces: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
         points: dict[Label, tuple[Vec, Fraction]] = {}
         edges: dict[Label, tuple[Edge, ...]] = {}
         self._skeleton: dict[Label, CellFaces] = {}
         for d in sorted(by_dim):
             for c in by_dim[d]:
-                lab, fs = c.label, below[c.label]
+                lab, fs = c.label, [c.label, *self._faces[c.label]]
                 if d == k:
                     p = self._cut(c)[0]
                     points[lab] = (p, c.form_at(p))
@@ -170,11 +165,9 @@ class CanonicalComplex:
                 for e in range(d + 1, max(by_dim) + 1):
                     for sup in by_dim.get(e, ()):
                         if _label_refines(lab, sup.label):
-                            above[lab].append(sup.label)
-                            if d <= k + 1:
-                                below[sup.label].append(lab)
-        # inserted sub by sub in the order of ``cells``, which fixes coface order
-        return {(sub, sup) for sub in self.cells for sup in above[sub]}
+                            self._cofaces[lab].append(sup.label)
+                            self._faces[sup.label].append(lab)
+        return {(sub, sup) for sub in self.cells for sup in self._cofaces[sub]}
 
     @cached_property
     def kernel(self) -> tuple[Vec, ...]:
@@ -215,23 +208,15 @@ class CanonicalComplex:
         rhs = [-o for _, o in eqs] + [0] * len(self.kernel)
         return solve_linear(rows, rhs, self.network.n0)
 
-    @cached_property
-    def _incidence(self) -> dict[Label, tuple[list[Label], list[Label]]]:
-        out: dict[Label, tuple[list[Label], list[Label]]] = {lab: ([], []) for lab in self.cells}
-        for sub, sup in self.face_pairs:
-            out[sub][0].append(sup)
-            out[sup][1].append(sub)
-        return out
-
     def faces_of(self, label: Label) -> list[Label]:
-        return self._incidence[label][1]
+        """The cell's proper faces, lower dimensions first (``face_pairs``)."""
+        self.face_pairs  # noqa: B018  (the pass records the lists)
+        return self._faces[label]
 
-    def cofaces_of(self, label: Label, codim: int | None = None) -> list[Label]:
-        out = self._incidence[label][0]
-        if codim is None:
-            return list(out)
-        want = self.cells[label].dimension + codim
-        return [lab for lab in out if self.cells[lab].dimension == want]
+    def cofaces_of(self, label: Label) -> list[Label]:
+        """The cells the cell is a proper face of, lower dimensions first."""
+        self.face_pairs  # noqa: B018
+        return self._cofaces[label]
 
     @cached_property
     def flat_labels(self) -> tuple[Label, ...]:
@@ -239,7 +224,8 @@ class CanonicalComplex:
 
     @cached_property
     def nontransversal_thresholds(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({self.cells[lab].value_on_cell() for lab in self.flat_labels}))
+        """F on each flat cell, where it is constant, read at a 0-face."""
+        return tuple(sorted({self.skeleton[lab].points[0][1] for lab in self.flat_labels}))
 
     @cached_property
     def oriented_one_skeleton(self) -> dict[Label, str]:
@@ -374,11 +360,8 @@ def build_complex(net: Network) -> CanonicalComplex:
 
 
 def zero_cells(cx: CanonicalComplex) -> list[tuple[Vec, Fraction]]:
-    out = []
-    for c in cx.cells_of_dim(0):
-        p = c.geometry.affine_hull_point
-        out.append((p, c.form_at(p)))
-    return sorted(out)
+    """Each 0-cell's point and F-value, its one 0-face, sorted."""
+    return sorted(cx.skeleton[c.label].points[0] for c in cx.cells_of_dim(0))
 
 
 def components(nodes, edges) -> list[list]:
@@ -412,7 +395,7 @@ def flat_cells(cx: CanonicalComplex) -> list[FlatComponent]:
     flats = set(cx.flat_labels)
     edges = [(sub, sup) for sub, sup in cx.face_pairs if sub in flats and sup in flats]
     comps = [
-        FlatComponent(cx.cells[labs[0]].value_on_cell(), tuple(sorted(labs)))
+        FlatComponent(cx.skeleton[labs[0]].points[0][1], tuple(sorted(labs)))
         for labs in components(cx.flat_labels, edges)
     ]
     return sorted(comps, key=lambda c: (c.level, c.labels))

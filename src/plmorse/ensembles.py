@@ -2,7 +2,8 @@
 
 Each trial is a pure function of (seed, index), so runs are deterministic and
 embarrassingly parallel; PLMORSE_THREADS caps the worker pool (default 1,
-meaning in-process serial execution).  Trials run on integer draws: each
+meaning in-process serial execution), which never exceeds the CPU count, as
+the pool starts all its processes at once.  Trials run on integer draws: each
 takes its weights and point as int numerators over 2**53 from the same seeded
 streams as ``random_network`` and ``random_point`` (random.gauss's Box-Muller
 pairs, computed inline) and builds no Fraction.  The PL-Morse trial draws only
@@ -68,7 +69,7 @@ def _threads() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ValueError(f"PLMORSE_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def _run_trials(worker, args_list) -> int:

@@ -348,15 +348,6 @@ class Polyhedron:
             value(c, o) >= relint for c, o in ges
         )
 
-    @cached_property
-    def affine_hull_point(self) -> Vec | None:
-        """A point of the affine hull (not necessarily of the polyhedron)."""
-        if self._relint is None and not self.nonempty:
-            return None
-        eqs = self.hull_eqs
-        sol, _ = solve_linear([c for c, _ in eqs], [-o for _, o in eqs], self.n)
-        return sol
-
     # -- V-representation ---------------------------------------------------
 
     @cached_property

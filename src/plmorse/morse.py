@@ -193,35 +193,33 @@ def coarse_complexities(cx: CanonicalComplex) -> CoarseComplexities:
 
 
 def _classify_zero_cell(cx: CanonicalComplex, label: Label) -> VertexClass:
-    cell = cx.cells[label]
-    p = cell.geometry.affine_hull_point
+    ((p, _),) = cx.skeleton[label].points
     n = cx.network.n0
     if sum(1 for s in label if s == 0) != n:
         raise UnsupportedNetworkError(
             f"vertex {p} lies on more than {n} hyperplanes; the network is not generic"
         )
     pairs: dict[frozenset, list[Label]] = {}
-    for lab in cx.cofaces_of(label, 1):
-        pairs.setdefault(frozenset(i for i, s in enumerate(lab) if s == 0), []).append(lab)
+    for lab in cx.cofaces_of(label):
+        if cx.cells[lab].dimension == 1:
+            pairs.setdefault(frozenset(i for i, s in enumerate(lab) if s == 0), []).append(lab)
     if len(pairs) != n or any(len(g) != 2 for g in pairs.values()):
         raise UnsupportedNetworkError(
             f"vertex {p} has an unpaired edge coface; the network is not generic"
         )
-    toward = 0
+    # Near p, F is F(p) plus one PL function of each pair's coordinate, so
+    # one pair along which F is strictly monotone makes p regular whatever
+    # the other pairs do; else a flat edge makes it degenerate.
+    away = []  # per pair, the signs of F's change leaving p along its edges
     for group in pairs.values():
-        signs = []
-        for lab in group:
-            e = cx.cells[lab]
-            if e.flat:
-                return VertexClass(p, DEGENERATE)
-            (edge,) = cx.skeleton[lab].edges
-            away = edge.slope if edge.start == p else -edge.slope  # F's change leaving p
-            signs.append(1 if away > 0 else -1)
-        if signs[0] != signs[1]:
-            return VertexClass(p, REGULAR)
-        if signs[0] < 0:
-            toward += 1
-    return VertexClass(p, NONDEGENERATE, toward)
+        (a,), (b,) = (cx.skeleton[lab].edges for lab in group)
+        slopes = [e.slope if e.start == p else -e.slope for e in (a, b)]
+        away.append({(s > 0) - (s < 0) for s in slopes})
+    if {-1, 1} in away:
+        return VertexClass(p, REGULAR)
+    if any(0 in signs for signs in away):
+        return VertexClass(p, DEGENERATE)
+    return VertexClass(p, NONDEGENERATE, away.count({-1}))
 
 
 def _require_shallow_generic(cx: CanonicalComplex) -> None:
@@ -241,7 +239,7 @@ def classify_vertex(cx: CanonicalComplex, point) -> VertexClass:
     _require_shallow_generic(cx)
     p = tuple(Fraction(x) for x in point)
     for cell in cx.cells_of_dim(0):
-        if cell.geometry.affine_hull_point == p:
+        if cx.skeleton[cell.label].points[0][0] == p:
             return _classify_zero_cell(cx, cell.label)
     raise ValueError(f"{p} is not a 0-cell of the complex")
 

@@ -68,6 +68,8 @@ class Network:
         if not self.layers:
             raise NetworkShapeError("network needs at least one layer")
         for i, layer in enumerate(self.layers):
+            if not layer.weights:
+                raise NetworkShapeError(f"layer {i} has no units")
             if layer.out_dim != len(layer.bias):
                 raise NetworkShapeError(
                     f"layer {i}: {layer.out_dim} weight rows but {len(layer.bias)} biases"

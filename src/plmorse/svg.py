@@ -28,7 +28,7 @@ _STYLE = (
 
 def viewport_box(cx: CanonicalComplex, pad: Fraction = Fraction(1)):
     """World-coordinate box (xmin, xmax, ymin, ymax) around all vertices."""
-    points = [c.geometry.affine_hull_point for c in cx.cells_of_dim(0)]
+    points = [cx.skeleton[c.label].points[0][0] for c in cx.cells_of_dim(0)]
     if not points:
         return (-pad, pad, -pad, pad)
     xs = [p[0] for p in points]
@@ -140,7 +140,7 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
         parts.append(_arrowhead(mid, direction))
 
     for cell in cx.cells_of_dim(0):
-        x, y = canvas.to_px(cell.geometry.affine_hull_point)
+        x, y = canvas.to_px(cx.skeleton[cell.label].points[0][0])
         css = "flat-vertex" if cell.label in flats else "vertex"
         parts.append(f'  <circle class="{css}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" />\n')
 

@@ -17,6 +17,7 @@ from plmorse.complexes import (
     census,
     generic_line_counts,
     is_generic,
+    zero_cells,
 )
 from plmorse.ensembles import montecarlo_flat_cell, montecarlo_plmorse
 from plmorse.homology import betti, grid_oracle, triangulate
@@ -153,9 +154,8 @@ def test_criterion_06_classification_vs_homology():
             records = {}
             for rec in morse.local_records(cx):
                 for lab in rec.labels:
-                    cell = cx.cells[lab]
-                    if cell.dimension == 0:
-                        records[cell.geometry.affine_hull_point] = rec
+                    if cx.cells[lab].dimension == 0:
+                        records[cx.skeleton[lab].points[0][0]] = rec
             for v in morse.classify_vertices(cx):
                 if v.kind == morse.REGULAR:
                     assert records[v.point].total == 0
@@ -208,8 +208,8 @@ def test_criterion_07_homotopy_invariance_in_gaps():
 
 def _vertex_radius(cx):
     radius = F(0)
-    for cell in cx.cells_of_dim(0):
-        radius = max(radius, *(abs(x) for x in cell.geometry.affine_hull_point))
+    for p, _ in zero_cells(cx):
+        radius = max(radius, *(abs(x) for x in p))
     return radius
 
 

@@ -99,6 +99,18 @@ def test_analyze_refuses_non_array_structure(tmp_path, capsys):
     assert "malformed" in err and "layer 0 bias: expected an array" in err
 
 
+def test_analyze_refuses_layer_with_no_units(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"layers": [
+        {"weights": [], "bias": [], "activation": "relu"},
+        {"weights": [[]], "bias": [0], "activation": "none"},
+    ]}))
+    assert main(["analyze", str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"malformed network file {empty}: layer 0 has no units\n"
+
+
 def test_generate_random_is_deterministic(capsys):
     assert main(["generate", "--random", "2,3,1", "--seed", "5"]) == 0
     first = capsys.readouterr().out

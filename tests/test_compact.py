@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from plmorse import morse
-from plmorse.complexes import CellFaces, FlatComponent, build_complex, flat_cells
+from plmorse.complexes import CellFaces, FlatComponent, build_complex, flat_cells, zero_cells
 from plmorse.compact import (
     CompactModel,
     compact_part,
@@ -72,8 +72,8 @@ def test_refine_splits_first_quadrant_at_one():
     # the two new vertices sit where x+y=1 crosses the axes
     x_axis = rcx.cells[((1, 0), 1)]
     y_axis = rcx.cells[((0, 1), 1)]
-    assert piece_geometry(x_axis).affine_hull_point == (F(1), F(0))
-    assert piece_geometry(y_axis).affine_hull_point == (F(0), F(1))
+    assert piece_geometry(x_axis).vertices == [(F(1), F(0))]
+    assert piece_geometry(y_axis).vertices == [(F(0), F(1))]
 
 
 def test_refine_below_range_changes_nothing():
@@ -99,7 +99,7 @@ def test_refine_fan2_level_zero_is_flat_set():
     for k in zero_keys:
         src = cx.cells[k[0]]
         if src.flat:
-            assert src.value_on_cell() == 0
+            assert {f for _, f in cx.skeleton[src.label].points} == {0}
         elif (geo := piece_geometry(rcx.cells[k])).pointed:
             for v in geo.vertices:
                 assert net.evaluate(v)[0] == 0
@@ -136,7 +136,7 @@ def test_essentialize_half_plane_complex_onto_axis():
         assert piece_geometry(after).dim == piece_geometry(before).dim - 1
         assert piece_geometry(after).pointed
     point = [p for p in ess if piece_geometry(p).dim == 0][0]
-    assert piece_geometry(point).affine_hull_point == (F(0), F(0))
+    assert piece_geometry(point).vertices == [(F(0), F(0))]
 
 
 def test_essentialize_pointed_component_is_identity():
@@ -419,7 +419,7 @@ def _level_queries(cx):
     no-threshold model, cut at the median 0-cell value, and of two models
     cut at every 0-cell value, the second also at each value plus 1/3, so
     that the F-ranges of cells end exactly at thresholds."""
-    values = sorted({c.form_at(c.geometry.affine_hull_point) for c in cx.cells_of_dim(0)})
+    values = sorted({f for _, f in zero_cells(cx)})
     c = values[len(values) // 2] if values else F(0)
     every = values or [c]
     shifted = sorted({*every, *(v + F(1, 3) for v in every)})
@@ -490,9 +490,22 @@ def _pairwise_containment(rcx, keys):
     ids=["fan1", "coarse_bound4", "random_2_2_2_1_seed5", "random_3_3_1_seed10004", "deep_flat"],
 )
 def test_containment_pairs_match_pairwise_rule(make):
+    """Containment pairs and each piece's closure follow the pairwise rule,
+    and the face and coface lists are the face pairs, each transposed."""
     cx = build_complex(make())
+    faces = [(a, b) for b in cx.cells for a in cx.faces_of(b)]
+    cofaces = [(a, b) for a in cx.cells for b in cx.cofaces_of(a)]
+    assert len(faces) == len(cofaces) == len(cx.face_pairs)
+    assert set(faces) == set(cofaces) == cx.face_pairs
     for levels, lo, hi in _level_queries(cx):
         rcx = refine_at_levels(cx, levels)
+        inside = {k: set() for k in rcx.cells}
+        for a, b in _pairwise_containment(rcx, list(rcx.cells)):
+            inside[b].add(a)
+        for k in rcx.cells:
+            closure = rcx.closure(k)
+            assert closure[0] == k and len(closure) == len(set(closure))
+            assert set(closure[1:]) == inside[k], (levels, k)
         keys = rcx.keys_in(lo, hi)
         got = rcx.containment_pairs(keys)
         assert len(got) == len(set(got))
@@ -791,7 +804,7 @@ def test_bounded_subcomplex_matches_hull_model(name):
     strips, subdivided, the same ranks relative to the complement of the
     marked part as the order complex."""
     cx = build_complex(HULL_NETS[name]())
-    values = sorted({c.form_at(c.geometry.affine_hull_point) for c in cx.cells_of_dim(0)})
+    values = sorted({f for _, f in zero_cells(cx)})
     c = values[len(values) // 2] if values else F(0)
     h = F(1, 2)
     rcx = refine_at_levels(cx, [c - h, c, c + h])

@@ -28,6 +28,7 @@ from plmorse.geometry import (
     dot,
     feasible,
     primitive_direction,
+    solve_linear,
     vec,
 )
 from plmorse.morse import analyze
@@ -231,9 +232,10 @@ def test_face_pairs_match_label_refinement():
     assert ((0, 0), (1, 1)) in cx.face_pairs
     assert ((0, 1), (1, 1)) in cx.face_pairs
     assert ((0, 1), (1, -1)) not in cx.face_pairs
-    assert cx.cofaces_of((0, 0), codim=1) == [(0, 1), (0, -1), (1, 0), (-1, 0)] or set(
-        cx.cofaces_of((0, 0), codim=1)
-    ) == {(0, 1), (0, -1), (1, 0), (-1, 0)}
+    edges = [lab for lab in cx.cofaces_of((0, 0)) if cx.cells[lab].dimension == 1]
+    assert set(edges) == {(0, 1), (0, -1), (1, 0), (-1, 0)}
+    assert len(cx.cofaces_of((0, 0))) == 8
+    assert cx.faces_of((1, 1)) == [(0, 0), (1, 0), (0, 1)]  # lower dimensions first
 
 
 @pytest.mark.parametrize("arch", [(2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 2, 1), (2, 3, 3, 1)])
@@ -368,16 +370,11 @@ def test_flat_subcomplex_closed_under_faces():
 def test_all_zero_cells_flat_and_thresholds_cover_them():
     net = random_network((2, 4, 1), seed=21)
     cx = build_complex(net)
-    for c in cx.cells_of_dim(0):
-        assert c.flat
-        assert c.value_on_cell() in cx.nontransversal_thresholds
-
-
-def test_value_on_nonflat_cell_raises_and_names_the_cell():
-    cx = build_complex(n1_network())
-    assert not cx.cells[(1, 1)].flat
-    with pytest.raises(ValueError, match=r"\(1, 1\)"):
-        cx.cells[(1, 1)].value_on_cell()
+    assert all(c.flat for c in cx.cells_of_dim(0))
+    assert len(zero_cells(cx)) == len(cx.cells_of_dim(0)) > 0
+    for p, f in zero_cells(cx):
+        assert f in cx.nontransversal_thresholds
+        assert net.evaluate(p)[0] == f
 
 
 def test_genericity_verdicts():
@@ -522,7 +519,7 @@ def _reference_corpus():
 def _cell_record(c):
     geo = c.geometry
     return (c.label, geo.eqs, geo.ges, geo.relint_system, c.gradient, c.constant,
-            c.dimension, c.flat, geo.affine_hull_point, c.lineality)
+            c.dimension, c.flat, c.lineality)
 
 
 @pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _reference_corpus()])
@@ -538,6 +535,49 @@ def test_build_matches_fraction_reference(net):
     assert cx.transversality_witnesses == ref.transversality_witnesses
     deep = _deep_genericity(net)
     assert (None if deep is None else deep.witness) == build_reference.deep_genericity(net)
+
+
+# The networks of both analyze benchmark corpora at seed 13 (perfbench/corpus.py):
+# fan and coarse-bound nets, the seed-3 references, and random nets.
+ANALYZE_CORPUS_NETS = {
+    **{f"fan{k}": (lambda k=k: build_fan_network(k)) for k in (1, 2)},
+    **{f"coarse{m}": (lambda m=m: build_coarse_bound_network(m)) for m in (4, 5)},
+    **{
+        f"{arch} seed {seed}": (lambda arch=arch, seed=seed: random_network(arch, seed))
+        for arch, seeds in [
+            ((2, 3, 1), (130004, 130005, 130006)),
+            ((2, 4, 1), (130007,)),
+            ((2, 3, 2, 1), (3,)),
+            ((3, 4, 1), (3,)),
+            ((2, 2, 2, 1), (130002, 130003)),
+            ((3, 3, 1), (130004, 130005, 130006)),
+        ]
+        for seed in seeds
+    },
+}
+
+
+def _hull_solution(cell):
+    """Reference for a cell's point: its hull equalities solved exactly."""
+    eqs = cell.geometry.hull_eqs
+    return solve_linear([c for c, _ in eqs], [-o for _, o in eqs], cell.geometry.n)[0]
+
+
+@pytest.mark.parametrize("net", [
+    *(pytest.param(net, id=name) for name, net in _reference_corpus()),
+    *(pytest.param(make(), id=f"corpus {name}") for name, make in ANALYZE_CORPUS_NETS.items()),
+])
+def test_skeleton_points_and_flat_levels_match_hull_solutions(net):
+    """Each 0-cell's point, and F on each flat cell, read off the skeleton,
+    are what solving the cell's hull equalities gives."""
+    cx = build_complex(net)
+    for c in cx.cells_of_dim(0):
+        p = _hull_solution(c)
+        assert cx.skeleton[c.label].points == ((p, c.form_at(p)),)
+    want = {lab: cx.cells[lab].form_at(_hull_solution(cx.cells[lab])) for lab in cx.flat_labels}
+    assert cx.nontransversal_thresholds == tuple(sorted(set(want.values())))
+    for comp in flat_cells(cx):
+        assert {want[lab] for lab in comp.labels} == {comp.level}
 
 
 def test_hand_nets_reach_their_corners():
@@ -565,7 +605,7 @@ def test_build_and_analyze_never_test_emptiness(monkeypatch):
     monkeypatch.setattr(Polyhedron, "nonempty", property(refuse))
     for net in (build_fan_network(2), load_network(GOLDEN / "random_2_3_2_1_seed3.net.json")):
         cx = build_complex(net)
-        assert zero_cells(cx) and [c.value_on_cell() for c in cx.cells.values() if c.flat]
+        assert zero_cells(cx) and flat_cells(cx)
         analyze(net)
 
 

@@ -279,6 +279,40 @@ def test_thread_env_var(monkeypatch):
         ens.montecarlo_plmorse(2, 3, 10, 1)
 
 
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    """The pool starts all its workers at once, so PLMORSE_THREADS above the
+    CPU count asks for no more; the executor here is a fake that only
+    records its size and runs the trials in process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    base = ens.montecarlo_plmorse(2, 3, 40, 11)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ens.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("PLMORSE_THREADS", "100000")
+    assert ens.montecarlo_plmorse(2, 3, 40, 11) == base
+    monkeypatch.setenv("PLMORSE_THREADS", "2")
+    assert ens.montecarlo_plmorse(2, 3, 40, 11) == base
+    monkeypatch.setattr(ens.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("PLMORSE_THREADS", "8")
+    assert ens.montecarlo_plmorse(2, 3, 40, 11) == base
+    assert sizes == [3, 2]
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     code = "import sys, plmorse.cli; print('concurrent.futures.process' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -528,13 +528,6 @@ def test_normal_span_and_lineality_are_complements():
             assert dot(b, nrm) == 0
 
 
-def test_affine_hull_point_solves_equalities():
-    p = Polyhedron(2, eqs=[((1, 1), -2)], ges=[((1, 0), 0)])
-    pt = p.affine_hull_point
-    assert pt is not None
-    assert dot((1, 1), pt) - 2 == 0
-
-
 def test_primitive_direction():
     assert primitive_direction((F(2, 3), F(-4, 3))) == vec((1, -2))
     assert canonical_line_direction((0, F(-1, 2))) == vec((0, 1))

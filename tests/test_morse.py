@@ -336,6 +336,24 @@ def test_classify_vertex_on_flat_boundary():
     assert v.kind == DEGENERATE
 
 
+def test_one_monotone_pair_makes_a_vertex_regular_beside_a_flat_edge():
+    """F = 0 * relu(x) + relu(y) + relu(x - y + 3).  Near (0, 0) F is
+    3 + x + g(y) and near (0, 3) it is 3 + x + g(x - y + 3), g flat on one
+    side: F is strictly monotone along x, so both are regular whichever
+    pair of edges is looked at first.  (-3, 0) has no monotone pair."""
+    net = Network((
+        AffineLayer.make([[1, 0], [0, 1], [1, -1]], [0, 0, 3], "relu"),
+        AffineLayer.make([[0, 1, 1]], [0], "none"),
+    ))
+    cx = build_complex(net)
+    verts = morse.classify_vertices(cx)
+    assert [(v.point, v.kind) for v in verts] == [
+        ((-3, 0), DEGENERATE), ((0, 0), REGULAR), ((0, 3), REGULAR)
+    ]
+    (rec,) = [r for r in morse.local_records(cx) if r.level == 3]
+    assert rec.total == 0
+
+
 def test_classify_vertices_sorted():
     cx = build_complex(three_line_net([2, -3, 1]))
     verts = morse.classify_vertices(cx)

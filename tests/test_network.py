@@ -80,6 +80,8 @@ def test_bad_shapes_rejected():
         )
     with pytest.raises(NetworkFormatError):
         Network((AffineLayer.make([[1, 0]], [0], "relu"),))
+    with pytest.raises(NetworkShapeError, match="layer 0 has no units"):
+        Network((AffineLayer.make([], [], "relu"), AffineLayer.make([[]], [0], "none")))
 
 
 # -- explicit families ------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from plmorse.complexes import build_complex
+from plmorse.complexes import build_complex, zero_cells
 from plmorse.network import AffineLayer, Network, build_fan_network
 from plmorse.svg import render_svg, viewport_box
 
@@ -44,8 +44,8 @@ def test_edges_are_paths_with_arrowheads():
 def test_viewport_covers_vertices():
     cx = build_complex(three_line_net())
     xmin, xmax, ymin, ymax = viewport_box(cx)
-    for cell in cx.cells_of_dim(0):
-        x, y = cell.geometry.affine_hull_point
+    assert len(zero_cells(cx)) == 3
+    for (x, y), _ in zero_cells(cx):
         assert xmin < x < xmax
         assert ymin < y < ymax
 
