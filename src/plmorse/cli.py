@@ -14,7 +14,6 @@ from .homology import grid_oracle
 from .morse import UnsupportedNetworkError, analyze, report_to_json
 from .network import (
     Network,
-    NetworkFormatError,
     build_coarse_bound_network,
     build_fan_network,
     fraction_to_json,
@@ -41,7 +40,7 @@ def _load(path: str) -> Network:
         return load_network(path)
     except OSError as exc:
         raise SystemExit(f"cannot read {path}: {exc.strerror or exc}")
-    except (NetworkFormatError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # NetworkFormatError, JSONDecodeError, an over-long int
         raise SystemExit(f"malformed network file {path}: {exc}")
 
 

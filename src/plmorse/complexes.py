@@ -6,9 +6,10 @@ layer order).  Construction is layer by layer: each cell of the partial
 complex is split by the zero set of every next-layer pre-activation, which is
 affine on the cell.  It runs on the integer layers of ``integer_layers``, so
 each cell's affine map is int rows, a positive multiple of the rational one.
-A cell's closed geometry and its relative interior are both cut out by the
-same constraint list (weak vs strict), so no implicit equality detection is
-ever needed here, and the split that made a cell showed it nonempty.
+A cell is its sign-pattern rows, ``LabeledCell.eqs`` = 0 and ``.stricts`` > 0,
+canonical and sorted: they cut out its relative interior, and weakened its
+closure, so no implicit equality detection is ever needed here, and the split
+that made a cell showed it nonempty.
 
 The face poset and the 1-skeleton come from one pass over the cells by
 dimension (see ``CanonicalComplex.face_pairs``); edge orientations and the
@@ -32,7 +33,7 @@ from math import comb, lcm
 from operator import mul
 
 from .geometry import (
-    Polyhedron,
+    Constraint,
     Vec,
     canon_constraint,
     canonical_line_direction,
@@ -53,7 +54,8 @@ Label = tuple[int, ...]
 @dataclass(frozen=True)
 class LabeledCell:
     label: Label
-    geometry: Polyhedron
+    eqs: tuple[Constraint, ...]  # rows = 0 on the cell: the label's zero entries
+    stricts: tuple[Constraint, ...]  # rows > 0 on the cell: its nonzero entries
     gradient: Vec
     constant: Fraction
     flat: bool
@@ -159,8 +161,10 @@ class CanonicalComplex:
                     tuple(points[f] for f in fs if f in points),
                     tuple(e for f in fs for e in edges.get(f, ())),
                 )
-                w = _relint_point(faces)
-                if not c.geometry.contains(w, relint=True):
+                w, den = _relint_point(faces)
+                signs = [_sign(sum(map(mul, g, w)) + o * den) for g, o in c.eqs + c.stricts]
+                if signs != [0] * len(c.eqs) + [1] * len(c.stricts):
+                    w = tuple(Fraction(x, den) for x in w)
                     raise RuntimeError(f"witness {w} is off the relative interior of cell {lab}")
                 for e in range(d + 1, max(by_dim) + 1):
                     for sup in by_dim.get(e, ()):
@@ -194,7 +198,7 @@ class CanonicalComplex:
             (p, fp), (q, fq) = sorted(ends)
             return (Edge(p, fp, tuple(b - a for a, b in zip(p, q)), fq - fp, True),)
         base, (d,) = self._cut(cell)
-        if any(dot(g, d) < 0 for g, _ in cell.geometry.relint_system[1]):
+        if any(dot(g, d) < 0 for g, _ in cell.stricts):
             d = tuple(-x for x in d)
         rays = [d] if ends else [d, tuple(-x for x in d)]
         p, fp = ends[0] if ends else (base, cell.form_at(base))
@@ -203,9 +207,8 @@ class CanonicalComplex:
     def _cut(self, cell: LabeledCell) -> tuple[Vec, list[Vec]]:
         """A point and a direction basis of the cell's affine hull cut by
         the row space of W1."""
-        eqs = cell.geometry.hull_eqs
-        rows = [c for c, _ in eqs] + list(self.kernel)
-        rhs = [-o for _, o in eqs] + [0] * len(self.kernel)
+        rows = [c for c, _ in cell.eqs] + list(self.kernel)
+        rhs = [-o for _, o in cell.eqs] + [0] * len(self.kernel)
         return solve_linear(rows, rhs, self.network.n0)
 
     def faces_of(self, label: Label) -> list[Label]:
@@ -238,20 +241,17 @@ def _label_refines(sub: Label, sup: Label) -> bool:
     return all(a == b or a == 0 for a, b in zip(sub, sup))
 
 
-def _relint_point(faces: CellFaces) -> Vec:
+def _relint_point(faces: CellFaces) -> tuple[list[int], int]:
     """The centroid of the 0-faces plus the sum of the ray directions, a
     point of relint conv(V) + relint cone(R) for a cut cell conv(V) +
-    cone(R); the start of a line, which has no 0-face.  Summed on integers
-    over one common denominator."""
-    if not faces.points:
-        return faces.edges[0].start
-    pts = [p for p, _ in faces.points]
-    rays = [e.direction for e in faces.edges if not e.bounded]
+    cone(R); the start of a line, which has no 0-face.  Summed on integers:
+    (numerators, one positive denominator)."""
+    pts = [p for p, _ in faces.points] or [faces.edges[0].start]
+    rays = [e.direction for e in faces.edges if not e.bounded] if faces.points else []
     weighted = [(p, 1) for p in pts] + [(r, len(pts)) for r in rays]
     den = lcm(*(x.denominator for v, _ in weighted for x in v))
     ints = [[w * x.numerator * (den // x.denominator) for x in v] for v, w in weighted]
-    return tuple(Fraction(sum(col), den * len(pts)) for col in zip(*ints))
-
+    return [sum(col) for col in zip(*ints)], den * len(pts)
 
 # ---------------------------------------------------------------------------
 # construction
@@ -350,8 +350,7 @@ def build_complex(net: Network) -> CanonicalComplex:
         basis = echelon([c for c, _ in eqs])
         dim, flat = n - len(basis[1]), spans(basis, g)
         grad, const = tuple(Fraction(x, sigma) for x in g), Fraction(k, sigma)
-        poly = Polyhedron.cell(n, eqs, ineqs)
-        cells[label] = LabeledCell(label, poly, grad, const, flat, dim, lines)
+        cells[label] = LabeledCell(label, eqs, ineqs, grad, const, flat, dim, lines)
     return CanonicalComplex(net, cells, witnesses)
 
 

@@ -8,12 +8,12 @@ affine form ``<coef, x> + off`` and is stored in canonical integer form: every
 entry an int, gcd of all entries 1.  Equality constraints additionally have
 their first nonzero coefficient positive, so that a hyperplane has one key.
 
-Polyhedra are kept in H-representation.  The relative interior of a polyhedron
-is characterised by a system ``(eqs, stricts)``: the points satisfying every
-equality and every strict inequality.  Cell-construction code passes this
-system in through ``Polyhedron.cell`` (the sign-pattern system of the cell), once
-it has shown the cell nonempty, so such a polyhedron is never tested for
-emptiness; for ad hoc polyhedra it is recovered by implicit-equality probing.
+Polyhedra are kept in H-representation.  A ``Polyhedron`` is an ad hoc closed
+set: an SVG clip, a region of ``prescribe_edge_orientations``, a test's
+reference.  Its relative interior is a system ``(eqs, stricts)``: the points
+satisfying every equality and every strict inequality.  It is found by
+probing each inequality for an implicit equality.  The cells of the canonical
+complex are not polyhedra: each is its own sign-pattern rows.
 """
 
 from __future__ import annotations
@@ -272,16 +272,6 @@ class Polyhedron:
         self.n = n
         self.eqs = tuple(sorted({canon_constraint(c, o, equality=True) for c, o in eqs}))
         self.ges = tuple(sorted({canon_constraint(c, o) for c, o in ges}))
-        self._relint = None
-
-    @classmethod
-    def cell(cls, n: int, eqs, stricts) -> "Polyhedron":
-        """The closure of the nonempty cell {eqs = 0, stricts > 0}, whose rows
-        are canonical, sorted and distinct: its constraints and its
-        relative-interior system, taken as they are."""
-        poly = cls(n)
-        poly.eqs, poly.ges, poly._relint = eqs, stricts, (eqs, stricts)
-        return poly
 
     def __repr__(self):
         return f"Polyhedron(n={self.n}, eqs={len(self.eqs)}, ges={len(self.ges)}, dim={self.dim})"
@@ -295,8 +285,6 @@ class Polyhedron:
     @cached_property
     def relint_system(self) -> tuple[tuple[Constraint, ...], tuple[Constraint, ...]]:
         """(equalities, strict inequalities) cutting out the relative interior."""
-        if self._relint is not None:
-            return self._relint
         if not self.nonempty:
             return self.eqs, self.ges
         eqs = list(self.eqs)
@@ -306,46 +294,30 @@ class Polyhedron:
                 stricts.append(g)
             else:
                 eqs.append(canon_constraint(g[0], g[1], equality=True))
-        self._relint = (tuple(sorted(set(eqs))), tuple(sorted(set(stricts))))
-        return self._relint
-
-    @property
-    def hull_eqs(self) -> tuple[Constraint, ...]:
-        return self.relint_system[0]
+        return tuple(sorted(set(eqs))), tuple(sorted(set(stricts)))
 
     @cached_property
     def dim(self) -> int:
-        if self._relint is None and not self.nonempty:
+        if not self.nonempty:
             return -1
-        return self.n - rank([c for c, _ in self.hull_eqs])
-
-    @cached_property
-    def all_normals(self) -> list[IntVec]:
-        return [c for c, _ in self.eqs] + [c for c, _ in self.ges]
-
-    @cached_property
-    def lineality_basis(self) -> list[Vec]:
-        basis = nullspace_basis(self.all_normals, self.n)
-        return [primitive_direction(v) for v in basis]
+        return self.n - rank([c for c, _ in self.relint_system[0]])
 
     @property
     def pointed(self) -> bool:
-        return not self.lineality_basis
+        """Whether the polyhedron holds no line: its normals have rank n."""
+        return rank([c for c, _ in (*self.eqs, *self.ges)]) == self.n
 
-    def contains(self, point, relint: bool = False) -> bool:
-        """Whether the point lies in the closed polyhedron, or with ``relint``
-        in its relative interior."""
-        # Scale the point to integers once; the constraints are integer, so
-        # a strict inequality holds when its value is at least 1.
+    def contains(self, point) -> bool:
+        """Whether the point lies in the closed polyhedron."""
+        # Scale the point to integers once; the constraints are integer.
         den = lcm(*(x.denominator for x in point))
         ints = [x.numerator * (den // x.denominator) for x in point]
 
         def value(coef, off):
             return sum(c * x for c, x in zip(coef, ints)) + off * den
 
-        eqs, ges = self.relint_system if relint else (self.eqs, self.ges)
-        return all(value(c, o) == 0 for c, o in eqs) and all(
-            value(c, o) >= relint for c, o in ges
+        return all(value(c, o) == 0 for c, o in self.eqs) and all(
+            value(c, o) >= 0 for c, o in self.ges
         )
 
     # -- V-representation ---------------------------------------------------

@@ -36,11 +36,11 @@ def viewport_box(cx: CanonicalComplex, pad: Fraction = Fraction(1)):
     return (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
 
 
-def _clipped_vertices(geometry: Polyhedron, box) -> list:
-    """Vertices of the polyhedron cut by the box."""
+def _clipped_vertices(box, eqs, ges=()) -> list:
+    """Vertices of {eqs = 0, ges >= 0} cut by the box."""
     xmin, xmax, ymin, ymax = box
     walls = (((1, 0), -xmin), ((-1, 0), xmax), ((0, 1), -ymin), ((0, -1), ymax))
-    return Polyhedron(2, geometry.eqs, [*geometry.ges, *walls]).vertices
+    return Polyhedron(2, eqs, [*ges, *walls]).vertices
 
 
 class _Canvas:
@@ -63,8 +63,8 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _polygon_points(geometry: Polyhedron, box, canvas: _Canvas) -> str | None:
-    verts = _clipped_vertices(geometry, box)
+def _polygon_points(cell, box, canvas: _Canvas) -> str | None:
+    verts = _clipped_vertices(box, cell.eqs, cell.stricts)
     if len(verts) < 3:
         return None
     px = [canvas.to_px(v) for v in verts]
@@ -105,14 +105,13 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
     for cell in cx.cells_of_dim(2):
         if not cell.flat:
             continue
-        pts = _polygon_points(cell.geometry, box, canvas)
+        pts = _polygon_points(cell, box, canvas)
         if pts:
             parts.append(f'  <polygon class="flat-cell" points="{pts}" />\n')
 
     layer = cx.network.layers[0]
     for row, b in zip(layer.weights, layer.bias):
-        wall = Polyhedron(2, eqs=[(row, b)])
-        seg = _clipped_vertices(wall, box)
+        seg = _clipped_vertices(box, [(row, b)])
         if len(seg) != 2:
             continue
         (x1, y1), (x2, y2) = (canvas.to_px(v) for v in seg)
@@ -122,7 +121,7 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
         )
 
     for cell in cx.cells_of_dim(1):
-        seg = _clipped_vertices(cell.geometry, box)
+        seg = _clipped_vertices(box, cell.eqs, cell.stricts)
         if len(seg) != 2:
             continue
         (x1, y1), (x2, y2) = (canvas.to_px(v) for v in seg)

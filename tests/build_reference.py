@@ -20,11 +20,10 @@ from plmorse.geometry import (
     canon_constraint,
     dot,
     feasible,
+    nullspace_basis,
     rank,
     solve_linear,
 )
-
-from piece_geometry import cell_polyhedron
 
 
 def _in_span(target, rows) -> bool:
@@ -115,11 +114,13 @@ def build_complex(net) -> CanonicalComplex:
     cells = {}
     for label, eqs, ineqs, rows, offs in work:
         grad, const = _node_form(out.weights[0], out.bias[0], rows, offs)
-        poly = cell_polyhedron(n, eqs, ineqs)
-        flat = _in_span(grad, [c for c, _ in poly.hull_eqs])
-        dim = poly.dim if poly.nonempty else -1  # tests the cell for emptiness
-        lines = len(poly.lineality_basis)
-        cells[label] = LabeledCell(label, poly, grad, const, flat, dim, lines)
+        eqs, ineqs = tuple(sorted(set(eqs))), tuple(sorted(set(ineqs)))
+        eq_normals = [c for c, _ in eqs]
+        flat = _in_span(grad, eq_normals)
+        nonempty = feasible(n, eqs=eqs, gts=ineqs)  # tests the cell for emptiness
+        dim = n - rank(eq_normals) if nonempty else -1
+        lines = len(nullspace_basis([c for c, _ in eqs + ineqs], n))
+        cells[label] = LabeledCell(label, eqs, ineqs, grad, const, flat, dim, lines)
     return CanonicalComplex(net, cells, witnesses)
 
 

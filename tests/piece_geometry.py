@@ -1,10 +1,11 @@
 """H-representation of a refined piece, the reference for what
 ``plmorse.compact`` reads off the complex's combinatorics.
 
-The program never builds a piece's polyhedron: its vertices and boundedness
-come from the parent cell's 0- and 1-faces, and its pointedness from the
-cell's lineality and the kernel cut.  The tests rebuild the closed piece from
-the parent's constraints, F's interval and the kernel cut, and compare.
+The program never builds a cell's or a piece's polyhedron: a cell is its
+sign-pattern rows, a piece's vertices and boundedness come from the parent
+cell's 0- and 1-faces, and its pointedness from the cell's lineality and the
+kernel cut.  The tests rebuild the closed cell from its rows, and the closed
+piece from the parent's rows, F's interval and the kernel cut, and compare.
 """
 
 from plmorse.geometry import Polyhedron, canon_constraint
@@ -25,18 +26,14 @@ def interval_constraints(g, k, iv):
 def piece_geometry(piece) -> Polyhedron:
     """The closed piece: the parent cell with F in the piece's interval, cut
     by the hyperplanes orthogonal to its kernel."""
-    c, poly = piece.cell, piece.cell.geometry
+    c = piece.cell
     eqs, ges = [], []
     if not c.flat:
         eqs, ges = interval_constraints(c.gradient, c.constant, piece.interval)
     eqs += [canon_constraint(d, 0, equality=True) for d in piece.kernel]
-    if not (eqs or ges):
-        return poly
-    return cell_polyhedron(poly.n, [*poly.eqs, *eqs], [*poly.ges, *ges])
+    return Polyhedron(len(c.gradient), [*c.eqs, *eqs], [*c.stricts, *ges])
 
 
-def cell_polyhedron(n, eqs, ges) -> Polyhedron:
-    """The closed polyhedron {eqs = 0, ges >= 0} whose relative interior is
-    {eqs = 0, ges > 0}, handed to ``Polyhedron.cell`` in canonical form."""
-    closed = Polyhedron(n, eqs, ges)
-    return Polyhedron.cell(n, closed.eqs, closed.ges)
+def cell_geometry(cell) -> Polyhedron:
+    """The closure of a canonical cell: {eqs = 0, stricts >= 0}."""
+    return Polyhedron(len(cell.gradient), cell.eqs, cell.stricts)

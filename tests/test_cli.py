@@ -89,6 +89,19 @@ def test_analyze_bad_files(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_analyze_refuses_an_integer_too_long_to_parse(tmp_path, capsys):
+    """json.load raises a plain ValueError on an integer past the
+    interpreter's digit limit; the file is malformed, not a crash."""
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"layers": [{"weights": [[' + "7" * 5000
+                    + ', 1]], "bias": [0], "activation": "none"}]}')
+    assert main(["analyze", str(huge)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed network file {huge}: ")
+    assert "digits" in captured.err
+
+
 def test_analyze_refuses_non_array_structure(tmp_path, capsys):
     bad = tmp_path / "bias.json"
     bad.write_text(json.dumps({"layers": [

@@ -17,7 +17,7 @@ from plmorse.compact import (
     sublevel_model,
     superlevel_model,
 )
-from plmorse.geometry import canon_constraint, feasible, nullspace_basis, rank
+from plmorse.geometry import Polyhedron, canon_constraint, feasible, nullspace_basis, rank
 from plmorse.homology import (
     SimplicialComplex,
     SimplicialPair,
@@ -39,7 +39,7 @@ from plmorse.network import (
 from fm_reference import contained
 from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
 from order_complex import carried_simplices
-from piece_geometry import cell_polyhedron, interval_constraints, piece_geometry
+from piece_geometry import interval_constraints, piece_geometry
 from strip_reference import reference_local_records, whole_strip_model
 
 F = Fraction
@@ -595,7 +595,8 @@ def test_stable_measures_match_separate_models(make):
     n = cx.network.n0
     for comp in rcx.components(keys):
         pieces = [rcx.cells[k] for k in comp]
-        normals = [c for p in pieces for c in piece_geometry(p).all_normals]
+        geos = [piece_geometry(p) for p in pieces]
+        normals = [c for geo in geos for c, _ in (*geo.eqs, *geo.ges)]
         assert cx.kernel == tuple(nullspace_basis(normals, n))
         assert all(p.kernel == cx.kernel for p in essentialize(pieces, cx))
 
@@ -616,18 +617,17 @@ def _reference_pieces(cx, levels):
     n = cx.network.n0
     kept = {}
     for lab, c in cx.cells.items():
-        req, rst = c.geometry.relint_system
         for iv in intervals:
             eqc, inc = interval_constraints(c.gradient, c.constant, iv)
-            if feasible(n, eqs=list(req) + eqc, gts=list(rst) + inc):
-                kept[(lab, iv)] = (c.geometry, eqc, inc)
+            if feasible(n, eqs=[*c.eqs, *eqc], gts=[*c.stricts, *inc]):
+                kept[(lab, iv)] = (c, eqc, inc)
     normals = [
-        coef for geo, eqc, inc in kept.values() for coef, _ in [*geo.eqs, *geo.ges, *eqc, *inc]
+        coef for c, eqc, inc in kept.values() for coef, _ in [*c.eqs, *c.stricts, *eqc, *inc]
     ]
     cut = [canon_constraint(d, 0, equality=True) for d in nullspace_basis(normals, n)]
     out = {}
-    for key, (geo, eqc, inc) in kept.items():
-        out[key] = cell_polyhedron(n, [*geo.eqs, *eqc, *cut], [*geo.ges, *inc]).vertices
+    for key, (c, eqc, inc) in kept.items():
+        out[key] = Polyhedron(n, [*c.eqs, *eqc, *cut], [*c.stricts, *inc]).vertices
     return out
 
 
@@ -655,7 +655,7 @@ def test_pieces_and_vertices_match_feasibility_and_enumeration(name):
     k = len(cx.kernel)
     assert cx.network.depth >= 1
     for c in cx.cells.values():
-        lines = c.geometry.lineality_basis
+        lines = nullspace_basis([g for g, _ in (*c.eqs, *c.stricts)], cx.network.n0)
         assert c.lineality == len(lines) == k
         assert rank([*lines, *cx.kernel]) == k
     for levels, lo, hi in _level_queries(cx):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plmorse import complexes
 from plmorse.complexes import (
     CanonicalComplex,
     _deep_genericity,
@@ -27,6 +28,7 @@ from plmorse.geometry import (
     canonical_line_direction,
     dot,
     feasible,
+    nullspace_basis,
     primitive_direction,
     solve_linear,
     vec,
@@ -45,6 +47,7 @@ from plmorse.network import (
 import build_reference
 from fm_reference import contained
 from hull_model import bounded, rays
+from piece_geometry import cell_geometry
 
 F = Fraction
 
@@ -206,7 +209,7 @@ def test_fan1_incident_rays_alternate_with_output_weights():
         if len(pos) != 1 or len(edges) != 1 or edges[0].bounded:
             continue
         away = edges[0].direction
-        assert rays(cell.geometry) == [primitive_direction(away)]
+        assert rays(cell_geometry(cell)) == [primitive_direction(away)]
         got = dot(cell.gradient, away)
         assert (got > 0) == (w[pos[0]] > 0) and got != 0
         seen += 1
@@ -221,9 +224,9 @@ def test_prescribed_orientations_measured_on_complex():
         cx = build_complex(net)
         for cell in cx.cells_of_dim(1):
             pos = [i for i, v in enumerate(cell.label) if v > 0]
-            if len(pos) != 1 or bounded(cell.geometry):
+            if len(pos) != 1 or bounded(cell_geometry(cell)):
                 continue
-            away = rays(cell.geometry)[0]
+            away = rays(cell_geometry(cell))[0]
             assert dot(cell.gradient, away) * signs[pos[0]] > 0
 
 
@@ -246,13 +249,14 @@ def test_face_pairs_match_fm_containment_on_deep_nets(arch):
     for seed in range(4):
         cx = build_complex(random_network(arch, seed))
         cells = list(cx.cells.values())
+        geo = {c.label: cell_geometry(c) for c in cells}
         want = {
             (a.label, b.label)
             for a in cells
             for b in cells
             if a.dimension < b.dimension
             and all(x == y or x == 0 for x, y in zip(a.label, b.label))
-            and contained(a.geometry, b.geometry)
+            and contained(geo[a.label], geo[b.label])
         }
         assert cx.face_pairs == want, (arch, seed)
         for faces in cx.skeleton.values():
@@ -280,16 +284,16 @@ def test_face_pairs_and_skeleton_make_no_feasibility_call(monkeypatch):
 
 
 def test_face_pairs_test_each_cell_once(monkeypatch):
-    """Label refinement is the face relation, so the pass tests only each
-    cell's own witness against its relative interior."""
-    contains = Polyhedron.contains
+    """Label refinement is the face relation, so the pass makes and tests
+    only each cell's own witness against its relative interior."""
+    witness = complexes._relint_point
     calls = []
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return contains(self, *args, **kwargs)
+    def counted(faces):
+        calls.append(faces)
+        return witness(faces)
 
-    monkeypatch.setattr(Polyhedron, "contains", counted)
+    monkeypatch.setattr(complexes, "_relint_point", counted)
     for net in (build_fan_network(2), random_network((2, 3, 2, 1), 3)):
         calls.clear()
         cx = build_complex(net)
@@ -313,9 +317,10 @@ def test_witness_outside_its_cell_is_named(monkeypatch):
 def _sorted_vertex_rule(cell):
     """The rule reference_direction replaced: a line's canonical lineality
     direction, a segment's sorted vertices, or a ray's extreme ray."""
-    p = cell.geometry
-    if p.lineality_basis:
-        return canonical_line_direction(p.lineality_basis[0])
+    p = cell_geometry(cell)
+    if not p.pointed:
+        lines = nullspace_basis([c for c, _ in (*p.eqs, *p.ges)], p.n)
+        return canonical_line_direction(lines[0])
     if bounded(p):
         a, b = p.vertices
         return primitive_direction(tuple(y - x for x, y in zip(a, b)))
@@ -336,12 +341,12 @@ def test_reference_direction_matches_vertex_and_ray_rules():
             assert got == _sorted_vertex_rule(cell), cell.label
             if cx.kernel:
                 kinds["kernel line"] += 1
-            elif not cell.geometry.pointed:
+            elif not cell_geometry(cell).pointed:
                 kinds["line"] += 1
-            elif bounded(cell.geometry):
+            elif bounded(cell_geometry(cell)):
                 kinds["segment"] += 1
             else:
-                assert rays(cell.geometry) == [got]
+                assert rays(cell_geometry(cell)) == [got]
                 kinds["ray"] += 1
     assert set(kinds) == {"segment", "ray", "line", "kernel line"}
 
@@ -354,7 +359,7 @@ def test_census_matches_polyhedron_boundedness():
     assert len(nets) == 14
     for net in nets:
         cx = build_complex(net)
-        want = Counter((c.dimension, bounded(c.geometry)) for c in cx.cells.values())
+        want = Counter((c.dimension, bounded(cell_geometry(c))) for c in cx.cells.values())
         assert census(cx) == dict(want)
 
 
@@ -419,7 +424,7 @@ def test_deep_network_cells_match_evaluation():
         lab = net.activation_pattern(p)
         assert lab in cx.cells
         cell = cx.cells[lab]
-        assert cell.geometry.contains(p)
+        assert cell_geometry(cell).contains(p)
         assert cell.form_at(p) == net.evaluate(p)[0]
 
 
@@ -437,7 +442,7 @@ def test_sample_points_land_in_matching_cells(seed, p):
     cx = build_complex(net)
     lab = net.activation_pattern(p)
     assert lab in cx.cells
-    assert cx.cells[lab].geometry.contains(p)
+    assert cell_geometry(cx.cells[lab]).contains(p)
     assert cx.cells[lab].form_at(p) == net.evaluate(p)[0]
 
 
@@ -517,9 +522,7 @@ def _reference_corpus():
 
 
 def _cell_record(c):
-    geo = c.geometry
-    return (c.label, geo.eqs, geo.ges, geo.relint_system, c.gradient, c.constant,
-            c.dimension, c.flat, c.lineality)
+    return (c.label, c.eqs, c.stricts, c.gradient, c.constant, c.dimension, c.flat, c.lineality)
 
 
 @pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _reference_corpus()])
@@ -535,6 +538,17 @@ def test_build_matches_fraction_reference(net):
     assert cx.transversality_witnesses == ref.transversality_witnesses
     deep = _deep_genericity(net)
     assert (None if deep is None else deep.witness) == build_reference.deep_genericity(net)
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _reference_corpus()])
+def test_cell_rows_are_their_probed_relint_system(net):
+    """Probing the closure {eqs = 0, stricts >= 0} of each cell finds it
+    nonempty, with relative interior exactly {eqs = 0, stricts > 0}: a
+    cell's rows are canonical, and none of its strict rows is an implicit
+    equality, so the face pass may test its witness against them."""
+    for c in build_complex(net).cells.values():
+        poly = Polyhedron(net.n0, c.eqs, c.stricts)
+        assert poly.nonempty and poly.relint_system == (c.eqs, c.stricts), c.label
 
 
 # The networks of both analyze benchmark corpora at seed 13 (perfbench/corpus.py):
@@ -559,8 +573,8 @@ ANALYZE_CORPUS_NETS = {
 
 def _hull_solution(cell):
     """Reference for a cell's point: its hull equalities solved exactly."""
-    eqs = cell.geometry.hull_eqs
-    return solve_linear([c for c, _ in eqs], [-o for _, o in eqs], cell.geometry.n)[0]
+    eqs = cell.eqs
+    return solve_linear([c for c, _ in eqs], [-o for _, o in eqs], len(cell.gradient))[0]
 
 
 @pytest.mark.parametrize("net", [

@@ -475,7 +475,7 @@ def test_implicit_equality_detected():
     # x >= 0, -x >= 0 forces the hull onto x = 0 without an explicit equality.
     p = Polyhedron(2, ges=[((1, 0), 0), ((-1, 0), 0), ((0, 1), 0)])
     assert p.dim == 1
-    assert ((1, 0), 0) in p.hull_eqs
+    assert ((1, 0), 0) in p.relint_system[0]
 
 
 def test_empty_polyhedron():
@@ -488,7 +488,7 @@ def test_empty_polyhedron():
 def test_unpointed_vertex_enumeration_refuses():
     # A vertical strip contains the line x = 0 direction: no vertices exist.
     p = Polyhedron(2, ges=[((1, 0), 0), ((-1, 0), 1)])
-    assert p.lineality_basis == [vec((0, 1))]
+    assert not p.pointed
     with pytest.raises(VertexEnumerationError):
         p.vertices
 
@@ -508,24 +508,20 @@ def test_relint_membership():
     assert not p.contains((F(-1, 2), F(1, 2)))
 
 
-def test_relint_system_passed_through_unprobed(monkeypatch):
-    """A cell's closed and relative-interior systems are the rows it is
-    given, taken as they are, and nothing tests it for emptiness."""
-    monkeypatch.setattr("plmorse.geometry.feasible", None)
-    rows = (((0, 1), 0), ((1, 0), 0))
-    p = Polyhedron.cell(2, (), rows)
-    assert p.eqs == () and p.ges is rows
-    assert p.relint_system == ((), rows)
-    assert p.dim == 2
-
-
 def test_normal_span_and_lineality_are_complements():
-    p = Polyhedron(3, ges=[((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), -1)])
-    assert p.lineality_basis == [vec((0, 0, 1))]
-    assert rank(p.all_normals) + len(p.lineality_basis) == p.n
-    for b in p.lineality_basis:
-        for nrm in p.all_normals:
-            assert dot(b, nrm) == 0
+    """A polyhedron is pointed iff the nullspace of its normals, the
+    directions of the lines it holds, is zero."""
+    wedge = [((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), -1)]
+    cases = [
+        (Polyhedron(3, ges=wedge), [vec((0, 0, 1))]),
+        (Polyhedron(3, eqs=[((0, 0, 1), 0)], ges=wedge), []),
+        (Polyhedron(3, eqs=[((0, 1, 1), 0)], ges=[((1, 0, 0), 0)]), [vec((0, -1, 1))]),
+        (Polyhedron(2), [vec((1, 0)), vec((0, 1))]),
+    ]
+    for p, lines in cases:
+        normals = [c for c, _ in (*p.eqs, *p.ges)]
+        assert nullspace_basis(normals, p.n) == lines
+        assert p.pointed == (not lines)
 
 
 def test_primitive_direction():

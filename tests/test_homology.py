@@ -50,7 +50,7 @@ F = Fraction
 
 def model_of(poly: Polyhedron):
     """The polytope with all its faces, by the hull model."""
-    cell = LabeledCell((1,), poly, (F(0),) * poly.n, F(0), True, poly.dim, 0)
+    cell = LabeledCell((1,), poly.eqs, poly.ges, (F(0),) * poly.n, F(0), True, poly.dim, 0)
     faces = CellFaces(tuple((v, F(0)) for v in poly.vertices), ())
     piece = RefinedCell(cell, (None, None), 0, faces)
     return hull_compact_part([piece])

@@ -25,11 +25,48 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# Lines in src/plmorse/*.py (as `wc -l` counts them) when the face-pair pass
-# became the one home of face lists and cell points.  The package aims to give
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports (``from __future__`` aside) that no name
+    expression in it reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_imports_no_unused_name():
+    """Every name a module imports is used in it, so a helper that moves or
+    goes leaves no stale import behind."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def test_unused_import_check_finds_a_stale_import(tmp_path):
+    module = tmp_path / "stale.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import gcd, lcm as least\n"
+        "from .geometry import Polyhedron, Vec\n\n"
+        "def f(v: Vec) -> int:\n"
+        "    return least(len(v), os.sep)\n"
+    )
+    assert _unused_imports(module) == ["stale.py:3 gcd", "stale.py:4 Polyhedron"]
+
+
+# Lines in src/plmorse/*.py (as `wc -l` counts them) when a cell became its
+# sign-pattern rows, with no polyhedron of its own.  The package aims to give
 # the same answers from less code, so a change may lower this limit but not
 # raise it.
-MAX_SOURCE_LINES = 3110
+MAX_SOURCE_LINES = 3079
 
 
 def test_package_source_does_not_grow():
