@@ -337,12 +337,6 @@ def superlevel_model(cx: CanonicalComplex, c) -> CompactModel:
     return _model(rcx, rcx.keys_in(Fraction(c), None))[0]
 
 
-def level_model(cx: CanonicalComplex, c) -> CompactModel:
-    """Compact model of F = c."""
-    rcx = refine_at_levels(cx, [c])
-    return _model(rcx, rcx.keys_in(Fraction(c), Fraction(c)))[0]
-
-
 def modeled_pair(rcx: RefinedComplex, outer, inner):
     """Model of the pieces in the outer F-range, with the inner range marked.
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
-from math import comb, lcm
+from math import lcm
 from operator import mul
 
 from .geometry import (
@@ -431,18 +431,6 @@ def census(cx: CanonicalComplex) -> dict[tuple[int, bool], int]:
         bounded = not cx.kernel and all(e.bounded for e in cx.skeleton[lab].edges)
         counts[(c.dimension, bounded)] += 1
     return dict(counts)
-
-
-def generic_line_counts(m: int) -> dict[str, int]:
-    """Closed-form cell census for m generic lines in the plane."""
-    return {
-        "two_cells": 1 + m + comb(m, 2),
-        "bounded_two_cells": comb(m - 1, 2),
-        "unbounded_two_cells": 2 * m,
-        "one_cells": m * m,
-        "unbounded_one_cells": 2 * m,
-        "zero_cells": comb(m, 2),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Complexity measures and the shallow-network Morse classification.
 
-Local H-complexity of a flat component K at level a is the relative homology
-H_*(F<=a, F<=a minus K), computed by excision on a compact model of K's closed
-star in a strip just below a, cut from one refinement at every threshold and
-its strip floor, as H(X, D) on the model's cellular chains, D the cells with
-no vertex in K (CellularComplex.local_betti).  Global complexity sums the
-local totals; stable and coarse complexities and component counts come from
-two marked models of one refinement at -M and M, beyond every nontransversal
-threshold, ranked on cells too.  For single-hidden-layer (depth-2) generic
-transversal networks, vertices classify as regular, nondegenerate critical
-(with an index) or degenerate critical by the gradient orientations of their
-paired edge cofaces.
+Local H-complexity of a flat component K at level a is H_*(F<=a, F<=a minus K).
+A component that is one minimal cell v takes the link route.  Its ranks are
+the reduced homology of v's lower link, one degree up (Grunert-Kuehnel-Rote).
+The link's cells are v's cofaces, so that route needs no refinement.
+Every other component takes the strip route, since it has no one vertex link.
+That route ranks a compact model of K's closed star in a strip below a, by
+excision, as H(X, D) on cellular chains (CellularComplex.local_betti).
+One refinement at those components' levels and strip floors serves them all.
+Global complexity sums the local totals.  Stable and coarse complexities and
+component counts come from two marked models of one refinement at -M and M.
+Vertices of generic transversal depth-2 networks classify as regular,
+nondegenerate critical (with an index) or degenerate critical.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compact import RefinedComplex, modeled_pair, refine_at_levels, strip_pair_model
+from .compact import (CompactModel, ModelCell, RefinedComplex, modeled_pair, refine_at_levels,
+                      strip_pair_model)
 from .complexes import (
     CanonicalComplex,
     FlatComponent,
@@ -28,7 +30,7 @@ from .complexes import (
     is_generic,
 )
 from .geometry import Vec
-from .homology import CellularComplex
+from .homology import CellularComplex, _trim
 from .network import FRACTION_SCHEMA, Network, fraction_to_json, has_inactive_region, object_schema
 
 REGULAR = "Regular"
@@ -121,21 +123,54 @@ def _star_record(rcx: RefinedComplex, comp: FlatComponent, lower) -> LocalComple
     return LocalComplexityRecord(Fraction(comp.level), comp.labels, ranks)
 
 
+def _link_record(cx: CanonicalComplex, comp: FlatComponent) -> LocalComplexityRecord:
+    """H_i(F<=a, F<=a minus v) = reduced H_{i-1}(lower link of v), v a flat
+    minimal cell with no flat coface.  A d-coface of v is a (d-k-1)-cell of the
+    link, k = dim ker(W1).  The lower link is the full subcomplex on the edges
+    at v along which F falls leaving v (the shelling of local_betti).  A link
+    that is no sphere by its Euler characteristic, and a flat edge at v, are
+    named in a RuntimeError."""
+    (v,), k, n = comp.labels, len(cx.kernel), cx.network.n0
+    ((p, _),) = cx.skeleton[v].points
+    dims = {c: cx.cells[c].dimension - k - 1 for c in cx.cofaces_of(v)}
+    if sum((-1) ** d for d in dims.values()) != 1 + (-1) ** (n - k - 1):
+        raise RuntimeError(f"the link of flat cell {v} is not a {n - k - 1}-sphere")
+    slopes = {c: e.slope if e.start == p else -e.slope
+              for c, d in dims.items() if d == 0 for e in cx.skeleton[c].edges}
+    if 0 in slopes.values():
+        raise RuntimeError(f"flat cell {v} has a flat edge")
+    ids = {c: i for i, c in enumerate(c for c, s in slopes.items() if s < 0)}
+    at_v = {c: {f for f in (c, *cx.faces_of(c)) if f in slopes} for c in dims}
+    verts = {c: frozenset(map(ids.get, fs)) for c, fs in at_v.items() if fs <= ids.keys()}
+    cells = {vs: ModelCell(vs, dims[c], frozenset(),
+                           frozenset(verts[f] for f in cx.faces_of(c) if f in verts))
+             for c, vs in verts.items()}
+    b = CellularComplex(CompactModel((), cells)).betti()
+    return LocalComplexityRecord(Fraction(comp.level), comp.labels,
+                                 _trim((0, b[0] - 1, *b[1:])) if b else (1,))
+
+
+def _records(cx: CanonicalComplex, comps) -> tuple[LocalComplexityRecord, ...]:
+    """The link route for each component that is one minimal cell, and the
+    strip route for the rest, on one refinement at their levels and floors."""
+    k = len(cx.kernel)
+    link = {c for c in comps if len(c.labels) == 1 and cx.cells[c.labels[0]].dimension == k}
+    floors = {c.level: c.level - strip_epsilon(cx, c.level) for c in comps if c not in link}
+    rcx = refine_at_levels(cx, [*floors, *floors.values()]) if floors else None
+    return tuple(_link_record(cx, c) if c in link else _star_record(rcx, c, floors[c.level])
+                 for c in comps)
+
+
 def local_h_complexity(cx: CanonicalComplex, comp: FlatComponent) -> LocalComplexityRecord:
     """Per-degree ranks of H_*(F<=a, F<=a minus K) for the flat component K."""
     if comp not in flat_cells(cx):
         raise ValueError(f"no flat component {comp.labels} at level {comp.level}")
-    lower = comp.level - strip_epsilon(cx, comp.level)
-    return _star_record(refine_at_levels(cx, [lower, comp.level]), comp, lower)
+    return _records(cx, [comp])[0]
 
 
 def local_records(cx: CanonicalComplex) -> tuple[LocalComplexityRecord, ...]:
-    """One record per flat component, all from one refinement."""
-    floors = {a: a - strip_epsilon(cx, a) for a in cx.nontransversal_thresholds}
-    if not floors:
-        return ()
-    rcx = refine_at_levels(cx, [*floors, *floors.values()])
-    return tuple(_star_record(rcx, comp, floors[comp.level]) for comp in flat_cells(cx))
+    """One record per flat component."""
+    return _records(cx, flat_cells(cx))
 
 
 def global_h_complexity(cx: CanonicalComplex) -> int:

@@ -105,10 +105,6 @@ class Network:
         return tuple(l.out_dim for l in self.layers[:-1])
 
     @property
-    def total_hidden(self) -> int:
-        return sum(self.hidden_widths)
-
-    @property
     def depth(self) -> int:
         """Number of hidden layers."""
         return len(self.layers) - 1
@@ -126,20 +122,6 @@ class Network:
         out = self.layers[-1].preactivation(x)
         return out[0], tuple(pre)
 
-    def activation_pattern(self, point) -> tuple[int, ...]:
-        """Ternary sign (+1/0/-1) of every hidden pre-activation at the point."""
-        _, pre = self.evaluate(point)
-        return tuple((z > 0) - (z < 0) for z in pre)
-
-    def negate(self) -> "Network":
-        """Network computing -F (output layer negated)."""
-        last = self.layers[-1]
-        flipped = AffineLayer(
-            tuple(tuple(-w for w in row) for row in last.weights),
-            tuple(-b for b in last.bias),
-            NONE,
-        )
-        return Network(self.layers[:-1] + (flipped,))
 
 
 def integer_layers(net: Network, q: int = 1):

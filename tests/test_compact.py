@@ -10,7 +10,6 @@ from plmorse.compact import (
     CompactModel,
     compact_part,
     essentialize,
-    level_model,
     modeled_pair,
     refine_at_levels,
     strip_pair_model,
@@ -38,6 +37,7 @@ from plmorse.network import (
 
 from fm_reference import contained
 from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
+from net_helpers import level_model
 from order_complex import carried_simplices
 from piece_geometry import interval_constraints, piece_geometry
 from strip_reference import reference_local_records, whole_strip_model

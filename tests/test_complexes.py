@@ -17,7 +17,6 @@ from plmorse.complexes import (
     components,
     edge_orientation,
     flat_cells,
-    generic_line_counts,
     is_generic,
     is_transversal,
     reference_direction,
@@ -47,6 +46,7 @@ from plmorse.network import (
 import build_reference
 from fm_reference import contained
 from hull_model import bounded, rays
+from net_helpers import activation_pattern, generic_line_counts, negate
 from piece_geometry import cell_geometry
 
 F = Fraction
@@ -421,7 +421,7 @@ def test_deep_network_cells_match_evaluation():
         (F(x, 3), F(y, 3)) for x in range(-6, 7, 3) for y in range(-6, 7, 3)
     ]
     for p in pts:
-        lab = net.activation_pattern(p)
+        lab = activation_pattern(net, p)
         assert lab in cx.cells
         cell = cx.cells[lab]
         assert cell_geometry(cell).contains(p)
@@ -440,7 +440,7 @@ def test_coarse_bound_network_generic_transversal():
 def test_sample_points_land_in_matching_cells(seed, p):
     net = random_network((2, 3, 1), seed=seed)
     cx = build_complex(net)
-    lab = net.activation_pattern(p)
+    lab = activation_pattern(net, p)
     assert lab in cx.cells
     assert cell_geometry(cx.cells[lab]).contains(p)
     assert cx.cells[lab].form_at(p) == net.evaluate(p)[0]
@@ -449,7 +449,7 @@ def test_sample_points_land_in_matching_cells(seed, p):
 def test_negation_duality_cells_and_orientations():
     net = random_network((2, 3, 1), seed=31)
     cx = build_complex(net)
-    nx = build_complex(net.negate())
+    nx = build_complex(negate(net))
     assert set(cx.cells) == set(nx.cells)
     flip = {"increasing": "decreasing", "decreasing": "increasing", "flat": "flat"}
     for lab, ori in cx.oriented_one_skeleton.items():

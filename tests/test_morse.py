@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction as F
 from itertools import zip_longest
@@ -219,6 +220,9 @@ def test_analyze_takes_no_order_complex(monkeypatch):
 
 
 def test_analyze_refines_once_for_strips_and_once_for_stable_measures(monkeypatch):
+    """The strip refinement holds the level and floor of each flat component
+    that is not one minimal cell, and is skipped when there is none; the
+    stable measures refine once at -M and M."""
     calls = []
 
     def counted(cx, thresholds):
@@ -228,11 +232,15 @@ def test_analyze_refines_once_for_strips_and_once_for_stable_measures(monkeypatc
     monkeypatch.setattr(morse, "refine_at_levels", counted)
     cx = build_complex(build_fan_network(2))
     morse.analyze(build_fan_network(2))
-    assert len(calls) == 2
-    ts = cx.nontransversal_thresholds
-    assert len(calls[0]) == 2 * len(ts) and set(ts) <= set(calls[0])
-    m = morse.big_m(cx)
-    assert calls[1] == [-m, m]
+    (hexagon,) = [comp for comp in flat_cells(cx) if not isolated(cx, comp)]
+    a, m = hexagon.level, morse.big_m(cx)
+    assert calls == [[a - morse.strip_epsilon(cx, a), a], [-m, m]]
+    calls.clear()
+    net = random_network((2, 4, 1), 130007)
+    cx = build_complex(net)
+    assert all(isolated(cx, comp) for comp in flat_cells(cx))
+    morse.analyze(net)
+    assert calls == [[-morse.big_m(cx), morse.big_m(cx)]]
 
 
 @pytest.mark.parametrize(
@@ -246,6 +254,162 @@ def test_local_h_complexity_matches_local_records(net):
     for comp, rec in zip(comps, records):
         assert rec.labels == comp.labels
         assert morse.local_h_complexity(cx, comp) == rec
+
+
+def isolated(cx, comp):
+    """Whether the flat component is one minimal cell, the link route's case."""
+    return len(comp.labels) == 1 and cx.cells[comp.labels[0]].dimension == len(cx.kernel)
+
+
+def lifted(net):
+    """The net on three inputs whose W1 has the sum of its two columns as a
+    third: every cell is a planar cell times the line along (1, 1, -1), so
+    ker(W1) has dimension 1 and each planar vertex becomes a minimal line."""
+    first = net.layers[0]
+    weights = [[*row, row[0] + row[1]] for row in first.weights]
+    return Network((AffineLayer.make(weights, first.bias, first.activation), *net.layers[1:]))
+
+
+def leaving_slopes(cx, v):
+    """F's slope along each edge at the minimal cell v, leaving v."""
+    ((p, _),) = cx.skeleton[v].points
+    k = len(cx.kernel)
+    return [e.slope if e.start == p else -e.slope
+            for c in cx.cofaces_of(v) if cx.cells[c].dimension == k + 1
+            for e in cx.skeleton[c].edges]
+
+
+# The seed-13 nets of the benchmark's analyze-shallow and analyze-deep corpora
+# (fan(1), one (2,3,1) net, the (2,2,2,1) and the (3,3,1) nets have no isolated
+# flat minimal cell),
+# three-input lifts of planar nets, and two constant nets, whose one cell is
+# all of input space, so that its link is empty.
+LINK_NETS = {
+    "fan1": lambda: build_fan_network(1),
+    "fan2": lambda: build_fan_network(2),
+    "coarse4": lambda: build_coarse_bound_network(4),
+    "coarse5": lambda: build_coarse_bound_network(5),
+    **{
+        f"{''.join(map(str, arch))}s{seed}": (
+            lambda arch=arch, seed=seed: random_network(arch, seed))
+        for arch, seeds in [
+            ((2, 3, 1), (130004, 130005, 130006)), ((2, 4, 1), (130007,)),
+            ((2, 3, 2, 1), (3,)), ((3, 4, 1), (3,)), ((2, 2, 2, 1), (130002, 130003)),
+            ((3, 3, 1), (130004, 130005, 130006)),
+        ]
+        for seed in seeds
+    },
+    "lifted_fan2": lambda: lifted(build_fan_network(2)),
+    **{
+        f"lifted_{''.join(map(str, arch))}s{seed}": (
+            lambda arch=arch, seed=seed: lifted(random_network(arch, seed)))
+        for arch, seed in [((2, 3, 1), 1), ((2, 4, 1), 0), ((2, 4, 1), 1)]
+    },
+    "constant": lambda: Network((AffineLayer.make([[0, 0]], [3], "none"),)),
+    "constant_relu": lambda: Network((
+        AffineLayer.make([[0, 0], [0, 0]], [1, -1], "relu"),
+        AffineLayer.make([[1, 1]], [0], "none"),
+    )),
+}
+NO_ISOLATED = {
+    "fan1", "231s130005", "2221s130002", "2221s130003", "331s130004", "331s130005", "331s130006",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINK_NETS))
+def test_link_route_matches_strip_route(name):
+    """Each flat component that is one minimal cell gets the same ranks from
+    its lower link as from the strip model at its level and floor; a local
+    minimum gets (1,), and a local maximum the top degree of its link."""
+    cx = build_complex(LINK_NETS[name]())
+    top = cx.network.n0 - len(cx.kernel)
+    comps = [comp for comp in flat_cells(cx) if isolated(cx, comp)]
+    assert bool(comps) == (name not in NO_ISOLATED)
+    for comp in comps:
+        lower = comp.level - morse.strip_epsilon(cx, comp.level)
+        want = morse._star_record(refine_at_levels(cx, [lower, comp.level]), comp, lower)
+        got = morse._link_record(cx, comp)
+        assert got == want, comp.labels
+        slopes = leaving_slopes(cx, comp.labels[0])
+        if all(s > 0 for s in slopes):
+            assert got.ranks == (1,)
+        if slopes and all(s < 0 for s in slopes):
+            assert got.ranks == (0,) * top + (1,)
+
+
+@pytest.mark.parametrize("lift", [False, True], ids=["fan2", "lifted_fan2"])
+def test_link_route_has_a_local_minimum_and_maximum(lift):
+    net = lifted(build_fan_network(2)) if lift else build_fan_network(2)
+    cx = build_complex(net)
+    top = cx.network.n0 - len(cx.kernel)
+    ranks = [morse._link_record(cx, comp).ranks for comp in flat_cells(cx) if isolated(cx, comp)]
+    assert (1,) in ranks and (0,) * top + (1,) in ranks
+
+
+def test_link_route_of_a_constant_net_is_e0():
+    cx = build_complex(LINK_NETS["constant"]())
+    (comp,) = flat_cells(cx)
+    assert cx.cofaces_of(comp.labels[0]) == []
+    assert morse.local_records(cx) == (morse.LocalComplexityRecord(F(3), comp.labels, (1,)),)
+
+
+def _one_vertex(cx):
+    comp = next(comp for comp in flat_cells(cx) if isolated(cx, comp))
+    return comp, comp.labels[0]
+
+
+def test_link_route_checks_the_euler_characteristic():
+    cx = build_complex(build_fan_network(2))
+    comp, v = _one_vertex(cx)
+    cx.cofaces_of(v).remove(next(c for c in cx.cofaces_of(v) if cx.cells[c].dimension == 2))
+    message = f"the link of flat cell {v} is not a 1-sphere"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        morse.local_h_complexity(cx, comp)
+
+
+def test_link_route_refuses_a_flat_edge():
+    cx = build_complex(build_fan_network(2))
+    comp, v = _one_vertex(cx)
+    edge = next(c for c in cx.cofaces_of(v) if cx.cells[c].dimension == 1)
+    faces = cx.skeleton[edge]
+    cx.skeleton[edge] = faces._replace(edges=tuple(e._replace(slope=0) for e in faces.edges))
+    with pytest.raises(RuntimeError, match=re.escape(f"flat cell {v} has a flat edge")):
+        morse.local_h_complexity(cx, comp)
+
+
+def test_local_h_complexity_of_a_vertex_refines_nothing(monkeypatch):
+    cx = build_complex(random_network((3, 4, 1), 3))
+    want = morse.local_records(cx)
+
+    def refuse(*args):
+        raise AssertionError("a vertex's local ranks refined the complex")
+
+    monkeypatch.setattr(morse, "refine_at_levels", refuse)
+    comps = flat_cells(cx)
+    assert any(isolated(cx, comp) for comp in comps)
+    for comp, rec in zip(comps, want):
+        if isolated(cx, comp):
+            assert morse.local_h_complexity(cx, comp) == rec
+
+
+@pytest.mark.parametrize("arch", [(2, 3, 1), (2, 4, 1), (3, 4, 1), (4, 5, 1)])
+def test_isolated_vertex_ranks_match_classification(arch):
+    """On generic one-hidden-layer nets, a Regular vertex has no local
+    homology and a NondegenerateCritical vertex of index k has e_k."""
+    checked = 0
+    for seed in range(6):
+        cx = build_complex(random_network(arch, seed))
+        try:
+            classes = {v.point: v for v in morse.classify_vertices(cx)}
+        except UnsupportedNetworkError:
+            continue
+        for comp in flat_cells(cx):
+            if isolated(cx, comp):
+                v = classes[cx.skeleton[comp.labels[0]].points[0][0]]
+                want = {REGULAR: (), NONDEGENERATE: (0,) * (v.index or 0) + (1,)}[v.kind]
+                assert morse.local_h_complexity(cx, comp).ranks == want, (seed, v)
+                checked += 1
+    assert checked
 
 
 def test_stable_complexities_two_relu():

@@ -28,6 +28,7 @@ from plmorse.network import (
 )
 
 from draw_reference import snap_network
+from net_helpers import activation_pattern, negate, total_hidden
 
 F = Fraction
 
@@ -51,9 +52,9 @@ def test_evaluate_n1():
 
 def test_activation_pattern_n1():
     net = n1_network()
-    assert net.activation_pattern((1, 2)) == (1, 1)
-    assert net.activation_pattern((-1, -2)) == (-1, -1)
-    assert net.activation_pattern((0, 2)) == (0, 1)
+    assert activation_pattern(net, (1, 2)) == (1, 1)
+    assert activation_pattern(net, (-1, -2)) == (-1, -1)
+    assert activation_pattern(net, (0, 2)) == (0, 1)
 
 
 def test_evaluate_dimension_mismatch():
@@ -66,7 +67,7 @@ def test_architecture_props():
     assert net.architecture == (2, 3, 1)
     assert net.n0 == 2
     assert net.hidden_widths == (3,)
-    assert net.total_hidden == 3
+    assert total_hidden(net) == 3
     assert net.depth == 1
 
 
@@ -155,7 +156,7 @@ def test_coarse_bound_output_weights():
 
 def test_coarse_bound_all_plus_near_origin():
     net = build_coarse_bound_network(4)
-    assert net.activation_pattern((0, 0)) == (1, 1, 1, 1)
+    assert activation_pattern(net, (0, 0)) == (1, 1, 1, 1)
 
 
 # -- prescribed orientations ------------------------------------------------
@@ -363,7 +364,7 @@ def test_first_layer_draws_alone_match_the_whole_network():
 
 def test_negate_pointwise():
     net = random_network((2, 4, 1), seed=3)
-    neg = net.negate()
+    neg = negate(net)
     for pt in [(0, 0), (F(1, 3), F(-2, 5)), (10, -7)]:
         assert neg.evaluate(pt)[0] == -net.evaluate(pt)[0]
 
@@ -377,7 +378,7 @@ def test_negate_pointwise():
 def test_piecewise_affine_midpoint(seed, x, y):
     """Points sharing a strict activation pattern lie in one affine piece."""
     net = random_network((2, 3, 1), seed=seed)
-    px, py = net.activation_pattern(x), net.activation_pattern(y)
+    px, py = activation_pattern(net, x), activation_pattern(net, y)
     if px != py or 0 in px:
         return
     mid = tuple((a + b) / 2 for a, b in zip(x, y))
