@@ -4,7 +4,7 @@ Local H-complexity of a flat component K at level a is H_*(F<=a, F<=a minus K).
 A component that is one minimal cell v takes the link route.  Its ranks are
 the reduced homology of v's lower link, one degree up (Grunert-Kuehnel-Rote).
 The link's cells are v's cofaces, so that route needs no refinement.
-Every other component takes the strip route, since it has no one vertex link.
+Every other component takes the strip route: the link rule needs one vertex.
 That route ranks a compact model of K's closed star in a strip below a, by
 excision, as H(X, D) on cellular chains (CellularComplex.local_betti).
 One refinement at those components' levels and strip floors serves them all.

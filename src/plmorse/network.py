@@ -123,7 +123,6 @@ class Network:
         return out[0], tuple(pre)
 
 
-
 def integer_layers(net: Network, q: int = 1):
     """The network on inputs x = X/q as integer layers: F(X/q) = G(X)/sigma.
 

@@ -66,7 +66,7 @@ def test_unused_import_check_finds_a_stale_import(tmp_path):
 # vertex's local ranks came to be read off its lower link.  The package aims
 # to give the same answers from less code, so a change may lower this limit
 # but not raise it.
-MAX_SOURCE_LINES = 3078
+MAX_SOURCE_LINES = 3077
 
 
 def test_package_source_does_not_grow():
