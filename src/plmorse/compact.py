@@ -136,6 +136,8 @@ class RefinedComplex:
         self.source = cx
         self.thresholds = tuple(thresholds)
         self.cells: dict[PieceKey, RefinedCell] = cells
+        self._keys = {k: k for k in cells}  # so closures share the keys' tuples
+        self._closures: dict[PieceKey, list[PieceKey]] = {}
 
     def __repr__(self):
         return f"RefinedComplex({len(self.cells)} pieces at {self.thresholds})"
@@ -159,12 +161,14 @@ class RefinedComplex:
         Piece (a, i) lies in the closure of piece (b, j) exactly when a is b
         or a face of b, and interval i is inside interval j: i is j, or j is
         a gap and i a threshold next to it.  The faces come from the face
-        poset.
+        poset.  Each closure is walked once per refinement, and kept.
         """
-        b, j = key
-        near = (j,) if j % 2 else (j, j - 1, j + 1)
-        faces = (b, *self.source.faces_of(b))
-        return [(a, i) for a in faces for i in near if (a, i) in self.cells]
+        if key not in self._closures:
+            b, j = key
+            near = (j,) if j % 2 else (j, j - 1, j + 1)
+            faces = (b, *self.source.faces_of(b))
+            self._closures[key] = [k for a in faces for i in near if (k := self._keys.get((a, i)))]
+        return self._closures[key]
 
     def containment_pairs(self, keys):
         """(inner, outer) over the given keys, inner in the closure of outer."""
@@ -337,12 +341,13 @@ def superlevel_model(cx: CanonicalComplex, c) -> CompactModel:
     return _model(rcx, rcx.keys_in(Fraction(c), None))[0]
 
 
-def modeled_pair(rcx: RefinedComplex, outer, inner):
-    """Model of the pieces in the outer F-range, with the inner range marked.
+def modeled_pair(rcx: RefinedComplex, outer, *inner):
+    """Model of the pieces in the outer F-range, with each inner range marked.
 
-    Returns (model, ids of model cells coming from the inner range).
+    Returns (model, ids of model cells coming from each inner range in turn).
     """
-    return _model(rcx, rcx.keys_in(*outer), rcx.keys_in(*inner))
+    model, _ = _model(rcx, rcx.keys_in(*outer))
+    return (model, *(model.cells_with_source(rcx.keys_in(*r)) for r in inner))
 
 
 def strip_pair_model(rcx: RefinedComplex, comp: FlatComponent, lower):

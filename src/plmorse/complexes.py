@@ -77,7 +77,7 @@ class Check:
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FlatComponent:
     level: Fraction
     labels: tuple[Label, ...]
@@ -224,6 +224,14 @@ class CanonicalComplex:
     @cached_property
     def flat_labels(self) -> tuple[Label, ...]:
         return tuple(lab for lab, c in self.cells.items() if c.flat)
+
+    @cached_property
+    def flat_components(self) -> tuple[FlatComponent, ...]:
+        """The flat cells' connected components, by level and labels."""
+        flats = set(self.flat_labels)
+        edges = [(sub, sup) for sub, sup in self.face_pairs if sub in flats and sup in flats]
+        return tuple(sorted(FlatComponent(self.skeleton[labs[0]].points[0][1], tuple(sorted(labs)))
+                            for labs in components(self.flat_labels, edges)))
 
     @cached_property
     def nontransversal_thresholds(self) -> tuple[Fraction, ...]:
@@ -391,13 +399,7 @@ def components(nodes, edges) -> list[list]:
 
 def flat_cells(cx: CanonicalComplex) -> list[FlatComponent]:
     """Flat subcomplex, split into connected components at each level."""
-    flats = set(cx.flat_labels)
-    edges = [(sub, sup) for sub, sup in cx.face_pairs if sub in flats and sup in flats]
-    comps = [
-        FlatComponent(cx.skeleton[labs[0]].points[0][1], tuple(sorted(labs)))
-        for labs in components(cx.flat_labels, edges)
-    ]
-    return sorted(comps, key=lambda c: (c.level, c.labels))
+    return list(cx.flat_components)
 
 
 def reference_direction(cx: CanonicalComplex, label: Label) -> Vec:

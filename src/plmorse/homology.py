@@ -3,11 +3,11 @@
 A compact polytopal model is a regular CW complex, so its cellular chain
 complex has one generator per cell, with incidence numbers read off the face
 poset (Björner 1984, "Posets, regular CW complexes and Bruhat order").
-CellularComplex gives the Betti numbers of a model, of a marked down-set of
-its cells and of the pair, and the local ranks H(X, X minus K) of a marked
-subcomplex K.  The simplicial route stays: the order complex of the face
-poset, which is the model's barycentric subdivision (triangulate), plus
-barycentric_pair and complement_complex.  Both routes share one rank loop,
+CellularComplex gives the Betti numbers of a model, of a down-set of its
+cells and of a pair of nested down-sets, and the local ranks H(X, X minus K)
+of a marked subcomplex K.  The simplicial route stays: the order complex of
+the face poset, which is the model's barycentric subdivision (triangulate),
+plus barycentric_pair and complement_complex.  Both routes share one rank loop,
 exact integer ranks of sparse boundary matrices, and take relative Betti
 numbers from the quotient by a subcomplex.  The grid oracle rebuilds
 sublevel, superlevel and band sets of a 2-input network anew on a pixel
@@ -244,9 +244,13 @@ class CellularComplex:
         """Betti numbers of the model, or of its subcomplex on the down-set sub."""
         return self._betti(self.boundary if sub is None else self._down_set(sub))
 
-    def relative_betti(self, sub) -> tuple[int, ...]:
-        """Betti numbers of the pair (model, subcomplex on the down-set sub)."""
-        return self._betti(self.boundary.keys() - self._down_set(sub))
+    def relative_betti(self, sub, outer=None) -> tuple[int, ...]:
+        """Betti numbers of the pair (subcomplex on the down-set outer, by
+        default the whole model; subcomplex on the down-set sub inside it)."""
+        outer = self.boundary.keys() if outer is None else self._down_set(outer)
+        if not (sub := self._down_set(sub)) <= outer:
+            raise ValueError("the inner down-set is not inside the outer one")
+        return self._betti(outer - sub)
 
     def local_betti(self, k_ids) -> tuple[int, ...]:
         """Ranks of H(X, X minus K) for the subcomplex K on the down-set k_ids.

@@ -8,8 +8,9 @@ Every other component takes the strip route: the link rule needs one vertex.
 That route ranks a compact model of K's closed star in a strip below a, by
 excision, as H(X, D) on cellular chains (CellularComplex.local_betti).
 One refinement at those components' levels and strip floors serves them all.
-Global complexity sums the local totals.  Stable and coarse complexities and
-component counts come from two marked models of one refinement at -M and M.
+Global complexity sums the local totals.  Stable and coarse complexities
+come from one model of one refinement at -M and M, and component counts
+from its pieces.
 Vertices of generic transversal depth-2 networks classify as regular,
 nondegenerate critical (with an index) or degenerate critical.
 """
@@ -177,45 +178,31 @@ def global_h_complexity(cx: CanonicalComplex) -> int:
     return sum(rec.total for rec in local_records(cx))
 
 
-def _marked_measures(rcx: RefinedComplex, outer, inner):
-    """Betti numbers of the outer F-range, of the inner one, and of the pair."""
-    model, ids = modeled_pair(rcx, outer, inner)
-    chains = CellularComplex(model)
-    return chains.betti(), chains.betti(ids), chains.relative_betti(ids)
-
-
-def _checked_count(rcx: RefinedComplex, lo, hi, vec: tuple[int, ...]) -> int:
-    """Connected components of the pieces in [lo, hi], which must equal b_0."""
-    n = len(rcx.components(rcx.keys_in(lo, hi)))
-    if n != (vec[0] if vec else 0):
-        where = f"F <= {hi}" if lo is None else f"F >= {lo}"
-        raise RuntimeError(f"{where} has {n} connected components but Betti numbers {vec}")
-    return n
-
-
 def stable_measures(
     cx: CanonicalComplex,
 ) -> tuple[StableComplexities, CoarseComplexities, tuple[int, int, int, int]]:
     """Stable Betti vectors, coarse ranks and component counts beyond +-M.
 
-    One refinement at {-M, M} gives two models: F <= M with F <= -M marked,
-    and F >= -M with F >= M marked.  Each yields the Betti numbers of the
-    whole, of the marked part, and of the pair (the coarse ranks).  The
-    counts of F <= -M, F <= M, F >= -M and F >= M come from the refined
-    pieces, and each must equal b_0 of the same set.
+    One refinement at {-M, M} gives one model of all its pieces.  A piece's
+    closure stays in its interval and the thresholds next to it, so the cells
+    from F <= -M, F <= M, F >= -M and F >= M are down-sets: their Betti
+    numbers are the stable vectors, and the nested pairs of them give the
+    coarse ranks.  The counts of the four sets come from the refined pieces,
+    and each must equal b_0 of the same set.
     """
     m = big_m(cx)
     rcx = refine_at_levels(cx, [-m, m])
-    sub_plus, sub_minus, sub_pair = _marked_measures(rcx, (None, m), (None, -m))
-    super_minus, super_plus, super_pair = _marked_measures(rcx, (-m, None), (m, None))
-    counts = (
-        _checked_count(rcx, None, -m, sub_minus),
-        _checked_count(rcx, None, m, sub_plus),
-        _checked_count(rcx, -m, None, super_minus),
-        _checked_count(rcx, m, None, super_plus),
-    )
-    stable = StableComplexities(m, sub_minus, sub_plus, super_minus, super_plus)
-    return stable, CoarseComplexities(sub_pair, super_pair), counts
+    ranges = ((None, -m), (None, m), (-m, None), (m, None))
+    counts = tuple(len(rcx.components(rcx.keys_in(*r))) for r in ranges)
+    model, *sets = modeled_pair(rcx, (None, None), *ranges)
+    chains = CellularComplex(model)
+    vecs = [chains.betti(s) for s in sets]
+    for n, (lo, hi), vec in zip(counts, ranges, vecs):
+        if n != (vec[0] if vec else 0):
+            where = f"F <= {hi}" if lo is None else f"F >= {lo}"
+            raise RuntimeError(f"{where} has {n} connected components but Betti numbers {vec}")
+    return StableComplexities(m, *vecs), CoarseComplexities(
+        chains.relative_betti(sets[0], sets[1]), chains.relative_betti(sets[3], sets[2])), counts
 
 
 def coarse_complexities(cx: CanonicalComplex) -> CoarseComplexities:

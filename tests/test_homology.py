@@ -400,6 +400,22 @@ def test_cellular_rejects_marks_that_are_not_down_sets():
     for call in (chains.betti, chains.relative_betti, chains.local_betti):
         with pytest.raises(RuntimeError, match=re.escape(f"cell {sorted(edge)} is marked")):
             call({edge})
+    with pytest.raises(RuntimeError, match=re.escape(f"cell {sorted(edge)} is marked")):
+        chains.relative_betti(set(), {edge})
+
+
+def test_cellular_relative_betti_inside_an_outer_down_set():
+    """H(A, B) for down-sets B inside A: the whole model by default, and a
+    B outside A is refused."""
+    model = square_model()
+    chains = CellularComplex(model)
+    rim = model.cells[top_cell(model)].faces
+    corner = next(cid for cid in rim if len(cid) == 1)
+    assert chains.relative_betti(rim, model.cells) == chains.relative_betti(rim) == (0, 0, 1)
+    assert chains.relative_betti({corner}, rim) == (0, 1)
+    assert chains.relative_betti(rim, rim) == ()
+    with pytest.raises(ValueError, match="inner down-set is not inside the outer one"):
+        chains.relative_betti(rim, {corner})
 
 
 def one_bend_net():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmorse import homology, morse
+from plmorse import compact, homology, morse
 from plmorse.compact import (
+    RefinedComplex,
     modeled_pair,
     refine_at_levels,
     strip_pair_model,
@@ -43,6 +44,7 @@ from plmorse.network import (
 
 import order_complex
 from order_complex import carried_simplices
+from stable_reference import two_model_measures
 
 
 def two_relu_net():
@@ -162,14 +164,18 @@ ORDER_COMPLEX_NETS = {
 }
 
 
-def order_complex_measures(model, ids):
-    """b(X), b(A) and b(X, A) on the order complex, with A carried by ids."""
+def order_complex_measures(model, sets, pairs):
+    """b(A) for each A carried by one of the sets, and b(A, B) for each pair
+    (i, j) of indices of B inside A, on the order complex of the model."""
     tri = triangulate(model)
-    marked = carried_simplices(tri, ids)
+    carried = [carried_simplices(tri, ids) for ids in sets]
     return (
-        betti(tri.complex),
-        betti(SimplicialComplex(tri.complex.vertices, marked)),
-        relative_betti(SimplicialPair(tri.complex, marked)),
+        tuple(betti(SimplicialComplex(tri.complex.vertices, c)) for c in carried),
+        tuple(
+            relative_betti(SimplicialPair(SimplicialComplex(tri.complex.vertices, carried[i]),
+                                          carried[j]))
+            for i, j in pairs
+        ),
     )
 
 
@@ -182,15 +188,16 @@ def order_complex_local_ranks(model, ids):
 
 @pytest.mark.parametrize("name", sorted(ORDER_COMPLEX_NETS))
 def test_cellular_ranks_match_order_complex(name):
-    """Every +-M marked model and every star model gives the same ranks on
-    cells as on the order complex of its face poset."""
+    """The one +-M model and every star model give the same ranks on cells
+    as on the order complex of their face posets."""
     cx = build_complex(ORDER_COMPLEX_NETS[name]())
-    m = morse.big_m(cx)
+    st, co, _ = morse.stable_measures(cx)
+    m = st.m
     rcx = refine_at_levels(cx, [-m, m])
-    for outer, inner in [((None, m), (None, -m)), ((-m, None), (m, None))]:
-        model, ids = modeled_pair(rcx, outer, inner)
-        want = order_complex_measures(model, ids)
-        assert morse._marked_measures(rcx, outer, inner) == want, (outer, inner)
+    model, *sets = modeled_pair(rcx, (None, None), (None, -m), (None, m), (-m, None), (m, None))
+    want = order_complex_measures(model, sets, [(1, 0), (2, 3)])
+    assert ((st.sub_minus, st.sub_plus, st.super_minus, st.super_plus),
+            (co.sublevel, co.superlevel)) == want
     floors = {a: a - morse.strip_epsilon(cx, a) for a in cx.nontransversal_thresholds}
     comps = flat_cells(cx)
     if comps:
@@ -335,6 +342,29 @@ def test_link_route_matches_strip_route(name):
             assert got.ranks == (1,)
         if slopes and all(s < 0 for s in slopes):
             assert got.ranks == (0,) * top + (1,)
+
+
+# The order-complex nets (the golden nets and seeds 0-3 of six architectures),
+# the link nets (both seed-13 analyze corpora, three-input lifts with a
+# 1-dimensional kernel and two constant nets), a net with no hidden layer
+# and the half-plane net relu(x).
+STABLE_NETS = {
+    **ORDER_COMPLEX_NETS,
+    **LINK_NETS,
+    "no_hidden_layer": lambda: Network((AffineLayer.make([[1, 2]], [3], "none"),)),
+    "half_plane": lambda: Network((
+        AffineLayer.make([[1, 0]], [0], "relu"),
+        AffineLayer.make([[1]], [0], "none"),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABLE_NETS))
+def test_one_model_matches_two_model_reference(name):
+    """The stable vectors, coarse ranks and counts read off one model of the
+    +-M refinement are those of the two marked models."""
+    cx = build_complex(STABLE_NETS[name]())
+    assert morse.stable_measures(cx) == two_model_measures(cx)
 
 
 @pytest.mark.parametrize("lift", [False, True], ids=["fan2", "lifted_fan2"])
@@ -483,6 +513,86 @@ def test_stable_measures_check_counts_against_b0(monkeypatch):
     monkeypatch.setattr(homology, "sparse_rank", lambda rows: real(rows) + 1)
     with pytest.raises(RuntimeError, match="connected components but Betti numbers"):
         morse.stable_measures(build_complex(build_fan_network(1)))
+
+
+@pytest.mark.parametrize("at", range(4), ids=["sub_minus", "sub_plus", "super_minus", "super_plus"])
+def test_stable_measures_name_the_set_whose_count_disagrees(monkeypatch, at):
+    """A component count that is not b_0 of its set is a RuntimeError that
+    names the set."""
+    m = F(1)
+    lo, hi = ((None, -m), (None, m), (-m, None), (m, None))[at]
+    real = RefinedComplex.components
+
+    def one_too_many(rcx, keys):
+        found = real(rcx, keys)
+        return [*found, []] if sorted(keys) == rcx.keys_in(lo, hi) else found
+
+    monkeypatch.setattr(RefinedComplex, "components", one_too_many)
+    cx = build_complex(two_relu_net())
+    assert morse.big_m(cx) == m
+    want = two_model_measures(cx)[0]
+    vec = (want.sub_minus, want.sub_plus, want.super_minus, want.super_plus)[at]
+    where = f"F <= {hi}" if lo is None else f"F >= {lo}"
+    n = (vec[0] if vec else 0) + 1
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"{where} has {n} connected components but Betti numbers {vec}")):
+        morse.stable_measures(cx)
+
+
+def test_analyze_builds_one_model_for_the_stable_measures(monkeypatch):
+    """On fan(2) the +-M measures make one compact_part call and one
+    CellularComplex; every other one is the hexagon's star model or an
+    isolated vertex's link."""
+    calls, inside = [], []
+    part, chains, stable = compact.compact_part, morse.CellularComplex, morse.stable_measures
+
+    def counted_part(pieces, pairs):
+        calls.append(("compact_part", bool(inside)))
+        return part(pieces, pairs)
+
+    def counted_chains(model):
+        calls.append(("CellularComplex", bool(inside)))
+        return chains(model)
+
+    def marked_stable(cx):
+        inside.append(cx)
+        try:
+            return stable(cx)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(compact, "compact_part", counted_part)
+    monkeypatch.setattr(morse, "CellularComplex", counted_chains)
+    monkeypatch.setattr(morse, "stable_measures", marked_stable)
+    morse.analyze(build_fan_network(2))
+    assert [name for name, in_stable in calls if in_stable] == ["compact_part", "CellularComplex"]
+    cx = build_complex(build_fan_network(2))
+    comps = flat_cells(cx)
+    stars = sum(not isolated(cx, comp) for comp in comps)
+    assert stars == 1
+    assert calls.count(("compact_part", False)) == stars
+    assert calls.count(("CellularComplex", False)) == len(comps)
+
+
+def test_stable_measures_walk_each_closure_once(monkeypatch):
+    """The counts and the one model share one walk of each piece's closure."""
+    cx = build_complex(build_fan_network(2))
+    refined = []
+
+    def kept(cx, thresholds):
+        refined.append(refine_at_levels(cx, thresholds))
+        return refined[-1]
+
+    walked = []
+    faces_of = cx.faces_of
+    monkeypatch.setattr(morse, "refine_at_levels", kept)
+    monkeypatch.setattr(cx, "faces_of", lambda lab: walked.append(lab) or faces_of(lab))
+    morse.stable_measures(cx)
+    (rcx,) = refined
+    assert len(walked) == len(rcx.cells)
+    key = next(iter(rcx.cells))
+    assert rcx.closure(key) is rcx.closure(key)
+    assert len(walked) == len(rcx.cells)
 
 
 def test_classify_vertex_threeline():
