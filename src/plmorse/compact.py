@@ -98,15 +98,10 @@ class RefinedCell:
         with no 0-face, the line of a net with no hidden layer, is two
         opposite rays, which only two finite ends cut off.
         """
-        slopes = [e.slope for e in self.faces.edges if not e.bounded]
-        if not slopes:
-            return True
-        lo, hi = self.interval
+        rays, (lo, hi) = self.faces.rays, self.interval
         if not self.faces.points:
-            return lo is not None and hi is not None and slopes[0] != 0
-        return (lo is not None and all(s < 0 for s in slopes)) or (
-            hi is not None and all(s > 0 for s in slopes)
-        )
+            return lo is not None and hi is not None and 0 not in rays
+        return not rays or (lo is not None and rays == {-1}) or (hi is not None and rays == {1})
 
     @cached_property
     def vertices(self) -> list[Vec]:
@@ -130,7 +125,7 @@ class RefinedCell:
 
 
 class RefinedComplex:
-    """Cells of a canonical complex cut along level sets of F."""
+    """Cells of a canonical complex cut along level sets of F, in key order."""
 
     def __init__(self, cx: CanonicalComplex, thresholds, cells):
         self.source = cx
@@ -153,7 +148,7 @@ class RefinedComplex:
         (unbounded) or a threshold."""
         first = 0 if lo is None else self.index_of(lo)
         last = 2 * len(self.thresholds) if hi is None else self.index_of(hi)
-        return sorted(k for k in self.cells if first <= k[1] <= last)
+        return [k for k in self.cells if first <= k[1] <= last]
 
     def closure(self, key: PieceKey) -> list[PieceKey]:
         """The pieces in the closure of piece (b, j), itself first.
@@ -177,8 +172,36 @@ class RefinedComplex:
         return [(a, b) for b in keys for a in self.closure(b) if a != b and a in present]
 
     def components(self, keys) -> list[list[PieceKey]]:
-        keys = sorted(keys)
-        return components(keys, self.containment_pairs(keys))
+        return components(sorted(keys), self.containment_pairs(keys))
+
+    def component_counts(self, *nested) -> list[int]:
+        """Connected components of each of the given down-sets, each inside the
+        next, by one union-find over piece numbers that grows: a piece new to
+        a down-set is in no closure from the set before, so growing the set
+        adds the new pieces and the edges to their closures, and undoes none."""
+        index: dict[PieceKey, int] = {}
+        parent: list[int] = []
+        counts, n = [], 0
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for keys in nested:
+            new = [k for k in keys if k not in index]
+            for k in new:
+                parent.append(index.setdefault(k, len(index)))
+            n += len(new)
+            for k in new:
+                r = find(index[k])  # stays k's root: every union hangs a root on it
+                for a in self.closure(k):
+                    if (i := find(index[a])) != r:
+                        parent[i] = r
+                        n -= 1
+            counts.append(n)
+        return counts
 
 
 def refine_at_levels(cx: CanonicalComplex, thresholds) -> RefinedComplex:
@@ -197,7 +220,7 @@ def refine_at_levels(cx: CanonicalComplex, thresholds) -> RefinedComplex:
         for i in range(2 * len(ts) + 1)
     ]
     pieces: dict[PieceKey, RefinedCell] = {}
-    for lab, c in cx.cells.items():
+    for lab, c in sorted(cx.cells.items()):  # so the pieces come in key order
         faces = cx.skeleton[lab]
         lo, hi = faces.f_range
         if lo is not None and lo == hi:

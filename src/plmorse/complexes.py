@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, islice
 from math import lcm
 from operator import mul
@@ -92,24 +92,23 @@ class Edge(namedtuple("Edge", "start value direction slope bounded")):
     __slots__ = ()
 
 
-class CellFaces(namedtuple("CellFaces", "points edges")):
+class CellFaces(namedtuple("CellFaces", "points edges f_range rays")):
     """0- and 1-faces of a cell's closure cut by the row space of W1.
 
     ``points`` holds each 0-face as a (point, F-value) pair; ``edges`` holds
     each 1-face as an ``Edge``, a segment or a ray (a line with no 0-face is
-    two rays).
+    two rays).  ``f_range`` is F(closure), None marking an unbounded end, and
+    ``rays`` the signs of the rays' slopes, both found once, from those two.
     """
 
     __slots__ = ()
 
-    @property
-    def f_range(self) -> tuple[Fraction | None, Fraction | None]:
-        """F(closure), None marking an unbounded end."""
-        values = [f for _, f in self.points]
-        rays = [e for e in self.edges if not e.bounded]
-        lo = None if any(e.slope < 0 for e in rays) else min(values)
-        hi = None if any(e.slope > 0 for e in rays) else max(values)
-        return lo, hi
+    def __new__(cls, points, edges):
+        rays = frozenset(_sign(e.slope) for e in edges if not e.bounded)
+        values = [f for _, f in points]
+        lo = None if -1 in rays else min(values)
+        hi = None if 1 in rays else max(values)
+        return super().__new__(cls, points, edges, (lo, hi), rays)
 
 
 class CanonicalComplex:
@@ -135,42 +134,50 @@ class CanonicalComplex:
         relint(sup), each layer-1 form is affine, with sup's sign at y and sub's
         (0 or the same) at x, so sup's sign on (x, y]; that makes the next
         layer's forms affine on [x, y], and by induction (x, y] lies in sup.
-        The pass visits cells by dimension, reads each cell's witness off the
-        faces found so far (``_relint_point``), raises RuntimeError if it is off
-        the cell's relative interior, and records ``skeleton`` and each cell's
-        face and coface lists (``faces_of``, ``cofaces_of``).
+        A walk down a trie of the labels finds a cell's cofaces: it follows
+        the cell's sign at each nonzero entry and every child at each zero,
+        so it reaches the labels that agree with the cell's wherever that is
+        nonzero, which is refinement, through prefixes of labels that exist
+        only (never 3^z for z zeros).  The pass visits cells by dimension,
+        reads each cell's witness off the faces found so far
+        (``_relint_point``), raises RuntimeError if it is off the cell's
+        relative interior, and records ``skeleton`` and each cell's face and
+        coface lists (``faces_of``, ``cofaces_of``), in the pass's order.
         """
         k = len(self.kernel)
-        by_dim: dict[int, list[LabeledCell]] = {}
-        for c in self.cells.values():
-            by_dim.setdefault(c.dimension, []).append(c)
+        order = sorted(self.cells.values(), key=lambda c: c.dimension)
+        trie: dict = {}
+        for r, c in enumerate(order):  # a leaf holds its cell's place in the pass
+            reduce(lambda node, s: node.setdefault(s, {}), c.label, trie)[None] = r
         self._faces: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
-        self._cofaces: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
+        self._cofaces: dict[Label, list[Label]] = {}
         points: dict[Label, tuple[Vec, Fraction]] = {}
         edges: dict[Label, tuple[Edge, ...]] = {}
         self._skeleton: dict[Label, CellFaces] = {}
-        for d in sorted(by_dim):
-            for c in by_dim[d]:
-                lab, fs = c.label, [c.label, *self._faces[c.label]]
-                if d == k:
-                    p = self._cut(c)[0]
-                    points[lab] = (p, c.form_at(p))
-                elif d == k + 1:
-                    edges[lab] = self._edges(c, [points[f] for f in fs if f in points])
-                faces = self._skeleton[lab] = CellFaces(
-                    tuple(points[f] for f in fs if f in points),
-                    tuple(e for f in fs for e in edges.get(f, ())),
-                )
-                w, den = _relint_point(faces)
-                signs = [_sign(sum(map(mul, g, w)) + o * den) for g, o in c.eqs + c.stricts]
-                if signs != [0] * len(c.eqs) + [1] * len(c.stricts):
-                    w = tuple(Fraction(x, den) for x in w)
-                    raise RuntimeError(f"witness {w} is off the relative interior of cell {lab}")
-                for e in range(d + 1, max(by_dim) + 1):
-                    for sup in by_dim.get(e, ()):
-                        if _label_refines(lab, sup.label):
-                            self._cofaces[lab].append(sup.label)
-                            self._faces[sup.label].append(lab)
+        for r, c in enumerate(order):
+            lab, d, fs = c.label, c.dimension, [c.label, *self._faces[c.label]]
+            if d == k:
+                p = self._cut(c)[0]
+                points[lab] = (p, c.form_at(p))
+            elif d == k + 1:
+                edges[lab] = self._edges(c, [points[f] for f in fs if f in points])
+            faces = self._skeleton[lab] = CellFaces(
+                tuple(points[f] for f in fs if f in points),
+                tuple(e for f in fs for e in edges.get(f, ())),
+            )
+            w, den = _relint_point(faces)
+            signs = [_sign(sum(map(mul, g, w)) + o * den) for g, o in c.eqs + c.stricts]
+            if signs != [0] * len(c.eqs) + [1] * len(c.stricts):
+                w = tuple(Fraction(x, den) for x in w)
+                raise RuntimeError(f"witness {w} is off the relative interior of cell {lab}")
+            level = [trie]
+            for s in lab:
+                level = ([n for m in level if (n := m.get(s))] if s
+                         else [n for m in level for n in m.values()])
+            found = sorted(m[None] for m in level)
+            ups = self._cofaces[lab] = [order[u].label for u in found if u != r]
+            for sup in ups:
+                self._faces[sup].append(lab)
         return {(sub, sup) for sub in self.cells for sup in self._cofaces[sub]}
 
     @cached_property
@@ -243,10 +250,6 @@ class CanonicalComplex:
         return {
             c.label: edge_orientation(self, c.label) for c in self.cells_of_dim(1)
         }
-
-
-def _label_refines(sub: Label, sup: Label) -> bool:
-    return all(a == b or a == 0 for a, b in zip(sub, sup))
 
 
 def _relint_point(faces: CellFaces) -> tuple[list[int], int]:
@@ -428,11 +431,8 @@ def edge_orientation(cx: CanonicalComplex, label: Label) -> str:
 def census(cx: CanonicalComplex) -> dict[tuple[int, bool], int]:
     """Cell counts keyed by (dimension, bounded).  A cell is bounded when it
     has no line along ker(W1) and none of its 1-faces is a ray."""
-    counts: Counter[tuple[int, bool]] = Counter()
-    for lab, c in cx.cells.items():
-        bounded = not cx.kernel and all(e.bounded for e in cx.skeleton[lab].edges)
-        counts[(c.dimension, bounded)] += 1
-    return dict(counts)
+    return dict(Counter((c.dimension, not cx.kernel and not cx.skeleton[lab].rays)
+                        for lab, c in cx.cells.items()))
 
 
 # ---------------------------------------------------------------------------

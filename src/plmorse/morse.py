@@ -188,12 +188,14 @@ def stable_measures(
     from F <= -M, F <= M, F >= -M and F >= M are down-sets: their Betti
     numbers are the stable vectors, and the nested pairs of them give the
     coarse ranks.  The counts of the four sets come from the refined pieces,
-    and each must equal b_0 of the same set.
+    one union-find growing from F <= -M to F <= M and one from F >= M to
+    F >= -M, and each must equal b_0 of the same set.
     """
     m = big_m(cx)
     rcx = refine_at_levels(cx, [-m, m])
     ranges = ((None, -m), (None, m), (-m, None), (m, None))
-    counts = tuple(len(rcx.components(rcx.keys_in(*r))) for r in ranges)
+    keys = [rcx.keys_in(*r) for r in ranges]
+    counts = (*rcx.component_counts(*keys[:2]), *rcx.component_counts(keys[3], keys[2])[::-1])
     model, *sets = modeled_pair(rcx, (None, None), *ranges)
     chains = CellularComplex(model)
     vecs = [chains.betti(s) for s in sets]
@@ -306,16 +308,8 @@ def analyze(net: Network) -> ComplexityReport:
     except UnsupportedNetworkError:
         vertices = None
     flags = dict(zip(_FLAGS, (coarse.sublevel_total <= glob, glob <= len(cx.cells_of_dim(0)))))
-    return ComplexityReport(
-        thresholds=cx.nontransversal_thresholds,
-        components=records,
-        global_h_complexity=glob,
-        stable=stable,
-        coarse=coarse,
-        counts=counts,
-        vertices=vertices,
-        flags=flags,
-    )
+    return ComplexityReport(cx.nontransversal_thresholds, records, glob, stable, coarse, counts,
+                            vertices, flags)
 
 
 def report_to_json(report: ComplexityReport) -> dict:
@@ -363,34 +357,17 @@ _BOOL = {"type": "boolean"}
 REPORT_SCHEMA = object_schema(
     {
         "thresholds": {"type": "array", "items": FRACTION_SCHEMA},
-        "components": {
-            "type": "array",
-            "items": object_schema(
-                {
-                    "level": FRACTION_SCHEMA,
-                    "cells": {"type": "array", "items": _LABEL},
-                    "ranks": _RANKS,
-                    "total": _COUNT,
-                    "h_critical": _BOOL,
-                }
-            ),
-        },
+        "components": {"type": "array", "items": object_schema({
+            "level": FRACTION_SCHEMA, "cells": {"type": "array", "items": _LABEL},
+            "ranks": _RANKS, "total": _COUNT, "h_critical": _BOOL})},
         "global_h_complexity": _COUNT,
         "stable": object_schema({"M": FRACTION_SCHEMA, **dict.fromkeys(_STABLE, _RANKS)}),
         "coarse": object_schema(dict.fromkeys(("sublevel", "superlevel"), _RANKS)),
         "counts": object_schema(dict.fromkeys(_COUNTS, _COUNT), additionalProperties=_COUNT),
-        "vertices": {
-            "type": ["array", "null"],
-            "items": {
-                "type": "object",
-                "required": ["point", "class"],
-                "properties": {
-                    "point": {"type": "array", "items": FRACTION_SCHEMA},
-                    "class": {"enum": [REGULAR, NONDEGENERATE, DEGENERATE]},
-                    "index": _COUNT,
-                },
-            },
-        },
+        "vertices": {"type": ["array", "null"], "items": {
+            "type": "object", "required": ["point", "class"], "properties": {
+                "point": {"type": "array", "items": FRACTION_SCHEMA},
+                "class": {"enum": [REGULAR, NONDEGENERATE, DEGENERATE]}, "index": _COUNT}}},
         "flags": object_schema(dict.fromkeys(_FLAGS, _BOOL), additionalProperties=_BOOL),
     }
 )

@@ -512,6 +512,33 @@ def test_containment_pairs_match_pairwise_rule(make):
         assert set(got) == _pairwise_containment(rcx, keys), (levels, lo, hi)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_fan_network(1),
+        lambda: build_fan_network(2),
+        lambda: build_coarse_bound_network(4),
+        lambda: random_network((2, 2, 2, 1), 5),
+        lambda: random_network((3, 3, 1), 10004),
+        deep_flat_net,
+    ],
+    ids=["fan1", "fan2", "coarse_bound4", "random_2_2_2_1_seed5", "random_3_3_1_seed10004",
+         "deep_flat"],
+)
+def test_component_counts_grow_through_nested_down_sets(make):
+    """One union-find grown through F <= t for rising t, and one through
+    F >= t for falling t, count the components that one-shot union-finds
+    over each set find."""
+    cx = build_complex(make())
+    ts = cx.nontransversal_thresholds
+    levels = sorted({*ts, *(t + F(1, 2) for t in ts), *(t - F(1, 3) for t in ts)})
+    rcx = refine_at_levels(cx, levels)
+    subs = [rcx.keys_in(None, t) for t in levels] + [rcx.keys_in(None, None)]
+    sups = [rcx.keys_in(t, None) for t in reversed(levels)] + [rcx.keys_in(None, None)]
+    for nested in (subs, sups):
+        assert rcx.component_counts(*nested) == [len(rcx.components(k)) for k in nested]
+
+
 def _leaves(x):
     if isinstance(x, (tuple, list, frozenset)):
         for y in x:

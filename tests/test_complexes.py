@@ -1,5 +1,6 @@
 """Complex construction, labels, flats, orientations, census, predicates."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,7 @@ from plmorse.network import (
 )
 
 import build_reference
+from face_reference import scan_faces
 from fm_reference import contained
 from hull_model import bounded, rays
 from net_helpers import activation_pattern, generic_line_counts, negate
@@ -638,3 +640,76 @@ def test_build_makes_two_feasibility_calls_per_split(monkeypatch):
     cx = build_complex(random_network((2, 2, 2, 1), 5))
     assert len(cx.cells) == 25
     assert len(calls) == 40
+
+
+def _lines_through_origin(m):
+    """m distinct lines through the origin of the plane, x + k y = 0."""
+    return Network((
+        AffineLayer.make([[1, k] for k in range(m)], [0] * m, "relu"),
+        AffineLayer.make([[(-1) ** k for k in range(m)]], [0], "none"),
+    ))
+
+
+# Nets whose labels have zeros in the same entry everywhere or many zeros at
+# one cell: a hidden row that is zero with a zero bias, and concurrent lines.
+DEGENERATE_FACE_NETS = {
+    "zero hidden row": Network((
+        AffineLayer.make([[1, 0], [0, 0], [0, 1], [1, 1]], [0, 0, 1, -1], "relu"),
+        AffineLayer.make([[1, 2, -1, 1]], [0], "none"),
+    )),
+    "zero hidden row, deep": Network((
+        AffineLayer.make([[1, -1], [0, 0], [1, 1]], [0, 0, -1], "relu"),
+        AffineLayer.make([[1, 1, 0], [1, 0, -1]], [-1, 0], "relu"),
+        AffineLayer.make([[1, -1]], [0], "none"),
+    )),
+    "concurrent lines": _lines_through_origin(5),
+    "concurrent lines off the origin": Network((
+        AffineLayer.make([[1, 0], [0, 1], [1, 1], [1, -1]], [-1, -1, -2, 0], "relu"),
+        AffineLayer.make([[1, -1, 2, -2]], [1], "none"),
+    )),
+}
+
+
+def _face_nets():
+    for path in sorted(GOLDEN.glob("*.net.json")):
+        yield path.name, lambda path=path: load_network(path)
+    yield from (
+        (f"corpus {name}", make) for name, make in ANALYZE_CORPUS_NETS.items()
+    )
+    for arch in [(2, 3, 3, 1), (3, 4, 4, 1), (2, 2, 2, 2, 1)]:
+        for seed in range(4):
+            yield f"{arch} seed {seed}", lambda arch=arch, seed=seed: random_network(arch, seed)
+    yield "(4, 8, 1) seed 3", lambda: random_network((4, 8, 1), 3)
+    yield from ((name, lambda net=net: net) for name, net in {**HAND_NETS, **DEGENERATE_FACE_NETS}.items())
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in _face_nets()])
+def test_face_lists_match_the_label_scan(make):
+    """The trie walk finds the face pairs of the label scan, and each cell's
+    face and coface lists in the scan's order."""
+    cx = build_complex(make())
+    pairs, faces, cofaces = scan_faces(cx)
+    assert cx.face_pairs == pairs
+    for lab in cx.cells:
+        assert cx.faces_of(lab) == faces[lab], lab
+        assert cx.cofaces_of(lab) == cofaces[lab], lab
+
+
+def test_zero_hidden_row_puts_a_zero_in_every_label():
+    cx = build_complex(DEGENERATE_FACE_NETS["zero hidden row"])
+    assert all(lab[1] == 0 for lab in cx.cells)
+    assert cx.face_pairs
+
+
+def test_face_walk_stays_bounded_at_sixteen_concurrent_lines():
+    """At the origin of 16 lines through it, a label with 16 zeros, a lookup
+    of every label its own could refine would try 3^16 (about 43 million);
+    the walk follows only labels that exist, 65 cells in all."""
+    cx = build_complex(_lines_through_origin(16))
+    origin = (0,) * 16
+    assert len(cx.cells) == 65 and cx.cells[origin].dimension == 0
+    start = time.process_time()
+    pairs = cx.face_pairs
+    assert time.process_time() - start < 2
+    assert pairs == scan_faces(cx)[0]
+    assert len(cx.cofaces_of(origin)) == 64

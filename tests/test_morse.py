@@ -521,13 +521,13 @@ def test_stable_measures_name_the_set_whose_count_disagrees(monkeypatch, at):
     names the set."""
     m = F(1)
     lo, hi = ((None, -m), (None, m), (-m, None), (m, None))[at]
-    real = RefinedComplex.components
+    real = RefinedComplex.component_counts
 
-    def one_too_many(rcx, keys):
-        found = real(rcx, keys)
-        return [*found, []] if sorted(keys) == rcx.keys_in(lo, hi) else found
+    def one_too_many(rcx, *nested):
+        found = real(rcx, *nested)
+        return [n + (sorted(keys) == rcx.keys_in(lo, hi)) for keys, n in zip(nested, found)]
 
-    monkeypatch.setattr(RefinedComplex, "components", one_too_many)
+    monkeypatch.setattr(RefinedComplex, "component_counts", one_too_many)
     cx = build_complex(two_relu_net())
     assert morse.big_m(cx) == m
     want = two_model_measures(cx)[0]
