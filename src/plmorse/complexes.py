@@ -105,9 +105,8 @@ class CellFaces(namedtuple("CellFaces", "points edges f_range rays")):
 
     def __new__(cls, points, edges):
         rays = frozenset(_sign(e.slope) for e in edges if not e.bounded)
-        values = [f for _, f in points]
-        lo = None if -1 in rays else min(values)
-        hi = None if 1 in rays else max(values)
+        lo = None if -1 in rays else min(f for _, f in points)
+        hi = None if 1 in rays else max(f for _, f in points)
         return super().__new__(cls, points, edges, (lo, hi), rays)
 
 
@@ -136,19 +135,19 @@ class CanonicalComplex:
         layer's forms affine on [x, y], and by induction (x, y] lies in sup.
         A walk down a trie of the labels finds a cell's cofaces: it follows
         the cell's sign at each nonzero entry and every child at each zero,
-        so it reaches the labels that agree with the cell's wherever that is
-        nonzero, which is refinement, through prefixes of labels that exist
-        only (never 3^z for z zeros).  The pass visits cells by dimension,
-        reads each cell's witness off the faces found so far
-        (``_relint_point``), raises RuntimeError if it is off the cell's
-        relative interior, and records ``skeleton`` and each cell's face and
-        coface lists (``faces_of``, ``cofaces_of``), in the pass's order.
+        so the leaves it reaches are the labels that agree with the cell's
+        wherever that is nonzero, which is refinement.  It walks prefixes of
+        existing labels only, never the 3^z sign patterns of z zeros.  The
+        pass visits cells by dimension, reads each cell's witness off the
+        faces found so far (``_relint_point``), raises RuntimeError if it is
+        off the cell's relative interior, and records ``skeleton`` and each
+        cell's face and coface lists (``faces_of``, ``cofaces_of``) in its order.
         """
         k = len(self.kernel)
         order = sorted(self.cells.values(), key=lambda c: c.dimension)
         trie: dict = {}
-        for r, c in enumerate(order):  # a leaf holds its cell's place in the pass
-            reduce(lambda node, s: node.setdefault(s, {}), c.label, trie)[None] = r
+        for r, c in enumerate(order):  # leaf: the cell's place in the pass and its label
+            reduce(lambda node, s: node.setdefault(s, {}), c.label, trie)[None] = r, c.label
         self._faces: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
         self._cofaces: dict[Label, list[Label]] = {}
         points: dict[Label, tuple[Vec, Fraction]] = {}
@@ -174,8 +173,7 @@ class CanonicalComplex:
             for s in lab:
                 level = ([n for m in level if (n := m.get(s))] if s
                          else [n for m in level for n in m.values()])
-            found = sorted(m[None] for m in level)
-            ups = self._cofaces[lab] = [order[u].label for u in found if u != r]
+            ups = self._cofaces[lab] = [b for u, b in sorted(m[None] for m in level) if u != r]
             for sup in ups:
                 self._faces[sup].append(lab)
         return {(sub, sup) for sub in self.cells for sup in self._cofaces[sub]}
@@ -260,8 +258,10 @@ def _relint_point(faces: CellFaces) -> tuple[list[int], int]:
     pts = [p for p, _ in faces.points] or [faces.edges[0].start]
     rays = [e.direction for e in faces.edges if not e.bounded] if faces.points else []
     weighted = [(p, 1) for p in pts] + [(r, len(pts)) for r in rays]
-    den = lcm(*(x.denominator for v, _ in weighted for x in v))
-    ints = [[w * x.numerator * (den // x.denominator) for x in v] for v, w in weighted]
+    dens = {x.denominator for v, _ in weighted for x in v}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}  # one big division per denominator
+    ints = [[w * x.numerator * scale[x.denominator] for x in v] for v, w in weighted]
     return [sum(col) for col in zip(*ints)], den * len(pts)
 
 # ---------------------------------------------------------------------------
