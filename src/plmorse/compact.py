@@ -172,7 +172,8 @@ class RefinedComplex:
         return [(a, b) for b in keys for a in self.closure(b) if a != b and a in present]
 
     def components(self, keys) -> list[list[PieceKey]]:
-        return components(sorted(keys), self.containment_pairs(keys))
+        keys = sorted(keys)
+        return components(keys, self.containment_pairs(keys))
 
     def component_counts(self, *nested) -> list[int]:
         """Connected components of each of the given down-sets, each inside the
@@ -191,8 +192,7 @@ class RefinedComplex:
 
         for keys in nested:
             new = [k for k in keys if k not in index]
-            for k in new:
-                parent.append(index.setdefault(k, len(index)))
+            parent.extend(index.setdefault(k, len(index)) for k in new)
             n += len(new)
             for k in new:
                 r = find(index[k])  # stays k's root: every union hangs a root on it

@@ -673,14 +673,14 @@ DEGENERATE_FACE_NETS = {
 def _face_nets():
     for path in sorted(GOLDEN.glob("*.net.json")):
         yield path.name, lambda path=path: load_network(path)
-    yield from (
-        (f"corpus {name}", make) for name, make in ANALYZE_CORPUS_NETS.items()
-    )
+    for name, make in ANALYZE_CORPUS_NETS.items():
+        yield f"corpus {name}", make
     for arch in [(2, 3, 3, 1), (3, 4, 4, 1), (2, 2, 2, 2, 1)]:
         for seed in range(4):
             yield f"{arch} seed {seed}", lambda arch=arch, seed=seed: random_network(arch, seed)
     yield "(4, 8, 1) seed 3", lambda: random_network((4, 8, 1), 3)
-    yield from ((name, lambda net=net: net) for name, net in {**HAND_NETS, **DEGENERATE_FACE_NETS}.items())
+    for name, net in {**HAND_NETS, **DEGENERATE_FACE_NETS}.items():
+        yield name, lambda net=net: net
 
 
 @pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in _face_nets()])
@@ -695,10 +695,13 @@ def test_face_lists_match_the_label_scan(make):
         assert cx.cofaces_of(lab) == cofaces[lab], lab
 
 
-def test_zero_hidden_row_puts_a_zero_in_every_label():
-    cx = build_complex(DEGENERATE_FACE_NETS["zero hidden row"])
-    assert all(lab[1] == 0 for lab in cx.cells)
-    assert cx.face_pairs
+def test_degenerate_face_nets_reach_their_corners():
+    """Every label of the zero-row nets has a 0 in that row, and five lines
+    meet at the origin of the concurrent net."""
+    for name in ("zero hidden row", "zero hidden row, deep"):
+        assert all(lab[1] == 0 for lab in build_complex(DEGENERATE_FACE_NETS[name]).cells), name
+    cx = build_complex(DEGENERATE_FACE_NETS["concurrent lines"])
+    assert cx.cells[(0,) * 5].dimension == 0
 
 
 def test_face_walk_stays_bounded_at_sixteen_concurrent_lines():
