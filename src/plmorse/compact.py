@@ -11,8 +11,11 @@ contractible complex (Björner, Las Vergnas, Sturmfels, White and Ziegler,
 Oriented Matroids, section 4.5), so, adding pieces in order of dimension,
 the bounded pieces have the homotopy type of the set and of every
 face-closed union of its pieces, such as a flat component's closed star in
-a strip.  No hull is taken.  The model carries provenance back to the
-refined pieces, so distinguished subcomplexes can be marked.
+a strip.  No hull is taken and no coordinate is computed: a polytopal
+complex is a regular CW complex, so its face poset fixes its homology
+(Björner 1984).  Vertex ids number the 0-dimensional pieces in key order,
+and each cell carries its piece's key, so a down-set of pieces marks a
+subcomplex.
 
 Pointedness is decided once per complex: every cell's lineality is ker(W1)
 (``build_complex``), which F's gradient does not cut, so a piece is pointed
@@ -25,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
 from .complexes import (
     CanonicalComplex,
@@ -102,26 +104,6 @@ class RefinedCell:
         if not self.faces.points:
             return lo is not None and hi is not None and 0 not in rays
         return not rays or (lo is not None and rays == {-1}) or (hi is not None and rays == {1})
-
-    @cached_property
-    def vertices(self) -> list[Vec]:
-        """Vertices of the piece cut by the row space of W1, sorted: the
-        parent's 0-faces with F in the closed interval, and the points where
-        its 1-faces cross a finite end of the interval."""
-        lo, hi = self.interval
-        found = {
-            p
-            for p, f in self.faces.points
-            if (lo is None or f >= lo) and (hi is None or f <= hi)
-        }
-        for t in {lo, hi} - {None}:
-            for e in self.faces.edges:
-                if e.slope == 0:
-                    continue
-                s = (t - e.value) / e.slope
-                if s >= 0 and (not e.bounded or s <= 1):
-                    found.add(tuple(a + s * d for a, d in zip(e.start, e.direction)))
-        return sorted(found)
 
 
 class RefinedComplex:
@@ -256,21 +238,22 @@ def essentialize(pieces, cx: CanonicalComplex):
 
 @dataclass(frozen=True)
 class ModelCell:
-    """A cell with its vertex ids, the pieces it comes from, and the ids
-    (vertex sets) of its proper faces."""
+    """A cell with its vertex ids, the key of the piece it is (None in a
+    model not read off a refinement), and the ids (vertex sets) of its
+    proper faces."""
 
     verts: frozenset[int]
     dimension: int
-    sources: frozenset[PieceKey]
+    key: PieceKey | None
     faces: frozenset[frozenset[int]]
 
 
 class CompactModel:
-    """Compact polytopal complex: cells keyed by their vertex ids, with
-    the vertices' coordinates."""
+    """Compact polytopal complex: cells keyed by their vertex ids, with the
+    key of the 0-dimensional piece each vertex id stands for."""
 
     def __init__(self, vertices, cells):
-        self.vertices: tuple[Vec, ...] = tuple(vertices)
+        self.vertices: tuple[PieceKey, ...] = tuple(vertices)
         self.cells: dict[frozenset[int], ModelCell] = cells
 
     def __repr__(self):
@@ -280,54 +263,42 @@ class CompactModel:
     def dim(self) -> int:
         return max((c.dimension for c in self.cells.values()), default=-1)
 
-    def cells_of_dim(self, d: int) -> list[ModelCell]:
-        return [c for c in self.cells.values() if c.dimension == d]
-
     def cells_with_source(self, keys) -> frozenset:
+        """Ids of the cells whose piece is one of ``keys``.  Every caller marks
+        a down-set of pieces, whose cells are a subcomplex."""
         keys = frozenset(keys)
-        return frozenset(cid for cid, c in self.cells.items() if c.sources & keys)
+        return frozenset(cid for cid, c in self.cells.items() if c.key in keys)
 
 
 def _where(p: RefinedCell) -> str:
     return f"cell {p.source} over F-interval {p.interval}"
 
 
-def compact_part(pieces, pairs) -> CompactModel:
+def compact_part(pieces, closure) -> CompactModel:
     """The bounded subcomplex of the given pieces, read off their face poset.
 
-    ``pairs`` are the (inner, outer) containment pairs among the pieces'
-    keys.  Every piece must be pointed.  A model cell is a bounded piece:
-    its vertices are the 0-dimensional pieces in its closure, its faces
-    the other bounded pieces there, and its sources the piece and every
-    piece whose closure holds it.  Each 0-dimensional piece is one point,
-    each bounded d-piece has at least d + 1 vertices, the faces of its
-    closure alternate to 1 as a polytope's do, and no two cells share a
-    vertex set; a piece that breaks one of these is named in a RuntimeError.
+    ``closure`` maps a piece's key to the keys in its closure, itself first
+    (``RefinedComplex.closure``); keys outside the given pieces are skipped.
+    Every piece must be pointed.  A model cell is a bounded piece: its
+    vertices are the 0-dimensional pieces in its closure, numbered in the
+    order given (key order, from every caller), and its faces the other
+    bounded pieces there.  No coordinate is computed.  Each bounded d-piece
+    has at least d + 1 vertices, the faces of its closure alternate to 1 as
+    a polytope's do, and no two cells share a vertex set; a piece that
+    breaks one of these is named in a RuntimeError.
     """
     for p in pieces:
         if not p.pointed:
             raise ValueError(f"{_where(p)} is unpointed; essentialize the component first")
-    closure = {p.key: [p.key] for p in pieces}
-    sources = {p.key: [p.key] for p in pieces}
-    for a, b in pairs:
-        closure[b].append(a)
-        sources[a].append(b)
     bounded = [p for p in pieces if p.bounded]
     dims = {p.key: p.dimension for p in bounded}
-    points = {}
-    for p in bounded:
-        if dims[p.key] == 0:
-            if len(p.vertices) != 1:
-                raise RuntimeError(f"0-dimensional {_where(p)} has points {p.vertices}, not one")
-            points[p.key] = p.vertices[0]
-    order = sorted(points, key=points.__getitem__)
-    vid = {k: n for n, k in enumerate(order)}
-    verts_of = {k: frozenset(vid[f] for f in closure[k] if f in vid) for k in dims}
+    vid = {k: n for n, k in enumerate(k for k, d in dims.items() if d == 0)}
+    faces_of = {k: [f for f in closure(k) if f in dims] for k in dims}
+    verts_of = {k: frozenset(vid[f] for f in fs if f in vid) for k, fs in faces_of.items()}
     cells: dict[frozenset[int], ModelCell] = {}
     for p in bounded:
         k = p.key
-        d, verts = dims[k], verts_of[k]
-        faces = [f for f in closure[k] if f in dims]
+        d, verts, faces = dims[k], verts_of[k], faces_of[k]
         if len(verts) < d + 1:
             raise RuntimeError(f"bounded {d}-dimensional {_where(p)} has {len(verts)} vertices")
         chi = sum((-1) ** dims[f] for f in faces)
@@ -335,9 +306,8 @@ def compact_part(pieces, pairs) -> CompactModel:
             raise RuntimeError(f"the faces of bounded {_where(p)} alternate to {chi}, not 1")
         if verts in cells:
             raise RuntimeError(f"{_where(p)} has the vertex set of another piece")
-        below = frozenset(verts_of[f] for f in faces if f != k)
-        cells[verts] = ModelCell(verts, d, frozenset(sources[k]), below)
-    return CompactModel(tuple(points[k] for k in order), cells)
+        cells[verts] = ModelCell(verts, d, k, frozenset(verts_of[f] for f in faces if f != k))
+    return CompactModel(vid, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +318,7 @@ def _model(rcx: RefinedComplex, keys, marked=()) -> tuple[CompactModel, frozense
     """Compact model of the pieces with the given keys, and the ids of its
     cells coming from the marked ones."""
     pieces = essentialize([rcx.cells[k] for k in keys], rcx.source)
-    model = compact_part(pieces, rcx.containment_pairs(keys))
+    model = compact_part(pieces, rcx.closure)
     return model, model.cells_with_source(marked)
 
 

@@ -143,7 +143,7 @@ def _link_record(cx: CanonicalComplex, comp: FlatComponent) -> LocalComplexityRe
     ids = {c: i for i, c in enumerate(c for c, s in slopes.items() if s < 0)}
     at_v = {c: {f for f in (c, *cx.faces_of(c)) if f in slopes} for c in dims}
     verts = {c: frozenset(map(ids.get, fs)) for c, fs in at_v.items() if fs <= ids.keys()}
-    cells = {vs: ModelCell(vs, dims[c], frozenset(),
+    cells = {vs: ModelCell(vs, dims[c], None,
                            frozenset(verts[f] for f in cx.faces_of(c) if f in verts))
              for c, vs in verts.items()}
     b = CellularComplex(CompactModel((), cells)).betti()

@@ -110,15 +110,32 @@ def bounded(poly) -> bool:
     return not poly.nonempty or (poly.pointed and not rays(poly))
 
 
-def hull_compact_part(pieces) -> CompactModel:
+class HullModel(CompactModel):
+    """A hull model, whose vertices are points.  ``sources`` maps each cell
+    to every piece whose hull has it as a face, and a cell is marked when
+    one of them is; a cell's ``key`` is its lowest-dimensional source."""
+
+    def __init__(self, vertices, cells, sources):
+        super().__init__(vertices, cells)
+        self.sources = sources
+
+    def cells_with_source(self, keys) -> frozenset:
+        keys = frozenset(keys)
+        return frozenset(cid for cid, src in self.sources.items() if src & keys)
+
+
+def hull_compact_part(pieces) -> HullModel:
     """Union of the pieces' vertex hulls and all their faces; every piece
-    must be pointed."""
+    must be pointed.  Vertices are taken from each piece's H-representation."""
     memo: dict = {}
     sources: dict = {}
+    dims = {}
     for p in pieces:
-        if not piece_geometry(p).pointed:
+        geo = piece_geometry(p)
+        if not geo.pointed:
             raise ValueError(f"cell {p.source} over F-interval {p.interval} is unpointed")
-        for face in polytope_faces(tuple(p.vertices), memo):
+        dims[p.key] = p.dimension
+        for face in polytope_faces(tuple(geo.vertices), memo):
             sources.setdefault(face, set()).add(p.key)
     all_verts = sorted({v for face in sources for v in face})
     vid = {v: i for i, v in enumerate(all_verts)}
@@ -126,8 +143,9 @@ def hull_compact_part(pieces) -> CompactModel:
     cells = {}
     for face, src in sources.items():
         below = frozenset(ids[f] for f in sources if f < face)
-        cells[ids[face]] = ModelCell(ids[face], affine_rank(sorted(face)), frozenset(src), below)
-    return CompactModel(tuple(all_verts), cells)
+        key = min(src, key=lambda k: (dims[k], k))
+        cells[ids[face]] = ModelCell(ids[face], affine_rank(sorted(face)), key, below)
+    return HullModel(all_verts, cells, {ids[face]: frozenset(src) for face, src in sources.items()})
 
 
 def pulling_triangulation(model) -> Triangulation:

@@ -1,5 +1,6 @@
 """Small helpers that only the tests call.
 
+``ANALYZE_CORPUS_NETS`` are the benchmark's analyze corpora at seed 13;
 ``generic_line_counts`` is the closed-form census that
 ``plmorse.complexes.census`` is checked against; ``level_model`` builds the
 compact model of a level set the way ``plmorse.compact`` builds sublevel and
@@ -12,7 +13,34 @@ from math import comb
 
 from plmorse.compact import CompactModel, _model, refine_at_levels
 from plmorse.complexes import CanonicalComplex
-from plmorse.network import NONE, AffineLayer, Network
+from plmorse.network import (
+    NONE,
+    AffineLayer,
+    Network,
+    build_coarse_bound_network,
+    build_fan_network,
+    random_network,
+)
+
+
+# The networks of both analyze benchmark corpora at seed 13 (perfbench/corpus.py):
+# fan and coarse-bound nets, the seed-3 references, and random nets.
+ANALYZE_CORPUS_NETS = {
+    **{f"fan{k}": (lambda k=k: build_fan_network(k)) for k in (1, 2)},
+    **{f"coarse{m}": (lambda m=m: build_coarse_bound_network(m)) for m in (4, 5)},
+    **{
+        f"{arch} seed {seed}": (lambda arch=arch, seed=seed: random_network(arch, seed))
+        for arch, seeds in [
+            ((2, 3, 1), (130004, 130005, 130006)),
+            ((2, 4, 1), (130007,)),
+            ((2, 3, 2, 1), (3,)),
+            ((3, 4, 1), (3,)),
+            ((2, 2, 2, 1), (130002, 130003)),
+            ((3, 3, 1), (130004, 130005, 130006)),
+        ]
+        for seed in seeds
+    },
+}
 
 
 def generic_line_counts(m: int) -> dict[str, int]:

@@ -2,12 +2,14 @@
 ``plmorse.compact`` reads off the complex's combinatorics.
 
 The program never builds a cell's or a piece's polyhedron: a cell is its
-sign-pattern rows, a piece's vertices and boundedness come from the parent
-cell's 0- and 1-faces, and its pointedness from the cell's lineality and the
-kernel cut.  The tests rebuild the closed cell from its rows, and the closed
+sign-pattern rows, a piece's boundedness comes from the parent cell's 0- and
+1-faces, and its pointedness from the cell's lineality and the kernel cut.  The tests rebuild the closed cell from its rows, and the closed
 piece from the parent's rows, F's interval and the kernel cut, and compare.
+A compact model numbers its vertices by piece key and holds no coordinate;
+``model_coordinates`` gives its vertices' points from the same geometry.
 """
 
+from plmorse.compact import essentialize
 from plmorse.geometry import Polyhedron, canon_constraint
 
 
@@ -37,3 +39,10 @@ def piece_geometry(piece) -> Polyhedron:
 def cell_geometry(cell) -> Polyhedron:
     """The closure of a canonical cell: {eqs = 0, stricts >= 0}."""
     return Polyhedron(len(cell.gradient), cell.eqs, cell.stricts)
+
+
+def model_coordinates(model, rcx) -> tuple:
+    """The point of each vertex of a model built on the refinement rcx, in
+    vertex-id order: the one vertex of its essentialized 0-dimensional piece."""
+    pieces = essentialize([rcx.cells[k] for k in model.vertices], rcx.source)
+    return tuple(v for p in pieces for (v,) in [piece_geometry(p).vertices])

@@ -45,7 +45,7 @@ def whole_strip_model(cx: CanonicalComplex, a, lower) -> StripModel:
     rcx = refine_at_levels(cx, [lower, a])
     keys = rcx.keys_in(lower, a)
     pieces = essentialize([rcx.cells[k] for k in keys], cx)
-    model = compact_part(pieces, rcx.containment_pairs(keys))
+    model = compact_part(pieces, rcx.closure)
     key_set = set(keys)
     floor = model.cells_with_source(rcx.keys_in(lower, lower))
     top = rcx.index_of(a)

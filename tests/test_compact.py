@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from plmorse import morse
-from plmorse.complexes import CellFaces, FlatComponent, build_complex, flat_cells, zero_cells
+from plmorse.complexes import FlatComponent, build_complex, flat_cells, zero_cells
 from plmorse.compact import (
     CompactModel,
     compact_part,
@@ -18,6 +18,7 @@ from plmorse.compact import (
 )
 from plmorse.geometry import Polyhedron, canon_constraint, feasible, nullspace_basis, rank
 from plmorse.homology import (
+    CellularComplex,
     SimplicialComplex,
     SimplicialPair,
     barycentric_pair,
@@ -36,10 +37,10 @@ from plmorse.network import (
 )
 
 from fm_reference import contained
-from hull_model import hull_compact_part, polytope_faces, pulling_triangulation
-from net_helpers import level_model
+from hull_model import bounded, hull_compact_part, polytope_faces, pulling_triangulation
+from net_helpers import ANALYZE_CORPUS_NETS, level_model
 from order_complex import carried_simplices
-from piece_geometry import interval_constraints, piece_geometry
+from piece_geometry import interval_constraints, model_coordinates, piece_geometry
 from strip_reference import reference_local_records, whole_strip_model
 
 F = Fraction
@@ -159,8 +160,8 @@ def test_compact_part_of_quadrant_is_origin():
         if all(s >= 0 for s in k[0])
     ]
     assert len(quadrant) == 4
-    model = compact_part(quadrant, rcx.containment_pairs(p.key for p in quadrant))
-    assert model.vertices == ((F(0), F(0)),)
+    model = compact_part(quadrant, rcx.closure)
+    assert model_coordinates(model, rcx) == ((F(0), F(0)),)
     assert len(model.cells) == 1
 
 
@@ -168,8 +169,8 @@ def test_compact_part_of_whole_plane_complex_is_a_point():
     cx = build_complex(two_relu_net())
     rcx = refine_at_levels(cx, [])
     keys = rcx.keys_in(None, None)
-    model = compact_part([rcx.cells[k] for k in keys], rcx.containment_pairs(keys))
-    assert model.vertices == ((F(0), F(0)),)
+    model = compact_part([rcx.cells[k] for k in keys], rcx.closure)
+    assert model_coordinates(model, rcx) == ((F(0), F(0)),)
     assert len(model.cells) == 1
 
 
@@ -185,8 +186,9 @@ def test_compact_part_unit_square_is_itself():
     )
     rcx = refine_at_levels(cx, [])
     keys = rcx.keys_in(None, None)
-    model = compact_part([rcx.cells[k] for k in keys], rcx.containment_pairs(keys))
-    assert model.vertices == tuple((F(x), F(y)) for x in (0, 1) for y in (0, 1))
+    model = compact_part([rcx.cells[k] for k in keys], rcx.closure)
+    assert model.vertices == tuple(k for k in keys if rcx.cells[k].dimension == 0)
+    assert sorted(model_coordinates(model, rcx)) == [(F(x), F(y)) for x in (0, 1) for y in (0, 1)]
     by_dim = sorted(c.dimension for c in model.cells.values())
     assert by_dim == [0, 0, 0, 0, 1, 1, 1, 1, 2]
     square = next(c for c in model.cells.values() if c.dimension == 2)
@@ -198,7 +200,7 @@ def test_compact_part_rejects_unpointed_cells():
     rcx = refine_at_levels(cx, [])
     keys = rcx.keys_in(None, None)
     with pytest.raises(ValueError, match="essentialize"):
-        compact_part([rcx.cells[k] for k in keys], rcx.containment_pairs(keys))
+        compact_part([rcx.cells[k] for k in keys], rcx.closure)
 
 
 def test_sublevel_models_of_two_relu_net():
@@ -208,7 +210,7 @@ def test_sublevel_models_of_two_relu_net():
     assert betti(triangulate(empty).complex) == ()
     at_zero = sublevel_model(cx, F(0))
     assert betti(triangulate(at_zero).complex) == (1,)
-    assert at_zero.vertices == ((F(0), F(0)),)
+    assert model_coordinates(at_zero, refine_at_levels(cx, [F(0)])) == ((F(0), F(0)),)
     at_one = sublevel_model(cx, F(1))
     assert betti(triangulate(at_one).complex) == (1,)
 
@@ -250,15 +252,16 @@ def test_strip_of_two_relu_net_is_a_point():
     stars = _stars(cx, F(0), F(-1))
     assert len(stars) == 1
     comp, model, ids = stars[0]
-    assert model.vertices == ((F(0), F(0)),)
+    assert model_coordinates(model, refine_at_levels(cx, [F(-1), F(0)])) == ((F(0), F(0)),)
     assert len(model.cells) == 1
     assert comp.level == 0
     assert ids == frozenset(model.cells)
 
 
 def test_whole_strip_of_two_relu_net_has_no_floor():
-    sm = whole_strip_model(build_complex(two_relu_net()), F(0), F(-1))
-    assert sm.model.vertices == ((F(0), F(0)),)
+    cx = build_complex(two_relu_net())
+    sm = whole_strip_model(cx, F(0), F(-1))
+    assert model_coordinates(sm.model, refine_at_levels(cx, [F(-1), F(0)])) == ((F(0), F(0)),)
     assert len(sm.k_cells) == 1
     assert sm.floor == frozenset()
 
@@ -297,7 +300,7 @@ def test_strip_fan2_marks_hexagon_and_collars():
     ]
     assert collars
     for c in collars:
-        assert any(cx.cells[src[0]].dimension == 2 for src in c.sources)
+        assert cx.cells[c.key[0]].dimension == 2
 
 
 def test_whole_strip_fan2_marks_its_floor():
@@ -386,8 +389,8 @@ def _hulls_intersect(a_pts, b_pts):
     return feasible(nv, eqs=eqs, ges=ges)
 
 
-def _assert_polytopal_complex(model: CompactModel):
-    coords = model.vertices
+def _assert_polytopal_complex(model: CompactModel, rcx):
+    coords = model_coordinates(model, rcx)
     cells = list(model.cells)
     for i, c1 in enumerate(cells):
         for c2 in cells[i + 1 :]:
@@ -405,13 +408,14 @@ def _assert_polytopal_complex(model: CompactModel):
 
 def test_models_are_polytopal_complexes():
     cx = build_complex(two_relu_net())
-    _assert_polytopal_complex(sublevel_model(cx, F(1)))
+    _assert_polytopal_complex(sublevel_model(cx, F(1)), refine_at_levels(cx, [F(1)]))
     fan1 = build_complex(build_fan_network(1))
     smaller = [t for t in fan1.nontransversal_thresholds if t < 0]
     lower = max(smaller) / 2 if smaller else F(-1)
+    rcx = refine_at_levels(fan1, [lower, F(0)])
     for _, model, _ in _stars(fan1, F(0), lower):
-        _assert_polytopal_complex(model)
-    _assert_polytopal_complex(whole_strip_model(fan1, F(0), lower).model)
+        _assert_polytopal_complex(model, rcx)
+    _assert_polytopal_complex(whole_strip_model(fan1, F(0), lower).model, rcx)
 
 
 def _level_queries(cx):
@@ -549,7 +553,7 @@ def _leaves(x):
 
 def test_piece_keys_hold_only_ints():
     """Pieces are named by parent label and interval number, so keys,
-    containment pairs and model-cell sources hash no Fraction."""
+    containment pairs, model vertices and model-cell keys hash no Fraction."""
     cx = build_complex(build_fan_network(2))
     below = max(t for t in cx.nontransversal_thresholds if t < 0)
     rcx = refine_at_levels(cx, [below / 2, F(0), F(1)])
@@ -560,7 +564,8 @@ def test_piece_keys_hold_only_ints():
     found = [
         keys,
         rcx.containment_pairs(keys),
-        [c.sources for m in (model, strip) for c in m.cells.values()],
+        [m.vertices for m in (model, strip)],
+        [c.key for m in (model, strip) for c in m.cells.values()],
     ]
     assert all(type(x) is int for x in _leaves(found))
     assert all(rcx.cells[k].index == k[1] for k in keys)
@@ -674,10 +679,12 @@ REFERENCE_NETS = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_NETS))
 def test_pieces_and_vertices_match_feasibility_and_enumeration(name):
-    """Pieces kept by the F-range rule and vertices read off the parent
-    cell's 0- and 1-faces equal what Fourier-Motzkin and subset enumeration
-    give, on full-rank and rank-deficient first layers alike.  Every cell's
-    lineality is ker(W1), the rule pointedness is decided by."""
+    """Pieces kept by the F-range rule equal what Fourier-Motzkin gives, and
+    the kernel cut what the span of all pieces' normals gives, so each
+    essentialized piece has the vertices that subset enumeration finds with
+    that cut, and the dimension and boundedness of its H-representation, on
+    full-rank and rank-deficient first layers alike.  Every cell's lineality
+    is ker(W1), the rule pointedness is decided by."""
     cx = build_complex(REFERENCE_NETS[name]())
     k = len(cx.kernel)
     assert cx.network.depth >= 1
@@ -685,36 +692,40 @@ def test_pieces_and_vertices_match_feasibility_and_enumeration(name):
         lines = nullspace_basis([g for g, _ in (*c.eqs, *c.stricts)], cx.network.n0)
         assert c.lineality == len(lines) == k
         assert rank([*lines, *cx.kernel]) == k
-    for levels, lo, hi in _level_queries(cx):
+    for levels, _, _ in _level_queries(cx):
         rcx = refine_at_levels(cx, levels)
         want = _reference_pieces(cx, levels)
         got = {(p.source, p.interval): p for p in rcx.cells.values()}
         assert set(got) == set(want), levels
-        for key, piece in got.items():
-            assert piece.vertices == want[key], (levels, key)
+        for piece in got.values():
             assert piece.pointed == piece_geometry(piece).pointed
-        keys = rcx.keys_in(lo, hi)
-        for piece in essentialize([rcx.cells[k] for k in keys], cx):
+        for piece in essentialize(rcx.cells.values(), cx):
             geo = piece_geometry(piece)
             assert piece.pointed and geo.pointed
-            assert all(geo.contains(v) for v in piece.vertices)
+            assert (piece.dimension, piece.bounded) == (geo.dim, bounded(geo)), (levels, piece.key)
+            assert geo.vertices == want[(piece.source, piece.interval)], (levels, piece.key)
 
 
 def test_affine_net_pieces_are_cut_from_a_line():
     """With no hidden layer the one cell, cut by the row space of W1, is a
-    line with no 0-face; its pieces' vertices are where it crosses levels."""
+    line with no 0-face; its pieces' vertices are where it crosses levels,
+    and a model's vertices are its point pieces."""
     cx = build_complex(
         Network((AffineLayer.make([[1, 2]], [3], "none"),))
     )
     rcx = refine_at_levels(cx, [F(-2), F(3)])
     origin, below = (F(0), F(0)), (F(-1), F(-2))
-    assert {p.interval: p.vertices for p in rcx.cells.values()} == {
+    pieces = essentialize(rcx.cells.values(), cx)
+    assert {p.interval: piece_geometry(p).vertices for p in pieces} == {
         (None, F(-2)): [below],
         (F(-2), F(-2)): [below],
         (F(-2), F(3)): [below, origin],
         (F(3), F(3)): [origin],
         (F(3), None): [origin],
     }
+    (model,) = modeled_pair(rcx, (F(-2), F(3)))
+    assert model.vertices == (((), 1), ((), 3))
+    assert model_coordinates(model, rcx) == (below, origin)
     for model in (sublevel_model, superlevel_model, level_model):
         assert betti(triangulate(model(cx, F(1))).complex) == (1,)
 
@@ -746,16 +757,18 @@ Y_SEG = ((0, 1), 0)
 TRIANGLE = ((1, 1), 0)
 
 
-def _sublevel_with_pairs(drop=(), add=()):
-    """F <= 1 of two_relu_net with F = 1 marked, with the containment pairs
-    corrupted."""
+def _sublevel_with_closures(drop=(), add=()):
+    """F <= 1 of two_relu_net with F = 1 marked, with the closures corrupted:
+    inner leaves the closure of outer for each (inner, outer) in drop, and
+    joins it for each in add.  Returns the refinement, the model and the
+    marked ids."""
     cx = build_complex(two_relu_net())
     rcx = refine_at_levels(cx, [F(1)])
-    true_pairs = rcx.containment_pairs
-    rcx.containment_pairs = lambda keys: [
-        p for p in true_pairs(keys) if p not in drop
-    ] + list(add)
-    return modeled_pair(rcx, (None, F(1)), (F(1), F(1)))
+    true_closure = rcx.closure
+    rcx.closure = lambda b: [a for a in true_closure(b) if (a, b) not in drop] + [
+        a for a, outer in add if outer == b
+    ]
+    return rcx, *modeled_pair(rcx, (None, F(1)), (F(1), F(1)))
 
 
 def _where(key):
@@ -763,36 +776,34 @@ def _where(key):
 
 
 def test_uncorrupted_sublevel_is_the_triangle():
-    model, marked = _sublevel_with_pairs()
+    rcx, model, marked = _sublevel_with_closures()
     assert sorted(c.dimension for c in model.cells.values()) == [0, 0, 0, 1, 1, 1, 2]
-    assert model.vertices == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
+    # vertex ids in key order
+    assert model.vertices == (O, B, A)
+    assert model_coordinates(model, rcx) == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
     # the hypotenuse from (0, 1) to (1, 0) and its ends
     assert marked == {frozenset({1}), frozenset({2}), frozenset({1, 2})}
-    assert model.cells[frozenset({0})].sources >= {O, X_SEG, Y_SEG, TRIANGLE}
-
-
-def test_selected_model_rejects_zero_piece_without_one_point():
-    cx = build_complex(two_relu_net())
-    ((p, f),) = cx.skeleton[O[0]].points
-    cx.skeleton[O[0]] = CellFaces(((p, f), ((p[0] + 1, p[1]), f)), ())
-    rcx = refine_at_levels(cx, [F(1)])
-    with pytest.raises(RuntimeError, match=f"0-dimensional {_where(O)} has points"):
-        modeled_pair(rcx, (None, F(1)), (F(1), F(1)))
+    assert model.cells[frozenset({0})].key == O
+    assert model.cells[frozenset({0, 1, 2})].key == TRIANGLE
+    # a piece marks its own cell only, so a mark must be a down-set of pieces
+    assert model.cells_with_source([TRIANGLE]) == {frozenset({0, 1, 2})}
+    with pytest.raises(RuntimeError, match="is marked but not all of its faces are"):
+        CellularComplex(model).betti(model.cells_with_source([TRIANGLE]))
 
 
 def test_selected_model_rejects_piece_with_too_few_vertices():
     with pytest.raises(RuntimeError, match=f"bounded 1-dimensional {_where(X_SEG)} has 1 vertices"):
-        _sublevel_with_pairs(drop=[(A, X_SEG)])
+        _sublevel_with_closures(drop=[(A, X_SEG)])
 
 
 def test_selected_model_rejects_closure_not_alternating_to_one():
     with pytest.raises(RuntimeError, match=f"faces of bounded {_where(TRIANGLE)} alternate to 2"):
-        _sublevel_with_pairs(drop=[(X_SEG, TRIANGLE)])
+        _sublevel_with_closures(drop=[(X_SEG, TRIANGLE)])
 
 
 def test_selected_model_rejects_pieces_sharing_a_vertex_set():
     with pytest.raises(RuntimeError, match="has the vertex set of another piece"):
-        _sublevel_with_pairs(drop=[(B, Y_SEG)], add=[(A, Y_SEG)])
+        _sublevel_with_closures(drop=[(B, Y_SEG)], add=[(A, Y_SEG)])
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -818,6 +829,10 @@ def _cell_betti(tri, ids):
     )
 
 
+def _points(vids, vertices):
+    return frozenset(vertices[v] for v in vids)
+
+
 def _local_ranks(sc, marked):
     return relative_betti(SimplicialPair(sc, complement_complex(sc, marked)))
 
@@ -826,7 +841,9 @@ def _local_ranks(sc, marked):
 def test_bounded_subcomplex_matches_hull_model(name):
     """The bounded pieces and the vertex hulls of all pieces give the same
     Betti numbers, of the selection, of a marked part and of the pair, and
-    every bounded piece is a face of the hull model with the same sources.
+    every bounded piece is a face of the hull model with the same dimension,
+    piece, faces and mark; the hull model marks a face when any piece whose
+    hull has it is marked.
     The pulling triangulation of the bounded pieces gives them too, and on
     strips, subdivided, the same ranks relative to the complement of the
     marked part as the order complex."""
@@ -853,9 +870,43 @@ def test_bounded_subcomplex_matches_hull_model(name):
             sd, sd_k = barycentric_pair(pulled.complex, carried_simplices(pulled, ids))
             local = _local_ranks(tri.complex, carried_simplices(tri, ids))
             assert local == _local_ranks(sd, sd_k), (outer, inner)
-        hull_cells = {
-            frozenset(hull.vertices[v] for v in cid): cell for cid, cell in hull.cells.items()
-        }
+        coords = model_coordinates(model, rcx)
+        hull_cells = {_points(cid, hull.vertices): cid for cid in hull.cells}
         for cid, cell in model.cells.items():
-            got = hull_cells[frozenset(model.vertices[v] for v in cid)]
-            assert (got.dimension, got.sources) == (cell.dimension, cell.sources)
+            got = hull_cells[_points(cid, coords)]
+            assert (hull.cells[got].dimension, hull.cells[got].key) == (cell.dimension, cell.key)
+            assert {_points(f, hull.vertices) for f in hull.cells[got].faces} == {
+                _points(f, coords) for f in cell.faces
+            }
+            assert (got in hull_ids) == (cid in ids), (outer, inner, cell.key)
+
+
+ONE_POINT_NETS = {
+    **{path.name: (lambda path=path: load_network(path)) for path in sorted(GOLDEN.glob("*.net.json"))},
+    **{f"corpus {name}": make for name, make in ANALYZE_CORPUS_NETS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_POINT_NETS))
+def test_bounded_zero_pieces_are_one_point(name, monkeypatch):
+    """``compact_part`` numbers 0-dimensional pieces and computes no point, so
+    the tests check that each is one point, in every refinement analyze
+    makes.  A bounded 0-dimensional piece comes from a minimal cell, one
+    point once cut by the row space of W1, or from a nonflat cell one
+    dimension up cut at a threshold, on whose cut segment, ray or line F is
+    strictly monotone and so meets the level once."""
+    made = []
+
+    def refine(cx, thresholds):
+        made.append(refine_at_levels(cx, thresholds))
+        return made[-1]
+
+    monkeypatch.setattr(morse, "refine_at_levels", refine)
+    morse.analyze(ONE_POINT_NETS[name]())
+    assert made
+    for rcx in made:
+        pieces = essentialize(rcx.cells.values(), rcx.source)
+        zeros = [p for p in pieces if p.bounded and p.dimension == 0]
+        assert zeros
+        for p in zeros:
+            assert len(piece_geometry(p).vertices) == 1, (rcx.thresholds, p.key)

@@ -48,7 +48,7 @@ import build_reference
 from face_reference import scan_faces
 from fm_reference import contained
 from hull_model import bounded, rays
-from net_helpers import activation_pattern, generic_line_counts, negate
+from net_helpers import ANALYZE_CORPUS_NETS, activation_pattern, generic_line_counts, negate
 from piece_geometry import cell_geometry
 
 F = Fraction
@@ -551,26 +551,6 @@ def test_cell_rows_are_their_probed_relint_system(net):
     for c in build_complex(net).cells.values():
         poly = Polyhedron(net.n0, c.eqs, c.stricts)
         assert poly.nonempty and poly.relint_system == (c.eqs, c.stricts), c.label
-
-
-# The networks of both analyze benchmark corpora at seed 13 (perfbench/corpus.py):
-# fan and coarse-bound nets, the seed-3 references, and random nets.
-ANALYZE_CORPUS_NETS = {
-    **{f"fan{k}": (lambda k=k: build_fan_network(k)) for k in (1, 2)},
-    **{f"coarse{m}": (lambda m=m: build_coarse_bound_network(m)) for m in (4, 5)},
-    **{
-        f"{arch} seed {seed}": (lambda arch=arch, seed=seed: random_network(arch, seed))
-        for arch, seeds in [
-            ((2, 3, 1), (130004, 130005, 130006)),
-            ((2, 4, 1), (130007,)),
-            ((2, 3, 2, 1), (3,)),
-            ((3, 4, 1), (3,)),
-            ((2, 2, 2, 1), (130002, 130003)),
-            ((3, 3, 1), (130004, 130005, 130006)),
-        ]
-        for seed in seeds
-    },
-}
 
 
 def _hull_solution(cell):

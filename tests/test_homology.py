@@ -282,10 +282,10 @@ def simplicial_model(tops, top_cell=False) -> CompactModel:
     cells = {}
     for s in simplices:
         below = frozenset(frozenset(f) for f in simplices if len(f) < len(s) and set(f) < set(s))
-        cells[frozenset(s)] = ModelCell(frozenset(s), len(s) - 1, frozenset(), below)
+        cells[frozenset(s)] = ModelCell(frozenset(s), len(s) - 1, None, below)
     verts = frozenset(v for s in simplices for v in s)
     if top_cell:
-        cells[verts] = ModelCell(verts, len(simplices[-1]), frozenset(), frozenset(cells))
+        cells[verts] = ModelCell(verts, len(simplices[-1]), None, frozenset(cells))
     return CompactModel(tuple((F(v),) for v in range(max(verts) + 1)), cells)
 
 
