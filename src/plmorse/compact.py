@@ -343,25 +343,19 @@ def modeled_pair(rcx: RefinedComplex, outer, *inner):
     return (model, *(model.cells_with_source(rcx.keys_in(*r)) for r in inner))
 
 
-def strip_pair_model(rcx: RefinedComplex, comp: FlatComponent, lower):
-    """Compact model of the closed star of the flat component K in the strip
-    lower <= F <= a, K's level, and the ids of its model cells from K.
+def strip_pair_model(rcx: RefinedComplex, comp: FlatComponent):
+    """Compact model of the closed star of the flat component K in F <= a,
+    K's level, and the ids of its model cells from K.
 
-    The open star is every strip piece whose closure holds a piece of K, and
-    the closed star adds their faces in the strip.  A closed piece meets K
-    in a union of its faces, which are pieces of K, so every piece that
-    meets K is in the star, and excision gives H(strip, strip minus K) on
-    it.  Both ends are thresholds of the refinement, and [lower, a) holds
-    no nontransversal threshold.
+    The star is the pieces at a and over the gap below a whose closure holds
+    a piece of K, with their closures.  A closed piece meets K in a union of
+    its faces, so the star is a neighbourhood of K in F <= a; the rest of
+    F <= a is closed and misses K, and excision gives H(F <= a, F <= a minus K)
+    on the star.  Pieces at the next lower threshold have no vertex in K.  Only
+    bounded pieces are modeled, so the caller refines at -M below every level.
     """
-    a, lower = Fraction(comp.level), Fraction(lower)
-    if not lower < a:
-        raise ValueError("strip needs lower < a")
-    cx = rcx.source
-    for t in cx.nontransversal_thresholds:
-        if lower <= t < a:
-            raise ValueError(f"nontransversal threshold {t} inside the strip [{lower}, {a})")
-    first, top = rcx.index_of(lower), rcx.index_of(a)
+    a = Fraction(comp.level)
+    cx, top = rcx.source, rcx.index_of(a)
     k_keys = [(lab, top) for lab in comp.labels]
     for k in k_keys:
         if k not in rcx.cells:
@@ -369,5 +363,5 @@ def strip_pair_model(rcx: RefinedComplex, comp: FlatComponent, lower):
     star = rcx.cells.keys() & {
         (b, j) for lab in comp.labels for b in (lab, *cx.cofaces_of(lab)) for j in (top - 1, top)
     }
-    closed = {k for s in star for k in rcx.closure(s) if k[1] >= first}
+    closed = {k for s in star for k in rcx.closure(s)}
     return _model(rcx, sorted(closed), k_keys)

@@ -5,9 +5,9 @@ A component that is one minimal cell v takes the link route.  Its ranks are
 the reduced homology of v's lower link, one degree up (Grunert-Kuehnel-Rote).
 The link's cells are v's cofaces, so that route needs no refinement.
 Every other component takes the strip route: the link rule needs one vertex.
-That route ranks a compact model of K's closed star in a strip below a, by
-excision, as H(X, D) on cellular chains (CellularComplex.local_betti).
-One refinement at those components' levels and strip floors serves them all.
+That route ranks a compact model of K's closed star in F <= a, by excision,
+as H(X, D) on cellular chains (CellularComplex.local_betti).  One refinement
+at -M and those components' levels serves them all.
 Global complexity sums the local totals.  Stable and coarse complexities
 come from one model of one refinement at -M and M, and component counts
 from its pieces.
@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compact import (CompactModel, ModelCell, RefinedComplex, modeled_pair, refine_at_levels,
-                      strip_pair_model)
+from .compact import CompactModel, ModelCell, modeled_pair, refine_at_levels, strip_pair_model
 from .complexes import (
     CanonicalComplex,
     FlatComponent,
@@ -109,17 +108,8 @@ def big_m(cx: CanonicalComplex) -> Fraction:
     return max((abs(t) for t in cx.nontransversal_thresholds), default=Fraction(0)) + 1
 
 
-def strip_epsilon(cx: CanonicalComplex, a) -> Fraction:
-    """Half the gap down to the next smaller threshold, or 1 if none."""
-    a = Fraction(a)
-    smaller = [t for t in cx.nontransversal_thresholds if t < a]
-    if smaller:
-        return (a - max(smaller)) / 2
-    return Fraction(1)
-
-
-def _star_record(rcx: RefinedComplex, comp: FlatComponent, lower) -> LocalComplexityRecord:
-    model, ids = strip_pair_model(rcx, comp, lower)
+def _star_record(rcx, comp: FlatComponent) -> LocalComplexityRecord:
+    model, ids = strip_pair_model(rcx, comp)
     ranks = CellularComplex(model).local_betti(ids)
     return LocalComplexityRecord(Fraction(comp.level), comp.labels, ranks)
 
@@ -153,13 +143,12 @@ def _link_record(cx: CanonicalComplex, comp: FlatComponent) -> LocalComplexityRe
 
 def _records(cx: CanonicalComplex, comps) -> tuple[LocalComplexityRecord, ...]:
     """The link route for each component that is one minimal cell, and the
-    strip route for the rest, on one refinement at their levels and floors."""
+    strip route for the rest, on one refinement at -M and their levels."""
     k = len(cx.kernel)
     link = {c for c in comps if len(c.labels) == 1 and cx.cells[c.labels[0]].dimension == k}
-    floors = {c.level: c.level - strip_epsilon(cx, c.level) for c in comps if c not in link}
-    rcx = refine_at_levels(cx, [*floors, *floors.values()]) if floors else None
-    return tuple(_link_record(cx, c) if c in link else _star_record(rcx, c, floors[c.level])
-                 for c in comps)
+    levels = {c.level for c in comps if c not in link}
+    rcx = refine_at_levels(cx, [-big_m(cx), *levels]) if levels else None
+    return tuple(_link_record(cx, c) if c in link else _star_record(rcx, c) for c in comps)
 
 
 def local_h_complexity(cx: CanonicalComplex, comp: FlatComponent) -> LocalComplexityRecord:

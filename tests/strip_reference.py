@@ -1,12 +1,14 @@
 """Reference for the local records: the whole-strip route.
 
-For each nontransversal threshold a, the complex is refined at a and at its
-strip floor a - eps, and the compact model of the whole strip
-a - eps <= F <= a is built, triangulated and ranked once, with every flat
-component at level a and the floor F = a - eps marked.  A component's
+For each nontransversal threshold a, the complex is refined at a and at a
+strip floor a - eps, eps half the gap down to the next smaller threshold
+(Grunert-Kuehnel-Rote's thin strip), and the compact model of the whole
+strip a - eps <= F <= a is built, triangulated and ranked once, with every
+flat component at level a and the floor F = a - eps marked.  A component's
 local ranks are those of the strip against the complement of its cells.
 ``plmorse.compact.strip_pair_model`` takes each component's ranks on its
-closed star in one refinement instead, and is compared against this.
+closed star in F <= a instead, in one refinement at -M and the levels, with
+no floor, and is compared against this.
 """
 
 from dataclasses import dataclass
@@ -15,9 +17,18 @@ from fractions import Fraction
 from plmorse.compact import CompactModel, compact_part, essentialize, refine_at_levels
 from plmorse.complexes import CanonicalComplex, FlatComponent, flat_cells
 from plmorse.homology import SimplicialPair, complement_complex, relative_betti, triangulate
-from plmorse.morse import LocalComplexityRecord, strip_epsilon
+from plmorse.morse import LocalComplexityRecord
 
 from order_complex import carried_simplices
+
+
+def strip_epsilon(cx: CanonicalComplex, a) -> Fraction:
+    """Half the gap down to the next smaller threshold, or 1 if none."""
+    a = Fraction(a)
+    smaller = [t for t in cx.nontransversal_thresholds if t < a]
+    if smaller:
+        return (a - max(smaller)) / 2
+    return Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -240,16 +240,16 @@ def test_fan1_superlevel_has_two_components():
     assert betti(triangulate(sublevel_model(cx, F(-1, 4))).complex) == (2,)
 
 
-def _stars(cx, a, lower):
+def _stars(cx, a):
     """(component, closed-star model, K ids) for each flat component at
-    level a, in one refinement at lower and a."""
-    rcx = refine_at_levels(cx, [lower, a])
-    return [(c, *strip_pair_model(rcx, c, lower)) for c in flat_cells(cx) if c.level == a]
+    level a, in one refinement at -M and a."""
+    rcx = refine_at_levels(cx, [-morse.big_m(cx), a])
+    return [(c, *strip_pair_model(rcx, c)) for c in flat_cells(cx) if c.level == a]
 
 
 def test_strip_of_two_relu_net_is_a_point():
     cx = build_complex(two_relu_net())
-    stars = _stars(cx, F(0), F(-1))
+    stars = _stars(cx, F(0))
     assert len(stars) == 1
     comp, model, ids = stars[0]
     assert model_coordinates(model, refine_at_levels(cx, [F(-1), F(0)])) == ((F(0), F(0)),)
@@ -266,27 +266,17 @@ def test_whole_strip_of_two_relu_net_has_no_floor():
     assert sm.floor == frozenset()
 
 
-def test_strip_rejects_thresholds_inside():
-    cx = build_complex(build_fan_network(2))
-    rcx = refine_at_levels(cx, [F(-1), F(0)])
-    comp = next(c for c in flat_cells(cx) if c.level == 0)
-    with pytest.raises(ValueError, match="nontransversal threshold"):
-        strip_pair_model(rcx, comp, F(-1))
-
-
 def test_strip_names_a_missing_component_piece():
     cx = build_complex(two_relu_net())
     rcx = refine_at_levels(cx, [F(-1), F(0)])
     bogus = FlatComponent(F(0), ((1, 1),))
     with pytest.raises(RuntimeError, match=r"flat cell \(1, 1\) has no piece at level 0"):
-        strip_pair_model(rcx, bogus, F(-1))
+        strip_pair_model(rcx, bogus)
 
 
 def test_strip_fan2_marks_hexagon_and_collars():
     cx = build_complex(build_fan_network(2))
-    a = F(0)
-    below = max(t for t in cx.nontransversal_thresholds if t < a)
-    hex_marks = [(c, m, ids) for c, m, ids in _stars(cx, a, (a + below) / 2) if len(c.labels) == 13]
+    hex_marks = [(c, m, ids) for c, m, ids in _stars(cx, F(0)) if len(c.labels) == 13]
     assert len(hex_marks) == 1
     comp, model, ids = hex_marks[0]
     assert comp.level == 0
@@ -313,8 +303,7 @@ def test_whole_strip_fan2_marks_its_floor():
 
 def test_strip_fan2_relative_homology_of_hexagon():
     cx = build_complex(build_fan_network(2))
-    below = max(t for t in cx.nontransversal_thresholds if t < 0)
-    _, model, k_ids = next(s for s in _stars(cx, F(0), below / 2) if len(s[0].labels) == 13)
+    _, model, k_ids = next(s for s in _stars(cx, F(0)) if len(s[0].labels) == 13)
     tri = triangulate(model)
     comp = complement_complex(tri.complex, carried_simplices(tri, k_ids))
     assert relative_betti(SimplicialPair(tri.complex, comp)) == (0, 2)
@@ -322,7 +311,7 @@ def test_strip_fan2_relative_homology_of_hexagon():
 
 def test_strip_without_flat_cells_collapses_to_floor():
     cx = build_complex(two_relu_net())
-    assert _stars(cx, F(1, 2), F(1, 4)) == []
+    assert _stars(cx, F(1, 2)) == []
     sm = whole_strip_model(cx, F(1, 2), F(1, 4))
     assert sm.k_cells == ()
     assert sm.floor
@@ -335,9 +324,7 @@ def test_strip_without_flat_cells_collapses_to_floor():
 
 def test_strip_pair_separation():
     cx = build_complex(build_fan_network(2))
-    a = F(0)
-    below = max(t for t in cx.nontransversal_thresholds if t < a)
-    stars = _stars(cx, a, (a + below) / 2)
+    stars = _stars(cx, F(0))
     assert stars
     for comp, model, ids in stars:
         k_verts = {v for cid in ids for v in cid}
@@ -347,13 +334,18 @@ def test_strip_pair_separation():
 
 
 def test_star_records_match_whole_strip_reference():
-    """Each component's ranks on its closed star in one refinement equal
-    its ranks on the whole strip below its level, refined alone."""
+    """Each component's ranks on its closed star in F <= a, in one
+    refinement at -M and the levels, equal its ranks on the whole strip
+    below its level, refined alone.  The one-input plateaus of (1,3,1) and
+    (1,2,2,1) include (1,3,1) seed 4, whose gap below its plateau is
+    unbounded without -M."""
     nets = [load_network(p) for p in sorted(GOLDEN.glob("*.net.json"))]
     nets += [build_fan_network(n) for n in (1, 2)]
     nets += [build_coarse_bound_network(m) for m in (4, 5)]
     for arch in [(2, 3, 1), (2, 4, 1), (2, 2, 2, 1), (3, 3, 1), (2, 3, 2, 1)]:
         nets += [random_network(arch, seed) for seed in range(4)]
+    for arch in [(1, 3, 1), (1, 2, 2, 1)]:
+        nets += [random_network(arch, seed) for seed in range(8)]
     compared = 0
     for net in nets:
         cx = build_complex(net)
@@ -412,9 +404,10 @@ def test_models_are_polytopal_complexes():
     fan1 = build_complex(build_fan_network(1))
     smaller = [t for t in fan1.nontransversal_thresholds if t < 0]
     lower = max(smaller) / 2 if smaller else F(-1)
-    rcx = refine_at_levels(fan1, [lower, F(0)])
-    for _, model, _ in _stars(fan1, F(0), lower):
+    rcx = refine_at_levels(fan1, [-morse.big_m(fan1), F(0)])
+    for _, model, _ in _stars(fan1, F(0)):
         _assert_polytopal_complex(model, rcx)
+    rcx = refine_at_levels(fan1, [lower, F(0)])
     _assert_polytopal_complex(whole_strip_model(fan1, F(0), lower).model, rcx)
 
 
@@ -560,7 +553,7 @@ def test_piece_keys_hold_only_ints():
     keys = rcx.keys_in(None, None)
     assert set(keys) == set(rcx.cells)
     model, _ = modeled_pair(rcx, (below / 2, F(1)), (F(0), F(0)))
-    strip = next(m for c, m, _ in _stars(cx, F(0), below / 2) if len(c.labels) == 13)
+    strip = next(m for c, m, _ in _stars(cx, F(0)) if len(c.labels) == 13)
     found = [
         keys,
         rcx.containment_pairs(keys),

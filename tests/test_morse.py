@@ -44,7 +44,9 @@ from plmorse.network import (
 
 import order_complex
 from order_complex import carried_simplices
+from net_helpers import ANALYZE_CORPUS_NETS
 from stable_reference import two_model_measures
+from strip_reference import strip_epsilon
 
 
 def two_relu_net():
@@ -70,14 +72,10 @@ def deep_flat_net():
     ))
 
 
-def test_strip_epsilon_and_big_m():
+def test_big_m():
     cx = build_complex(two_relu_net())
-    assert morse.strip_epsilon(cx, 0) == 1
     assert morse.big_m(cx) == 1
     cx2 = build_complex(build_fan_network(2))
-    eps = morse.strip_epsilon(cx2, 0)
-    below = max(t for t in cx2.nontransversal_thresholds if t < 0)
-    assert eps == -below / 2
     assert morse.big_m(cx2) == max(abs(t) for t in cx2.nontransversal_thresholds) + 1
 
 
@@ -132,18 +130,21 @@ def test_local_h_complexity_unknown_component():
         morse.local_h_complexity(cx, bogus)
 
 
-def test_epsilon_choice_does_not_change_ranks():
+def test_floor_choice_does_not_change_ranks():
+    """The hexagon's closed star has the same ranks whether the threshold
+    below its level is -M, with other thresholds inside the gap, or a thin
+    strip's floor."""
     cx = build_complex(build_fan_network(2))
     a = F(0)
-    eps = morse.strip_epsilon(cx, a)
+    eps = strip_epsilon(cx, a)
     comp = next(c for c in flat_cells(cx) if c.level == a and len(c.labels) == 13)
     results = []
-    for lower in (a - eps, a - eps / 2):
-        model, ids = strip_pair_model(refine_at_levels(cx, [lower, a]), comp, lower)
+    for lower in (-morse.big_m(cx), a - eps, a - eps / 2):
+        model, ids = strip_pair_model(refine_at_levels(cx, [lower, a]), comp)
         tri = triangulate(model)
         away = complement_complex(tri.complex, carried_simplices(tri, ids))
         results.append(relative_betti(SimplicialPair(tri.complex, away)))
-    assert results[0] == results[1] == (0, 2)
+    assert results == [(0, 2)] * 3
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -198,13 +199,10 @@ def test_cellular_ranks_match_order_complex(name):
     want = order_complex_measures(model, sets, [(1, 0), (2, 3)])
     assert ((st.sub_minus, st.sub_plus, st.super_minus, st.super_plus),
             (co.sublevel, co.superlevel)) == want
-    floors = {a: a - morse.strip_epsilon(cx, a) for a in cx.nontransversal_thresholds}
-    comps = flat_cells(cx)
-    if comps:
-        rcx = refine_at_levels(cx, [*floors, *floors.values()])
-    for comp in comps:
-        model, ids = strip_pair_model(rcx, comp, floors[comp.level])
-        got = morse._star_record(rcx, comp, floors[comp.level]).ranks
+    rcx = refine_at_levels(cx, [-m, *cx.nontransversal_thresholds])
+    for comp in flat_cells(cx):
+        model, ids = strip_pair_model(rcx, comp)
+        got = morse._star_record(rcx, comp).ranks
         assert got == order_complex_local_ranks(model, ids), comp.labels
 
 
@@ -227,7 +225,7 @@ def test_analyze_takes_no_order_complex(monkeypatch):
 
 
 def test_analyze_refines_once_for_strips_and_once_for_stable_measures(monkeypatch):
-    """The strip refinement holds the level and floor of each flat component
+    """The strip refinement holds -M and the level of each flat component
     that is not one minimal cell, and is skipped when there is none; the
     stable measures refine once at -M and M."""
     calls = []
@@ -241,7 +239,7 @@ def test_analyze_refines_once_for_strips_and_once_for_stable_measures(monkeypatc
     morse.analyze(build_fan_network(2))
     (hexagon,) = [comp for comp in flat_cells(cx) if not isolated(cx, comp)]
     a, m = hexagon.level, morse.big_m(cx)
-    assert calls == [[a - morse.strip_epsilon(cx, a), a], [-m, m]]
+    assert calls == [[-m, a], [-m, m]]
     calls.clear()
     net = random_network((2, 4, 1), 130007)
     cx = build_complex(net)
@@ -288,24 +286,12 @@ def leaving_slopes(cx, v):
 
 # The seed-13 nets of the benchmark's analyze-shallow and analyze-deep corpora
 # (fan(1), one (2,3,1) net, the (2,2,2,1) and the (3,3,1) nets have no isolated
-# flat minimal cell),
+# flat minimal cell), named "231s130004" for "(2, 3, 1) seed 130004",
 # three-input lifts of planar nets, and two constant nets, whose one cell is
 # all of input space, so that its link is empty.
 LINK_NETS = {
-    "fan1": lambda: build_fan_network(1),
-    "fan2": lambda: build_fan_network(2),
-    "coarse4": lambda: build_coarse_bound_network(4),
-    "coarse5": lambda: build_coarse_bound_network(5),
-    **{
-        f"{''.join(map(str, arch))}s{seed}": (
-            lambda arch=arch, seed=seed: random_network(arch, seed))
-        for arch, seeds in [
-            ((2, 3, 1), (130004, 130005, 130006)), ((2, 4, 1), (130007,)),
-            ((2, 3, 2, 1), (3,)), ((3, 4, 1), (3,)), ((2, 2, 2, 1), (130002, 130003)),
-            ((3, 3, 1), (130004, 130005, 130006)),
-        ]
-        for seed in seeds
-    },
+    **{re.sub(r"\((.*)\) seed ", lambda m: m[1].replace(", ", "") + "s", name): make
+       for name, make in ANALYZE_CORPUS_NETS.items()},
     "lifted_fan2": lambda: lifted(build_fan_network(2)),
     **{
         f"lifted_{''.join(map(str, arch))}s{seed}": (
@@ -326,15 +312,15 @@ NO_ISOLATED = {
 @pytest.mark.parametrize("name", sorted(LINK_NETS))
 def test_link_route_matches_strip_route(name):
     """Each flat component that is one minimal cell gets the same ranks from
-    its lower link as from the strip model at its level and floor; a local
-    minimum gets (1,), and a local maximum the top degree of its link."""
+    its lower link as from its closed star in a refinement at -M and its
+    level; a local minimum gets (1,), and a local maximum the top degree of
+    its link."""
     cx = build_complex(LINK_NETS[name]())
     top = cx.network.n0 - len(cx.kernel)
     comps = [comp for comp in flat_cells(cx) if isolated(cx, comp)]
     assert bool(comps) == (name not in NO_ISOLATED)
     for comp in comps:
-        lower = comp.level - morse.strip_epsilon(cx, comp.level)
-        want = morse._star_record(refine_at_levels(cx, [lower, comp.level]), comp, lower)
+        want = morse._star_record(refine_at_levels(cx, [-morse.big_m(cx), comp.level]), comp)
         got = morse._link_record(cx, comp)
         assert got == want, comp.labels
         slopes = leaving_slopes(cx, comp.labels[0])
