@@ -8,18 +8,19 @@ affine on the cell.  It runs on the integer layers of ``integer_layers``, so
 each cell's affine map is int rows, a positive multiple of the rational one.
 A cell is its sign-pattern rows, ``LabeledCell.eqs`` = 0 and ``.stricts`` > 0,
 canonical and sorted: they cut out its relative interior, and weakened its
-closure, so no implicit equality detection is ever needed here, and the split
-that made a cell showed it nonempty.
+closure, so no implicit equality detection is ever needed here.  A split
+makes a child only on a side that one projection of the cell onto the node's
+form showed nonempty (``geometry.form_signs``).
 
 The face poset and the 1-skeleton come from one pass over the cells by
 dimension (see ``CanonicalComplex.face_pairs``); edge orientations and the
 boundedness census read the skeleton's edges, and 0-cell points and flat
 levels its 0-faces.
 
-Also provides the network-level sanity predicates (genericity of each layer's
-solution-set arrangement, transversality of node maps at level zero), flat
-cell detection with per-level connected components, gradient orientation of
-the 1-skeleton, and cell counts by dimension and boundedness.
+Also provides genericity of each layer's solution-set arrangement (construction
+records where a node map is identically zero on a cell), flat cell detection
+with per-level connected components, gradient orientation of the 1-skeleton,
+and cell counts by dimension and boundedness.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .geometry import (
     dot,
     echelon,
     feasible,
+    form_signs,
     nullspace_basis,
     primitive_direction,
     rank,
@@ -277,56 +279,55 @@ def _node_form(arow, b, rows, offs):
     return tuple(sum(map(mul, arow, col)) for col in zip(*rows)), sum(map(mul, arow, offs)) + b
 
 
-def _split_by_layer(work, layer, n: int):
-    """Refine every cell by the zero set of each node; extend labels."""
-    weights, bias = layer
-    for arow, b in zip(weights, bias):
+def _split_by_layer(work, m: int, n: int):
+    """Refine every cell by the zero set of each node; extend labels.
+
+    One ``form_signs`` projection per split finds whether the node's form is
+    positive and whether negative on the cell's relative interior.  That set
+    is convex and relatively open, so the form takes one value or an open
+    interval on it, and vanishes on it iff both or neither.  A child's new
+    row joins its ``cuts``, the rows the projections read, only when the
+    form took both signs: else the row holds on all of the parent."""
+    for i in range(m):
         nxt = []
-        for label, eqs, ineqs, rows, offs in work:
-            g, k = _node_form(arow, b, rows, offs)
+        for label, eqs, ineqs, cuts, forms in work:
+            g, k = forms[i]
             if not any(g):
-                nxt.append((label + (_sign(k),), eqs, ineqs, rows, offs))
+                nxt.append((label + (_sign(k),), eqs, ineqs, cuts, forms))
                 continue
             ge = canon_constraint(g, k)
             le = (tuple(-x for x in ge[0]), -ge[1])
-            pos = feasible(n, eqs=eqs, gts=ineqs + (ge,))
-            neg = feasible(n, eqs=eqs, gts=ineqs + (le,))
+            pos, neg = form_signs(n, eqs, cuts, ge)
             if pos:
-                nxt.append((label + (1,), eqs, ineqs + (ge,), rows, offs))
-            # The cell's relative interior is convex and relatively open, so
-            # the form vanishes on it iff it takes both signs there or neither
-            # (then it is 0 on the whole cell): zero at p and positive at q
-            # would make it negative just past p on the line from q.
+                nxt.append((label + (1,), eqs, ineqs + (ge,), cuts + (ge,) * neg, forms))
             if pos == neg:
                 eq = ge if next(x for x in g if x) > 0 else le
-                nxt.append((label + (0,), eqs + (eq,), ineqs, rows, offs))
+                nxt.append((label + (0,), eqs + (eq,), ineqs, cuts, forms))
             if neg:
-                nxt.append((label + (-1,), eqs, ineqs + (le,), rows, offs))
+                nxt.append((label + (-1,), eqs, ineqs + (le,), cuts + (le,) * pos, forms))
         work = nxt
     # ReLU: neurons labeled +1 pass through, the rest output zero
-    post = []
-    for label, eqs, ineqs, rows, offs in work:
-        forms = [
-            _node_form(arow, b, rows, offs) if s > 0 else ((0,) * n, 0)
-            for s, arow, b in zip(label[-len(bias):], weights, bias)
-        ]
-        post.append((label, eqs, ineqs, *map(tuple, zip(*forms))))
-    return post
+    off = ((0,) * n, 0)
+    return [(label, eqs, ineqs, cuts,
+             *map(tuple, zip(*(f if s > 0 else off for s, f in zip(label[-m:], forms)))))
+            for label, eqs, ineqs, cuts, forms in work]
 
 
 def _layer_stages(n: int, layers):
-    """(layer, cells of the partial complex before it) for every layer of
-    ``integer_layers`` in order.  Each cell carries its restricted input map
-    as int rows and offsets, a positive multiple of the rational map, so
-    every sign, zero set and span is the rational one.  Each hidden layer
-    splits the cells only once the next stage is asked for."""
+    """The cells of the partial complex before each layer of ``integer_layers``,
+    in order, as (label, eqs, ineqs, cuts, forms): ``forms`` are the layer's
+    node forms in input coordinates, int, positive multiples of the rational
+    ones, so every sign, zero set and span is the rational one.  eqs = 0 with
+    ineqs > 0, or with cuts > 0, cuts out the cell's relative interior.  Each
+    hidden layer splits the cells only once the next stage is asked for."""
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    # worklist entry: (label, eqs, ineqs, input_map_rows, input_offsets)
-    work = [((), (), (), ident, (0,) * n)]
-    for layer in layers[:-1]:
-        yield layer, work
-        work = _split_by_layer(work, layer, n)
-    yield layers[-1], work
+    work = [((), (), (), (), ident, (0,) * n)]
+    for li, layer in enumerate(layers):
+        work = [(label, eqs, ineqs, cuts, [_node_form(a, b, rows, offs) for a, b in zip(*layer)])
+                for label, eqs, ineqs, cuts, rows, offs in work]
+        yield work
+        if li + 1 < len(layers):
+            work = _split_by_layer(work, len(layer[1]), n)
 
 
 def build_complex(net: Network) -> CanonicalComplex:
@@ -340,23 +341,20 @@ def build_complex(net: Network) -> CanonicalComplex:
     witnesses: list[str] = []
     layers, sigma = integer_layers(net)
     stages = _layer_stages(n, layers)
-    for li, ((weights, bias), work) in enumerate(islice(stages, net.depth)):
+    for li, work in enumerate(islice(stages, net.depth)):
         # node-map transversality: on a nonempty cell an affine form is
         # identically zero iff it lies in the span of the cell's equalities
-        for label, eqs, ineqs, rows, offs in work:
+        for label, eqs, _, _, forms in work:
             basis = echelon([[*c, o] for c, o in eqs])
-            for ni, (arow, b) in enumerate(zip(weights, bias)):
-                g, k = _node_form(arow, b, rows, offs)
+            for ni, (g, k) in enumerate(forms):
                 if spans(basis, (*g, k)):
                     witnesses.append(
                         f"node {ni} of hidden layer {li} is identically zero "
                         f"on the cell labeled {label}"
                     )
-    (weights, bias), work = next(stages)
     lines = n - rank(layers[0][0]) if net.depth else n
     cells: dict[Label, LabeledCell] = {}
-    for label, eqs, ineqs, rows, offs in work:
-        g, k = _node_form(weights[0], bias[0], rows, offs)
+    for label, eqs, ineqs, _, ((g, k),) in next(stages):
         eqs, ineqs = tuple(sorted(set(eqs))), tuple(sorted(set(ineqs)))  # canonical rows
         basis = echelon([c for c, _ in eqs])
         dim, flat = n - len(basis[1]), spans(basis, g)
@@ -367,11 +365,6 @@ def build_complex(net: Network) -> CanonicalComplex:
 
 # ---------------------------------------------------------------------------
 # queries
-
-
-def zero_cells(cx: CanonicalComplex) -> list[tuple[Vec, Fraction]]:
-    """Each 0-cell's point and F-value, its one 0-face, sorted."""
-    return sorted(cx.skeleton[c.label].points[0] for c in cx.cells_of_dim(0))
 
 
 def components(nodes, edges) -> list[list]:
@@ -464,24 +457,16 @@ def _deep_genericity(net: Network) -> Check:
     """Per-cell solution-set checks for layers past the first."""
     n = net.n0
     stages = islice(_layer_stages(n, integer_layers(net)[0]), 1, net.depth)
-    for li, ((weights, bias), work) in enumerate(stages, start=1):
-        for label, eqs, ineqs, rows, offs in work:
+    for li, work in enumerate(stages, start=1):
+        for label, eqs, _, cuts, forms in work:
             eq_normals = [c for c, _ in eqs]
             base = rank(eq_normals)
-            forms = [_node_form(arow, b, rows, offs) for arow, b in zip(weights, bias)]
-            for size in range(1, min(len(bias), n + 1) + 1):
-                for T in combinations(range(len(bias)), size):
-                    if not feasible(n, eqs=eqs + tuple(forms[i] for i in T), gts=ineqs):
+            for size in range(1, min(len(forms), n + 1) + 1):
+                for T in combinations(range(len(forms)), size):
+                    if not feasible(n, eqs=eqs + tuple(forms[i] for i in T), gts=cuts):
                         continue
                     if rank(eq_normals + [forms[i][0] for i in T]) != base + size:
                         return Check(False, f"hidden layer {li} nodes {T} on cell {label}: "
                                      "degenerate intersection")
     return Check(True)
 
-
-def is_transversal(net: Network) -> Check:
-    """No node map is identically zero on a cell of the complex before its layer."""
-    cx = build_complex(net)
-    if cx.transversality_witnesses:
-        return Check(False, cx.transversality_witnesses[0])
-    return Check(True)

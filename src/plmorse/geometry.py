@@ -156,7 +156,7 @@ def solve_linear(rows, rhs, n: int) -> tuple[Vec | None, list[Vec]]:
 
 
 def _keep(work: dict, row: list[int], strict: bool, mask: int, n: int) -> bool:
-    """Add a primitive row with its history mask to the work rows, keeping the
+    """Add an integer row with its history mask to the work rows, keeping the
     smaller history of a row met twice; False if it is a violated constant."""
     coef = tuple(row[:n])
     if any(coef):
@@ -170,28 +170,50 @@ def _keep(work: dict, row: list[int], strict: bool, mask: int, n: int) -> bool:
 def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
     """Exact feasibility of {x : eqs = 0, ges >= 0, gts > 0} over Q^n.
 
-    Equalities are removed by substitution on primitive-integer pivots, and
-    each inequality is then scaled once to primitive integers.  Fourier-Motzkin
-    eliminates the remaining variables, each step a positive integer
-    combination divided by its gcd.  Each row is thus a positive multiple of
-    its rational counterpart, so no sign changes.  Total and exact; the
-    combination of a strict inequality with any other is strict.
-
-    Each row carries the bitmask of the inequalities it combines; Chernikov's
-    rule drops one of more than k + 1 made at the k-th elimination (rows kept
-    imply it), but not at the last, where ``_tightest`` keeps one per side.
-    """
+    The equalities are substituted, then Fourier-Motzkin eliminates every
+    variable, each step a positive integer combination, so each row is a
+    positive multiple of its rational counterpart and no sign changes.
+    Total and exact; a strict row combined with any other is strict."""
     ineqs = [([*c, o], False) for c, o in ges] + [([*c, o], True) for c, o in gts]
+    done = _substitute([[*c, o] for c, o in eqs], ineqs)
+    return done is not None and _eliminate(done[0], n) is not None
 
-    # Substitution for the equalities.
-    pending = [_primitive_ints([*c, o]) for c, o in eqs]
+
+def form_signs(n: int, eqs, gts, form) -> tuple[bool, bool]:
+    """Whether the form (g, k) is positive somewhere, and whether negative
+    somewhere, on {x : eqs = 0, gts > 0} over Q^n, from one projection.
+
+    Its value t joins as variable n through <g,x> + k - t = 0, pivoted after
+    the equalities, and on t only when no x is left: t is then one value t0.
+    Else t is eliminated last.  The set is convex and relatively open, so t
+    takes an open interval on it, whose ends are the last step's tightest
+    rows c*t + o > 0: the upper end (c < 0) is positive iff o > 0, and so is
+    the lower end (c > 0) negative; a side with no row has no end."""
+    done = _substitute([[*form[0], -1, form[1]]] + [[*c, 0, o] for c, o in eqs],
+                       [([*c, 0, o], True) for c, o in gts])
+    last = done and _eliminate(done[0], n + 1, last=n)
+    if not last:
+        return False, False
+    if fixed := [p for p in done[1] if not any(p[:n])]:  # c*t + o = 0
+        return fixed[0][n] * fixed[0][n + 1] < 0, fixed[0][n] * fixed[0][n + 1] > 0
+    _, lo, hi = last if last[0] == n else (n, [], [])
+    return not hi or hi[0][0][1] > 0, not lo or lo[0][0][1] > 0
+
+
+def _substitute(eqs, ineqs):
+    """Substitute the equality rows, last first, into the rest and into the
+    (row, strict) inequalities, each on its first nonzero entry but the last
+    (the offset) as a primitive-integer pivot.  Returns (inequalities, pivot
+    rows), or None when an equality reads c = 0 with c nonzero."""
+    pending, pivots = [_primitive_ints(e) for e in eqs], []
     while pending:
         pivot = pending.pop()
-        j = next((k for k in range(n) if pivot[k] != 0), None)
+        j = next((k for k, v in enumerate(pivot[:-1]) if v), None)
         if j is None:
-            if pivot[n] != 0:
-                return False
+            if pivot[-1]:
+                return None
             continue
+        pivots.append(pivot)
         p, sp = abs(pivot[j]), (1 if pivot[j] > 0 else -1)
 
         def sub(row):  # |p|*row - sgn(p)*row[j]*pivot: zero at j, same sign
@@ -200,13 +222,22 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
 
         pending = [_primitive_ints(sub(row)) for row in pending]
         ineqs = [(sub(row), s) for row, s in ineqs]
+    return ineqs, pivots
 
-    # Fourier-Motzkin elimination of the remaining variables.
+
+def _eliminate(ineqs, n: int, last=None):
+    """Fourier-Motzkin elimination of all variables of the (row, strict)
+    inequalities over Q^n, x_last after the others: (variable, lower rows,
+    upper rows) of the last step, or None when the rows are infeasible.
+    Each row carries the bitmask of the inequalities it combines; Chernikov's
+    rule drops one of more than k + 1 made at the k-th elimination (rows kept
+    imply it), but not at the last, where ``_tightest`` keeps one per side.
+    A row made while three variables or more are left is divided by its gcd."""
     work: dict = {}  # (coef, off, strict) -> mask of the rows of ineqs it combines
     for i, (row, s) in enumerate(ineqs):
         if not _keep(work, _primitive_ints(row), s, 1 << i, n):
-            return False
-    cap = 1  # at the k-th elimination, k + 1
+            return None
+    cap, j, pos, neg = 1, None, [], []  # cap at the k-th elimination: k + 1
     while work:
         cap += 1
         counts = {}  # variable -> [rows with it positive, negative], by first use
@@ -214,7 +245,8 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
             for k, v in enumerate(coef):
                 if v:
                     counts.setdefault(k, [0, 0])[v < 0] += 1
-        j = min(counts, key=lambda k: counts[k][0] * counts[k][1])
+        j = min((k for k in counts if k != last), key=lambda k: counts[k][0] * counts[k][1],
+                default=last)
         pos, neg, rest = [], [], {}
         for con, h in work.items():
             cj = con[0][j]
@@ -234,9 +266,9 @@ def feasible(n: int, eqs=(), ges=(), gts=()) -> bool:
                 a, b = pc[j], -nc[j]
                 row = [b * x + a * y for x, y in zip(pc, nc)]
                 row.append(b * po + a * no)
-                if not _keep(work, _coprime(row), ps or ns, h, n):
-                    return False
-    return True
+                if not _keep(work, _coprime(row) if len(counts) > 2 else row, ps or ns, h, n):
+                    return None
+    return j, pos, neg
 
 
 def _tightest(side: list, j: int) -> list:

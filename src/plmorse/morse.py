@@ -151,13 +151,6 @@ def _records(cx: CanonicalComplex, comps) -> tuple[LocalComplexityRecord, ...]:
     return tuple(_link_record(cx, c) if c in link else _star_record(rcx, c) for c in comps)
 
 
-def local_h_complexity(cx: CanonicalComplex, comp: FlatComponent) -> LocalComplexityRecord:
-    """Per-degree ranks of H_*(F<=a, F<=a minus K) for the flat component K."""
-    if comp not in flat_cells(cx):
-        raise ValueError(f"no flat component {comp.labels} at level {comp.level}")
-    return _records(cx, [comp])[0]
-
-
 def local_records(cx: CanonicalComplex) -> tuple[LocalComplexityRecord, ...]:
     """One record per flat component."""
     return _records(cx, flat_cells(cx))
@@ -245,16 +238,6 @@ def _require_shallow_generic(cx: CanonicalComplex) -> None:
     ok = is_generic(net)
     if not ok:
         raise UnsupportedNetworkError(f"network is not generic: {ok.witness}")
-
-
-def classify_vertex(cx: CanonicalComplex, point) -> VertexClass:
-    """Regular / nondegenerate-critical(index) / degenerate-critical at a 0-cell."""
-    _require_shallow_generic(cx)
-    p = tuple(Fraction(x) for x in point)
-    for cell in cx.cells_of_dim(0):
-        if cx.skeleton[cell.label].points[0][0] == p:
-            return _classify_zero_cell(cx, cell.label)
-    raise ValueError(f"{p} is not a 0-cell of the complex")
 
 
 def classify_vertices(cx: CanonicalComplex) -> tuple[VertexClass, ...]:

@@ -19,7 +19,6 @@ from plmorse.complexes import (
     build_complex,
     census,
     is_generic,
-    zero_cells,
 )
 from plmorse.ensembles import montecarlo_flat_cell, montecarlo_plmorse
 from plmorse.homology import CellularComplex, betti, grid_oracle, triangulate
@@ -33,6 +32,7 @@ from plmorse.network import (
 
 from net_helpers import generic_line_counts, level_model, negate
 from piece_geometry import model_coordinates
+from queries import zero_cells
 
 ACC_SEED = 20260822
 

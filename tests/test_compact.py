@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from plmorse import morse
-from plmorse.complexes import FlatComponent, build_complex, flat_cells, zero_cells
+from plmorse.complexes import FlatComponent, build_complex, flat_cells
 from plmorse.compact import (
     CompactModel,
     compact_part,
@@ -41,6 +41,7 @@ from hull_model import bounded, hull_compact_part, polytope_faces, pulling_trian
 from net_helpers import ANALYZE_CORPUS_NETS, level_model
 from order_complex import carried_simplices
 from piece_geometry import interval_constraints, model_coordinates, piece_geometry
+from queries import zero_cells
 from strip_reference import reference_local_records, whole_strip_model
 
 F = Fraction

@@ -19,15 +19,14 @@ from plmorse.complexes import (
     edge_orientation,
     flat_cells,
     is_generic,
-    is_transversal,
     reference_direction,
-    zero_cells,
 )
 from plmorse.geometry import (
     Polyhedron,
     canonical_line_direction,
     dot,
     feasible,
+    form_signs,
     nullspace_basis,
     primitive_direction,
     solve_linear,
@@ -39,6 +38,7 @@ from plmorse.network import (
     Network,
     build_coarse_bound_network,
     build_fan_network,
+    integer_layers,
     load_network,
     prescribe_edge_orientations,
     random_network,
@@ -50,6 +50,7 @@ from fm_reference import contained
 from hull_model import bounded, rays
 from net_helpers import ANALYZE_CORPUS_NETS, activation_pattern, generic_line_counts, negate
 from piece_geometry import cell_geometry
+from queries import is_transversal, zero_cells
 
 F = Fraction
 
@@ -605,21 +606,40 @@ def test_build_and_analyze_never_test_emptiness(monkeypatch):
         analyze(net)
 
 
-def test_build_makes_two_feasibility_calls_per_split(monkeypatch):
+def test_build_makes_one_projection_per_split(monkeypatch):
     """The golden (2,2,2,1) seed 5 net splits a cell by a nonzero form 20
-    times: 40 calls, where a third call per split would make 60 and an
-    emptiness test per cell 25 more."""
-    calls = []
+    times: one ``form_signs`` projection each, and no ``feasible`` call,
+    where two calls per split made 40."""
+    calls = {"form_signs": 0, "feasible": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return feasible(*args, **kwargs)
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr("plmorse.complexes.feasible", counted)
-    monkeypatch.setattr("plmorse.geometry.feasible", counted)
+    monkeypatch.setattr("plmorse.complexes.form_signs", counted("form_signs", form_signs))
+    monkeypatch.setattr("plmorse.complexes.feasible", counted("feasible", feasible))
+    monkeypatch.setattr("plmorse.geometry.feasible", counted("feasible", feasible))
     cx = build_complex(random_network((2, 2, 2, 1), 5))
     assert len(cx.cells) == 25
-    assert len(calls) == 40
+    assert calls == {"form_signs": 20, "feasible": 0}
+
+
+@pytest.mark.parametrize("arch, seed", [((2, 2, 2, 1), 5), ((2, 3, 2, 1), 3), ((3, 4, 3, 1), 2)])
+def test_cells_cut_rows_hold_their_other_rows(arch, seed):
+    """Each partial-complex cell's ``cuts`` with its equalities cut out the
+    same set as all its rows: every row left out is positive on the
+    relative interior of eqs = 0, cuts > 0."""
+    net = random_network(arch, seed)
+    left_out = 0
+    for work in complexes._layer_stages(net.n0, integer_layers(net)[0]):
+        for _, eqs, ineqs, cuts, _ in work:
+            assert set(cuts) <= set(ineqs)
+            for c, o in set(ineqs) - set(cuts):
+                left_out += 1
+                assert not feasible(net.n0, eqs=eqs, ges=[(tuple(-x for x in c), -o)], gts=cuts)
+    assert left_out > 0
 
 
 def _lines_through_origin(m):

@@ -17,6 +17,7 @@ from plmorse.geometry import (
     dot,
     echelon,
     feasible,
+    form_signs,
     in_span,
     nullspace_basis,
     primitive_direction,
@@ -414,6 +415,64 @@ def test_feasible_matches_the_unpruned_elimination(monkeypatch):
         answers.add(got)
     assert answers == {True, False}
     assert made["program"] < made["reference"]
+
+
+@st.composite
+def form_systems(draw):
+    """(n, eqs, gts, form) over Q^n, n <= 4, so that at most four variables
+    are free: up to two equalities (half the systems have none), up to six
+    strict rows, entries int or Fraction, and a form drawn freely or, where
+    there are equalities, a combination of them plus t0 in {3, 0, -2}, so
+    that it is the constant t0 on the set."""
+    n = draw(st.integers(1, 4))
+    scalar = st.one_of(st.integers(-3, 3), st.fractions(F(-3), F(3), max_denominator=4))
+    affine = st.tuples(st.tuples(*[scalar] * n), scalar)
+    eqs = draw(st.lists(affine, max_size=2)) if draw(st.booleans()) else []
+    gts = draw(st.lists(affine, max_size=6))
+    if eqs and draw(st.booleans()):
+        ws = draw(st.lists(st.integers(-2, 2), min_size=len(eqs), max_size=len(eqs)))
+        g = tuple(sum(w * c[i] for w, (c, _) in zip(ws, eqs)) for i in range(n))
+        form = g, sum(w * o for w, (_, o) in zip(ws, eqs)) + draw(st.sampled_from([3, 0, -2]))
+    else:
+        form = draw(affine)
+    return n, eqs, gts, form
+
+
+@settings(max_examples=800, deadline=None)
+@given(form_systems())
+def test_form_signs_match_two_feasibility_tests(system):
+    """One projection answers what the two tests ask: is the form positive
+    somewhere on eqs = 0, gts > 0, and is it negative somewhere.  The
+    rational reference agrees too (n <= 4, so it stays fast)."""
+    n, eqs, gts, (g, k) = system
+    neg_form = (tuple(-x for x in g), -k)
+    got = form_signs(n, eqs, gts, (g, k))
+    assert got == (feasible(n, eqs, gts=gts + [(g, k)]), feasible(n, eqs, gts=gts + [neg_form]))
+    assert got == (fraction_feasible(n, eqs, [], gts + [(g, k)]),
+                   fraction_feasible(n, eqs, [], gts + [neg_form]))
+
+
+# The open segment x + y = 1, 0 < x < 1 in the plane, and x + y - 1 + t0 on
+# it, which is t0 there; past y < -1 too, it is empty.
+SEGMENT = [((1, 1), -1)], [((1, 0), 0), ((-1, 0), 1)]
+
+
+@pytest.mark.parametrize("t0, want", [(3, (True, False)), (0, (False, False)), (-2, (False, True))])
+def test_form_signs_of_a_form_constant_on_the_set(t0, want):
+    eqs, gts = SEGMENT
+    assert form_signs(2, eqs, gts, ((1, 1), t0 - 1)) == want
+    assert form_signs(2, eqs, gts + [((0, -1), -1)], ((1, 1), t0 - 1)) == (False, False)
+
+
+@pytest.mark.parametrize("form, want", [
+    (((1, 0), 0), (True, False)),  # x in (0, 1)
+    (((2, 0), -1), (True, True)),  # 2x - 1 in (-1, 1)
+    (((1, 0), -1), (False, True)),  # x - 1 in (-1, 0): the upper end is open
+    (((0, 1), 5), (True, False)),  # y + 5 = 6 - x in (5, 6)
+    (((1, 2), 0), (True, False)),  # x + 2y = 2 - x in (1, 2)
+])
+def test_form_signs_on_an_open_segment(form, want):
+    assert form_signs(2, *SEGMENT, form) == want
 
 
 def test_last_variable_step_is_not_pruned():

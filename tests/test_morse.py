@@ -45,6 +45,7 @@ from plmorse.network import (
 import order_complex
 from order_complex import carried_simplices
 from net_helpers import ANALYZE_CORPUS_NETS
+from queries import classify_vertex, local_h_complexity
 from stable_reference import two_model_measures
 from strip_reference import strip_epsilon
 
@@ -103,7 +104,7 @@ def test_fan1_plateau_is_degree_one_critical():
 def test_fan2_hexagon_local_ranks():
     cx = build_complex(build_fan_network(2))
     comp = next(c for c in flat_cells(cx) if len(c.labels) == 13)
-    rec = morse.local_h_complexity(cx, comp)
+    rec = local_h_complexity(cx, comp)
     assert rec.level == 0
     assert rec.ranks == (0, 2)
 
@@ -127,7 +128,7 @@ def test_local_h_complexity_unknown_component():
 
     bogus = FlatComponent(F(0), ((1, 1),))
     with pytest.raises(ValueError, match="no flat component"):
-        morse.local_h_complexity(cx, bogus)
+        local_h_complexity(cx, bogus)
 
 
 def test_floor_choice_does_not_change_ranks():
@@ -258,7 +259,7 @@ def test_local_h_complexity_matches_local_records(net):
     assert len(records) == len(comps) > 1
     for comp, rec in zip(comps, records):
         assert rec.labels == comp.labels
-        assert morse.local_h_complexity(cx, comp) == rec
+        assert local_h_complexity(cx, comp) == rec
 
 
 def isolated(cx, comp):
@@ -380,7 +381,7 @@ def test_link_route_checks_the_euler_characteristic():
     cx.cofaces_of(v).remove(next(c for c in cx.cofaces_of(v) if cx.cells[c].dimension == 2))
     message = f"the link of flat cell {v} is not a 1-sphere"
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        morse.local_h_complexity(cx, comp)
+        local_h_complexity(cx, comp)
 
 
 def test_link_route_refuses_a_flat_edge():
@@ -390,7 +391,7 @@ def test_link_route_refuses_a_flat_edge():
     faces = cx.skeleton[edge]
     cx.skeleton[edge] = faces._replace(edges=tuple(e._replace(slope=0) for e in faces.edges))
     with pytest.raises(RuntimeError, match=re.escape(f"flat cell {v} has a flat edge")):
-        morse.local_h_complexity(cx, comp)
+        local_h_complexity(cx, comp)
 
 
 def test_local_h_complexity_of_a_vertex_refines_nothing(monkeypatch):
@@ -405,7 +406,7 @@ def test_local_h_complexity_of_a_vertex_refines_nothing(monkeypatch):
     assert any(isolated(cx, comp) for comp in comps)
     for comp, rec in zip(comps, want):
         if isolated(cx, comp):
-            assert morse.local_h_complexity(cx, comp) == rec
+            assert local_h_complexity(cx, comp) == rec
 
 
 @pytest.mark.parametrize("arch", [(2, 3, 1), (2, 4, 1), (3, 4, 1), (4, 5, 1)])
@@ -423,7 +424,7 @@ def test_isolated_vertex_ranks_match_classification(arch):
             if isolated(cx, comp):
                 v = classes[cx.skeleton[comp.labels[0]].points[0][0]]
                 want = {REGULAR: (), NONDEGENERATE: (0,) * (v.index or 0) + (1,)}[v.kind]
-                assert morse.local_h_complexity(cx, comp).ranks == want, (seed, v)
+                assert local_h_complexity(cx, comp).ranks == want, (seed, v)
                 checked += 1
     assert checked
 
@@ -583,16 +584,16 @@ def test_stable_measures_walk_each_closure_once(monkeypatch):
 
 def test_classify_vertex_threeline():
     cx = build_complex(three_line_net([2, -3, 1]))
-    v = morse.classify_vertex(cx, (0, 0))
+    v = classify_vertex(cx, (0, 0))
     assert v.kind == NONDEGENERATE
     assert v.index == 1
-    v2 = morse.classify_vertex(build_complex(three_line_net([2, 1, 1])), (0, 0))
+    v2 = classify_vertex(build_complex(three_line_net([2, 1, 1])), (0, 0))
     assert v2.kind == REGULAR
     assert v2.index is None
 
 
 def test_classify_vertex_on_flat_boundary():
-    v = morse.classify_vertex(build_complex(two_relu_net()), (0, 0))
+    v = classify_vertex(build_complex(two_relu_net()), (0, 0))
     assert v.kind == DEGENERATE
 
 
@@ -623,12 +624,12 @@ def test_classify_vertices_sorted():
 
 def test_classify_rejects_deep_and_nongeneric():
     with pytest.raises(UnsupportedNetworkError, match="single hidden layer"):
-        morse.classify_vertex(build_complex(deep_flat_net()), (0, 0))
+        classify_vertex(build_complex(deep_flat_net()), (0, 0))
     with pytest.raises(UnsupportedNetworkError, match="not generic"):
         morse.classify_vertices(build_complex(build_fan_network(2)))
     cx = build_complex(three_line_net([2, -3, 1]))
     with pytest.raises(ValueError, match="not a 0-cell"):
-        morse.classify_vertex(cx, (5, 5))
+        classify_vertex(cx, (5, 5))
 
 
 def test_is_pl_morse_depth2():

@@ -1,8 +1,10 @@
 import pytest
 
-from plmorse.complexes import build_complex, zero_cells
+from plmorse.complexes import build_complex
 from plmorse.network import AffineLayer, Network, build_fan_network
 from plmorse.svg import render_svg, viewport_box
+
+from queries import zero_cells
 
 
 def three_line_net():
