@@ -36,6 +36,7 @@ from .complexes import (
     Label,
     LabeledCell,
     components,
+    find_root,
 )
 from .geometry import Vec
 
@@ -147,15 +148,13 @@ class RefinedComplex:
             self._closures[key] = [k for a in faces for i in near if (k := self._keys.get((a, i)))]
         return self._closures[key]
 
-    def containment_pairs(self, keys):
-        """(inner, outer) over the given keys, inner in the closure of outer."""
-        keys = list(keys)
-        present = set(keys)
-        return [(a, b) for b in keys for a in self.closure(b) if a != b and a in present]
-
     def components(self, keys) -> list[list[PieceKey]]:
+        """Connected components of the given pieces, joined where one lies in
+        the closure of another, each in key order."""
         keys = sorted(keys)
-        return components(keys, self.containment_pairs(keys))
+        present = set(keys)
+        return components(keys, [(a, b) for b in keys for a in self.closure(b)
+                                 if a != b and a in present])
 
     def component_counts(self, *nested) -> list[int]:
         """Connected components of each of the given down-sets, each inside the
@@ -165,21 +164,14 @@ class RefinedComplex:
         index: dict[PieceKey, int] = {}
         parent: list[int] = []
         counts, n = [], 0
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for keys in nested:
             new = [k for k in keys if k not in index]
             parent.extend(index.setdefault(k, len(index)) for k in new)
             n += len(new)
             for k in new:
-                r = find(index[k])  # stays k's root: every union hangs a root on it
+                r = find_root(parent, index[k])  # stays k's root: every union hangs a root on it
                 for a in self.closure(k):
-                    if (i := find(index[a])) != r:
+                    if (i := find_root(parent, index[a])) != r:
                         parent[i] = r
                         n -= 1
             counts.append(n)

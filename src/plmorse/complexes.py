@@ -233,23 +233,9 @@ class CanonicalComplex:
         return tuple(lab for lab, c in self.cells.items() if c.flat)
 
     @cached_property
-    def flat_components(self) -> tuple[FlatComponent, ...]:
-        """The flat cells' connected components, by level and labels."""
-        flats = set(self.flat_labels)
-        edges = [(sub, sup) for sub, sup in self.face_pairs if sub in flats and sup in flats]
-        return tuple(sorted(FlatComponent(self.skeleton[labs[0]].points[0][1], tuple(sorted(labs)))
-                            for labs in components(self.flat_labels, edges)))
-
-    @cached_property
     def nontransversal_thresholds(self) -> tuple[Fraction, ...]:
         """F on each flat cell, where it is constant, read at a 0-face."""
         return tuple(sorted({self.skeleton[lab].points[0][1] for lab in self.flat_labels}))
-
-    @cached_property
-    def oriented_one_skeleton(self) -> dict[Label, str]:
-        return {
-            c.label: edge_orientation(self, c.label) for c in self.cells_of_dim(1)
-        }
 
 
 def _relint_point(faces: CellFaces) -> tuple[list[int], int]:
@@ -378,24 +364,29 @@ def components(nodes, edges) -> list[list]:
     index: dict = {}
     ids = [index.setdefault(x, len(index)) for x in nodes]
     parent = list(range(len(index)))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
     for a, b in edges:
-        parent[find(index[a])] = find(index[b])
+        parent[find_root(parent, index[a])] = find_root(parent, index[b])
     groups: dict[int, list] = {}
     for x, k in zip(nodes, ids):
-        groups.setdefault(find(k), []).append(x)
+        groups.setdefault(find_root(parent, k), []).append(x)
     return list(groups.values())
 
 
+def find_root(parent: list[int], k: int) -> int:
+    """Root of node k in a union-find forest, halving the path walked."""
+    while parent[k] != k:
+        parent[k] = parent[parent[k]]
+        k = parent[k]
+    return k
+
+
 def flat_cells(cx: CanonicalComplex) -> list[FlatComponent]:
-    """Flat subcomplex, split into connected components at each level."""
-    return list(cx.flat_components)
+    """Flat subcomplex, split into connected components at each level, sorted
+    by level and labels; a component's cells are joined by their cofaces."""
+    flats = set(cx.flat_labels)
+    edges = [(lab, sup) for lab in cx.flat_labels for sup in cx.cofaces_of(lab) if sup in flats]
+    return sorted(FlatComponent(cx.skeleton[labs[0]].points[0][1], tuple(sorted(labs)))
+                  for labs in components(cx.flat_labels, edges))
 
 
 def reference_direction(cx: CanonicalComplex, label: Label) -> Vec:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .geometry import in_span, strict_feasible
+from .geometry import echelon, spans, strict_feasible
 from .network import (_SNAP, FRACTION_SCHEMA, Network, _sampler, fraction_to_json,
                       inactive_walls, integer_layers, object_schema, random_int_layers)
 
@@ -149,7 +149,7 @@ def _flat_walk(layers, values) -> bool:
         values, cols = new_values, list(zip(*rows))
     out = layers[-1][0][0]
     gradient = out if cols is None else tuple(sum(map(mul, out, col)) for col in cols)
-    return in_span(gradient, normals)
+    return spans(echelon(normals), gradient)
 
 
 def _flat_trial(args) -> bool:

@@ -8,9 +8,9 @@ affine form ``<coef, x> + off`` and is stored in canonical integer form: every
 entry an int, gcd of all entries 1.  Equality constraints additionally have
 their first nonzero coefficient positive, so that a hyperplane has one key.
 
-Polyhedra are kept in H-representation.  A ``Polyhedron`` is an ad hoc closed
-set: an SVG clip, a region of ``prescribe_edge_orientations``, a test's
-reference.  Its relative interior is a system ``(eqs, stricts)``: the points
+Polyhedra are kept in H-representation.  A ``Polyhedron`` is a closed set
+that the tests take as their reference; no program path builds one.  Its
+relative interior is a system ``(eqs, stricts)``: the points
 satisfying every equality and every strict inequality.  It is found by
 probing each inequality for an implicit equality.  The cells of the canonical
 complex are not polyhedra: each is its own sign-pattern rows.
@@ -119,11 +119,6 @@ def _nullspace(red, pivots, n: int) -> list[Vec]:
             v[p] = -row[f]
         basis.append(tuple(v))
     return basis
-
-
-def in_span(target, rows) -> bool:
-    """Whether target lies in the row space of rows."""
-    return spans(echelon(rows), target)
 
 
 def spans(basis, target) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from math import cos, lcm, log, pi, sin, sqrt, tan, tau
 
-from .geometry import Polyhedron, Vec, dot, strict_feasible, vec
+from .geometry import Vec, canon_constraint, dot, feasible, strict_feasible, vec
 
 RELU = "relu"
 NONE = "none"
@@ -99,10 +99,6 @@ class Network:
     @property
     def n0(self) -> int:
         return self.layers[0].in_dim
-
-    @property
-    def hidden_widths(self) -> tuple[int, ...]:
-        return tuple(l.out_dim for l in self.layers[:-1])
 
     @property
     def depth(self) -> int:
@@ -242,9 +238,10 @@ def save_network(net: Network, path) -> None:
 # explicit families: tangent lines to the unit circle
 
 
-def _circle_point(theta: float, precision: int = 1 << 20) -> Vec:
+def _circle_point(theta: float) -> Vec:
     """Rational point on the unit circle near angle theta (measured from north,
-    clockwise), via the tangent half-angle parametrization."""
+    clockwise), via the tangent half-angle parametrization, t to 2**-20."""
+    precision = 1 << 20
     # (sin, cos) = (2t/(1+t^2), (1-t^2)/(1+t^2)) with t = tan(theta/2)
     half = theta / 2.0
     if abs(cos(half)) < 1e-9:
@@ -254,19 +251,15 @@ def _circle_point(theta: float, precision: int = 1 << 20) -> Vec:
     return (2 * t / d, (1 - t * t) / d)
 
 
-def _cross(p: Vec, q: Vec) -> Fraction:
-    return p[0] * q[1] - p[1] * q[0]
-
-
 def _check_cyclic_tangency_points(points: list[Vec], wraparound: bool = True):
     for p in points:
         if p[0] * p[0] + p[1] * p[1] != 1:
             raise ValueError(f"tangency point {p} is off the unit circle")
     last = len(points) if wraparound else len(points) - 1
     for i in range(last):
-        q = points[(i + 1) % len(points)]
-        if not _cross(points[i], q) < 0:
-            raise ValueError(f"tangency points {points[i]} and {q} are out of clockwise order")
+        p, q = points[i], points[(i + 1) % len(points)]
+        if not p[0] * q[1] - p[1] * q[0] < 0:  # the cross product
+            raise ValueError(f"tangency points {p} and {q} are out of clockwise order")
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
             if not dot(p, q) < 1:
@@ -342,13 +335,17 @@ def prescribe_edge_orientations(layer1: AffineLayer, signs) -> tuple[Fraction, .
         raise ValueError("signs must be +1 or -1")
     n = layer1.in_dim
     walls = inactive_walls(layer1.weights, layer1.bias)
-    region = Polyhedron(n, ges=walls)
-    if region.dim != n:
+    bounds = [w for w in walls if any(w[0]) or w[1]]  # an all-zero unit bounds nothing
+    if not strict_feasible(n, bounds):
         raise ValueError("inactive region of layer is empty or lower-dimensional")
+    keys = [canon_constraint(*w) for w in bounds]
     out = []
     for wall, s in zip(walls, signs):
-        facet = Polyhedron(n, eqs=[wall], ges=walls)
-        out.append(Fraction(s) if facet.dim == n - 1 else Fraction(0))
+        # a facet is where the wall vanishes and every other wall, less its
+        # positive multiples, can be strict; a wall with no normal bounds none
+        others = [w for w, k in zip(bounds, keys) if k != canon_constraint(*wall)]
+        facet = any(wall[0]) and feasible(n, eqs=[wall], gts=others)
+        out.append(Fraction(s) if facet else Fraction(0))
     return tuple(out)
 
 

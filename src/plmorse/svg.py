@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .complexes import CanonicalComplex, reference_direction
-from .geometry import Polyhedron
+from .complexes import CanonicalComplex, edge_orientation, reference_direction
 
 _STYLE = (
     "  <style>\n"
@@ -26,8 +25,9 @@ _STYLE = (
 )
 
 
-def viewport_box(cx: CanonicalComplex, pad: Fraction = Fraction(1)):
-    """World-coordinate box (xmin, xmax, ymin, ymax) around all vertices."""
+def viewport_box(cx: CanonicalComplex):
+    """World-coordinate box (xmin, xmax, ymin, ymax) one unit around all vertices."""
+    pad = Fraction(1)
     points = [cx.skeleton[c.label].points[0][0] for c in cx.cells_of_dim(0)]
     if not points:
         return (-pad, pad, -pad, pad)
@@ -37,10 +37,24 @@ def viewport_box(cx: CanonicalComplex, pad: Fraction = Fraction(1)):
 
 
 def _clipped_vertices(box, eqs, ges=()) -> list:
-    """Vertices of {eqs = 0, ges >= 0} cut by the box."""
+    """Vertices of {eqs = 0, ges >= 0} cut by the box, sorted: the box's
+    corners clipped by each closed half-plane in turn (Sutherland-Hodgman),
+    an equality as two.  A kept vertex or a point where an edge crosses the
+    line is a vertex of the convex clip, so only repeats need dropping."""
     xmin, xmax, ymin, ymax = box
-    walls = (((1, 0), -xmin), ((-1, 0), xmax), ((0, 1), -ymin), ((0, -1), ymax))
-    return Polyhedron(2, eqs, [*ges, *walls]).vertices
+    poly = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+    for (a, b), o in (*ges, *eqs, *(((-a, -b), -o) for (a, b), o in eqs)):
+        vals = [a * x + b * y + o for x, y in poly]
+        out = []
+        for i, (p, v) in enumerate(zip(poly, vals)):
+            q, w = poly[i - 1], vals[i - 1]
+            if v * w < 0:  # the edge from q to p crosses the line
+                t = w / (w - v)
+                out.append((q[0] + t * (p[0] - q[0]), q[1] + t * (p[1] - q[1])))
+            if v >= 0:
+                out.append(p)
+        poly = out
+    return sorted(set(poly))
 
 
 class _Canvas:
@@ -74,7 +88,8 @@ def _polygon_points(cell, box, canvas: _Canvas) -> str | None:
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in px)
 
 
-def _arrowhead(mid, direction, size: float = 6.0) -> str:
+def _arrowhead(mid, direction) -> str:
+    size = 6.0
     dx, dy = direction
     norm = math.hypot(dx, dy)
     if norm == 0:
@@ -93,7 +108,6 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
         raise ValueError("SVG export needs a two-input network")
     box = viewport_box(cx)
     canvas = _Canvas(box, width)
-    orientations = cx.oriented_one_skeleton
     flats = set(cx.flat_labels)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -129,7 +143,7 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
         parts.append(
             f'  <path class="{css}" d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}" />\n'
         )
-        sense = orientations[cell.label]
+        sense = edge_orientation(cx, cell.label)
         if sense == "flat":
             continue
         ref = reference_direction(cx, cell.label)

@@ -62,7 +62,7 @@ def level_model(cx: CanonicalComplex, c) -> CompactModel:
 
 
 def total_hidden(net: Network) -> int:
-    return sum(net.hidden_widths)
+    return sum(net.architecture[1:-1])
 
 
 def activation_pattern(net: Network, point) -> tuple[int, ...]:

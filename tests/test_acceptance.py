@@ -18,6 +18,7 @@ from plmorse.compact import refine_at_levels, sublevel_model, superlevel_model
 from plmorse.complexes import (
     build_complex,
     census,
+    edge_orientation,
     is_generic,
 )
 from plmorse.ensembles import montecarlo_flat_cell, montecarlo_plmorse
@@ -363,7 +364,8 @@ def test_criterion_10_negation_duality():
         assert co_neg.sublevel == co.superlevel
         assert co_neg.superlevel == co.sublevel
         assert counts_neg == (counts[3], counts[2], counts[1], counts[0])
-        sk, sk_neg = cx.oriented_one_skeleton, cx_neg.oriented_one_skeleton
-        assert set(sk) == set(sk_neg)
-        assert all(sk_neg[lab] == swap[sense] for lab, sense in sk.items())
+        ones = [c.label for c in cx.cells_of_dim(1)]
+        assert sorted(ones) == sorted(c.label for c in cx_neg.cells_of_dim(1))
+        assert all(edge_orientation(cx_neg, lab) == swap[edge_orientation(cx, lab)]
+                   for lab in ones)
     print("criterion 10 (negation duality on 20 nets, orientations reversed): PASS")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from plmorse import morse
-from plmorse.complexes import FlatComponent, build_complex, flat_cells
+from plmorse.complexes import FlatComponent, build_complex, components, flat_cells
 from plmorse.compact import (
     CompactModel,
     compact_part,
@@ -488,8 +488,10 @@ def _pairwise_containment(rcx, keys):
     ids=["fan1", "coarse_bound4", "random_2_2_2_1_seed5", "random_3_3_1_seed10004", "deep_flat"],
 )
 def test_containment_pairs_match_pairwise_rule(make):
-    """Containment pairs and each piece's closure follow the pairwise rule,
-    and the face and coface lists are the face pairs, each transposed."""
+    """Containment, read off each piece's closure, follows the pairwise
+    rule: each closure is the pieces the rule puts inside it, and the
+    components of pieces over a key range are those the rule's pairs join.
+    The face and coface lists are the face pairs, each transposed."""
     cx = build_complex(make())
     faces = [(a, b) for b in cx.cells for a in cx.faces_of(b)]
     cofaces = [(a, b) for a in cx.cells for b in cx.cofaces_of(a)]
@@ -504,10 +506,9 @@ def test_containment_pairs_match_pairwise_rule(make):
             closure = rcx.closure(k)
             assert closure[0] == k and len(closure) == len(set(closure))
             assert set(closure[1:]) == inside[k], (levels, k)
-        keys = rcx.keys_in(lo, hi)
-        got = rcx.containment_pairs(keys)
-        assert len(got) == len(set(got))
-        assert set(got) == _pairwise_containment(rcx, keys), (levels, lo, hi)
+        keys = sorted(rcx.keys_in(lo, hi))
+        want = components(keys, _pairwise_containment(rcx, keys))
+        assert rcx.components(keys) == want, (levels, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -547,7 +548,7 @@ def _leaves(x):
 
 def test_piece_keys_hold_only_ints():
     """Pieces are named by parent label and interval number, so keys,
-    containment pairs, model vertices and model-cell keys hash no Fraction."""
+    closures, components, model vertices and model-cell keys hash no Fraction."""
     cx = build_complex(build_fan_network(2))
     below = max(t for t in cx.nontransversal_thresholds if t < 0)
     rcx = refine_at_levels(cx, [below / 2, F(0), F(1)])
@@ -557,7 +558,8 @@ def test_piece_keys_hold_only_ints():
     strip = next(m for c, m, _ in _stars(cx, F(0)) if len(c.labels) == 13)
     found = [
         keys,
-        rcx.containment_pairs(keys),
+        [rcx.closure(k) for k in keys],
+        rcx.components(keys),
         [m.vertices for m in (model, strip)],
         [c.key for m in (model, strip) for c in m.cells.values()],
     ]
@@ -734,7 +736,7 @@ def test_affine_net_whole_line_stays_unpointed():
     assert [p.pointed for p in pieces] == [False]
     assert not piece_geometry(pieces[0]).pointed
     with pytest.raises(ValueError, match="unpointed; essentialize"):
-        compact_part(pieces, rcx.containment_pairs(keys))
+        compact_part(pieces, rcx.closure)
     rcx = refine_at_levels(cx, [F(1)])
     pieces = essentialize(list(rcx.cells.values()), cx)
     assert all(p.pointed and piece_geometry(p).pointed for p in pieces)

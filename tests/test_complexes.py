@@ -455,8 +455,8 @@ def test_negation_duality_cells_and_orientations():
     nx = build_complex(negate(net))
     assert set(cx.cells) == set(nx.cells)
     flip = {"increasing": "decreasing", "decreasing": "increasing", "flat": "flat"}
-    for lab, ori in cx.oriented_one_skeleton.items():
-        assert nx.oriented_one_skeleton[lab] == flip[ori]
+    for c in cx.cells_of_dim(1):
+        assert edge_orientation(nx, c.label) == flip[edge_orientation(cx, c.label)]
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -18,7 +18,6 @@ from plmorse.geometry import (
     echelon,
     feasible,
     form_signs,
-    in_span,
     nullspace_basis,
     primitive_direction,
     rank,
@@ -193,9 +192,11 @@ def test_rref_edge_cases():
 
 
 def test_in_span():
-    assert in_span((2, 4), [(1, 2)])
-    assert not in_span((1, 0), [(1, 2)])
-    assert in_span((0, 0), [])
+    """Whether a target is in the row space: ``spans`` on an ``echelon``."""
+    assert spans(echelon([(1, 2)]), (2, 4))
+    assert not spans(echelon([(1, 2)]), (1, 0))
+    assert spans(echelon([]), (0, 0))
+    assert not spans(echelon([]), (1, 0))
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,13 +2,15 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmorse.geometry import Polyhedron, dot
+from plmorse import geometry, network
+from plmorse.geometry import Polyhedron, canon_constraint, dot, feasible
 from plmorse.network import (
     AffineLayer,
     Network,
@@ -19,6 +21,7 @@ from plmorse.network import (
     _sampler,
     build_coarse_bound_network,
     build_fan_network,
+    inactive_walls,
     integer_layers,
     load_network,
     prescribe_edge_orientations,
@@ -66,7 +69,7 @@ def test_architecture_props():
     net = random_network((2, 3, 1), seed=5)
     assert net.architecture == (2, 3, 1)
     assert net.n0 == 2
-    assert net.hidden_widths == (3,)
+    assert net.architecture[1:-1] == (3,)
     assert total_hidden(net) == 3
     assert net.depth == 1
 
@@ -185,6 +188,82 @@ def test_prescribe_requires_full_dim_region():
     layer = AffineLayer.make([[1, 0], [-1, 0]], [0, 0], "relu")
     with pytest.raises(ValueError):
         prescribe_edge_orientations(layer, (1, 1))
+
+
+def _reference_prescribe(layer, signs):
+    """The orientation rule on closed polyhedra: the inactive region must
+    have dimension n, and wall i keeps its sign iff the region's part on
+    the wall has dimension n - 1."""
+    n = layer.in_dim
+    walls = inactive_walls(layer.weights, layer.bias)
+    if Polyhedron(n, ges=walls).dim != n:
+        raise ValueError("inactive region of layer is empty or lower-dimensional")
+    return tuple(F(s) if Polyhedron(n, eqs=[w], ges=walls).dim == n - 1 else F(0)
+                 for w, s in zip(walls, signs))
+
+
+def _seeded_layer(rng):
+    """A layer of m <= 6 units on n <= 3 inputs with small rational entries;
+    some units are all zero, or repeat an earlier unit scaled by a positive
+    or a negative number."""
+    n, m = rng.randint(1, 3), rng.randint(1, 6)
+    entry = lambda: F(rng.choice([-2, -1, 0, 0, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+    rows, bias = [], []
+    for i in range(m):
+        kind = rng.random()
+        if kind < 0.1:
+            row, b = [F(0)] * n, F(0)
+        elif kind < 0.25 and i:
+            j, c = rng.randrange(i), F(rng.choice([1, 2, 1, 3])) * rng.choice([1, 1, 1, -1])
+            row, b = [c * x for x in rows[j]], c * bias[j]
+        else:
+            row, b = [entry() for _ in range(n)], entry()
+        rows.append(row)
+        bias.append(b)
+    return AffineLayer.make(rows, bias, "relu"), [rng.choice([-1, 1]) for _ in range(m)]
+
+
+def test_prescribe_matches_closed_polyhedron_rule():
+    """On seeded layers, the strict-feasibility rule gives the result, or
+    the refusal, of the rule on closed polyhedra, and the layers reach
+    every corner case the rule names."""
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(600):
+        layer, signs = _seeded_layer(rng)
+        try:
+            want = _reference_prescribe(layer, signs)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                prescribe_edge_orientations(layer, signs)
+            walls = inactive_walls(layer.weights, layer.bias)
+            seen["lower-dimensional" if Polyhedron(layer.in_dim, ges=walls).nonempty
+                 else "empty"] += 1
+            continue
+        assert prescribe_edge_orientations(layer, signs) == want, (layer, signs)
+        rows = [canon_constraint(w, b) for w, b in zip(layer.weights, layer.bias)]
+        seen["all-zero unit"] += any(not any(c) and not o for c, o in rows)
+        seen["repeated unit"] += len(set(rows)) < len(rows)
+        seen["non-facet"] += F(0) in want
+        seen["accepted"] += 1
+    assert min(seen[k] for k in ("empty", "lower-dimensional", "all-zero unit",
+                                 "repeated unit", "non-facet", "accepted")) >= 10, seen
+
+
+def test_prescribe_makes_one_feasibility_test_per_wall(monkeypatch):
+    """fan(2)'s layer of m = 6 units takes m + 1 feasibility tests: one for
+    the region and one for each wall."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return feasible(*args, **kwargs)
+
+    for module in (geometry, network):
+        monkeypatch.setattr(module, "feasible", counted)
+    layer = build_fan_network(2).layers[0]
+    assert prescribe_edge_orientations(layer, (1,) * 6) == (F(1),) * 6
+    assert len(calls) == layer.out_dim + 1
 
 
 # -- serialization ----------------------------------------------------------

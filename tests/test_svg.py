@@ -1,8 +1,20 @@
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from plmorse import complexes, geometry, network
 from plmorse.complexes import build_complex
-from plmorse.network import AffineLayer, Network, build_fan_network
-from plmorse.svg import render_svg, viewport_box
+from plmorse.geometry import Polyhedron
+from plmorse.network import (
+    AffineLayer,
+    Network,
+    build_coarse_bound_network,
+    build_fan_network,
+    load_network,
+    random_network,
+)
+from plmorse.svg import _clipped_vertices, render_svg, viewport_box
 
 from queries import zero_cells
 
@@ -68,3 +80,68 @@ def test_rejects_other_input_dimensions():
     ))
     with pytest.raises(ValueError, match="two-input"):
         render_svg(build_complex(one_d))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _clip_nets():
+    """The golden two-input nets, the explicit families and seeded nets."""
+    for path in sorted(GOLDEN.glob("*.net.json")):
+        if (net := load_network(path)).n0 == 2:
+            yield path.name, net
+    for n in (1, 2, 3):
+        yield f"fan{n}", build_fan_network(n)
+    for m in (3, 4, 5, 6):
+        yield f"coarse{m}", build_coarse_bound_network(m)
+    for arch in ((2, 3, 1), (2, 5, 1), (2, 3, 2, 1)):
+        for seed in (1, 2, 3):
+            yield f"{arch} seed {seed}", random_network(arch, seed)
+
+
+def _reference_clip(box, eqs, ges=()):
+    """The clip as a closed polyhedron's vertices, by subset enumeration."""
+    xmin, xmax, ymin, ymax = box
+    walls = (((1, 0), -xmin), ((-1, 0), xmax), ((0, 1), -ymin), ((0, -1), ymax))
+    return Polyhedron(2, eqs, [*ges, *walls]).vertices
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _clip_nets()])
+def test_clip_matches_polyhedron_vertices(net):
+    """Every 2-cell, every 1-cell and every first-layer wall clipped to the
+    viewport, and to a box around the origin that cuts many of them down to
+    a point or nothing, has the vertices subset enumeration finds."""
+    cx = build_complex(net)
+    layer = net.layers[0]
+    systems = [(c.eqs, c.stricts) for d in (1, 2) for c in cx.cells_of_dim(d)]
+    systems += [([(row, b)], ()) for row, b in zip(layer.weights, layer.bias)]
+    half = Fraction(1, 2)
+    for box in (viewport_box(cx), (-half, half, -half, half)):
+        for eqs, ges in systems:
+            want = _reference_clip(box, eqs, ges)
+            assert _clipped_vertices(box, eqs, ges) == want, (box, eqs, ges)
+
+
+def test_clip_corner_cases():
+    box = (Fraction(0), Fraction(2), Fraction(0), Fraction(1))
+    assert _clipped_vertices(box, [], [((1, 1), -3)]) == [(2, 1)]  # one corner
+    assert _clipped_vertices(box, [], [((1, 0), -3)]) == []  # past the box
+    assert _clipped_vertices(box, [((1, -1), 0)], []) == [(0, 0), (1, 1)]  # a diagonal
+    assert _clipped_vertices(box, [((0, 1), 0)], []) == [(0, 0), (2, 0)]  # along a side
+    assert _clipped_vertices(box, [((1, 0), -1)], [((0, 1), 0), ((0, -1), 0)]) == [(1, 0)]
+
+
+def test_render_builds_no_polyhedron_and_tests_no_feasibility(monkeypatch):
+    """The clip reads each cell's own rows in exact arithmetic: no
+    ``Polyhedron`` is built and no feasibility test runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Polyhedron or feasible called")
+
+    for net in (build_fan_network(2), load_network(GOLDEN / "random_2_3_2_1_seed3.net.json")):
+        cx = build_complex(net)
+        with monkeypatch.context() as patch:
+            patch.setattr(Polyhedron, "__init__", refuse)
+            for module in (geometry, complexes, network):
+                patch.setattr(module, "feasible", refuse)
+            doc = render_svg(cx)
+        assert doc.endswith("</svg>\n")
