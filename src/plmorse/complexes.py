@@ -13,9 +13,11 @@ makes a child only on a side that one projection of the cell onto the node's
 form showed nonempty (``geometry.form_signs``).
 
 The face poset and the 1-skeleton come from one pass over the cells by
-dimension (see ``CanonicalComplex.face_pairs``); edge orientations and the
-boundedness census read the skeleton's edges, and 0-cell points and flat
-levels its 0-faces.
+dimension (see ``CanonicalComplex.face_pairs``).  The skeleton is integer: a
+0-face is (P, d), the point P/d, from one fraction-free solve, and edge
+directions and slopes are ints, so a cell's witness needs no common
+denominator.  Edge orientations and the boundedness census read the edges,
+flat levels the 0-faces; points become Fractions only to be shown.
 
 Also provides genericity of each layer's solution-set arrangement (construction
 records where a node map is identically zero on a cell), flat cell detection
@@ -30,11 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations, islice
-from math import lcm
 from operator import mul
 
 from .geometry import (
     Constraint,
+    IntVec,
     Vec,
     canon_constraint,
     canonical_line_direction,
@@ -42,10 +44,10 @@ from .geometry import (
     echelon,
     feasible,
     form_signs,
-    nullspace_basis,
     primitive_direction,
     rank,
-    solve_linear,
+    rational_point,
+    solve_integer,
     spans,
 )
 from .network import Network, integer_layers
@@ -63,9 +65,7 @@ class LabeledCell:
     flat: bool
     dimension: int
     lineality: int  # dimension of the lineality space, one for all cells
-
-    def form_at(self, point) -> Fraction:
-        return dot(self.gradient, point) + self.constant
+    form: tuple[IntVec, int]  # (g, k): F = (<g, x> + k) / sigma, one sigma per complex
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,10 @@ class FlatComponent:
 
 # Named tuples, not dataclasses: a frozen dataclass takes about 1 ms to
 # define, and every CLI call pays for it at import.
-class Edge(namedtuple("Edge", "start value direction slope bounded")):
-    """Ray ``start + s * direction`` for s >= 0 (s <= 1 too when bounded),
-    along which F changes by ``slope`` per unit of s from ``value``."""
+class Edge(namedtuple("Edge", "start direction slope bounded")):
+    """A segment or a ray from the 0-face ``start`` = (P, d), along the int
+    ``direction``: a ray's, or Q*d - P*e to the end Q/e of a segment.  The
+    int ``slope`` <g, direction> has the sign of F's change along it."""
 
     __slots__ = ()
 
@@ -97,10 +98,11 @@ class Edge(namedtuple("Edge", "start value direction slope bounded")):
 class CellFaces(namedtuple("CellFaces", "points edges f_range rays")):
     """0- and 1-faces of a cell's closure cut by the row space of W1.
 
-    ``points`` holds each 0-face as a (point, F-value) pair; ``edges`` holds
-    each 1-face as an ``Edge``, a segment or a ray (a line with no 0-face is
-    two rays).  ``f_range`` is F(closure), None marking an unbounded end, and
-    ``rays`` the signs of the rays' slopes, both found once, from those two.
+    ``points`` holds each 0-face as a ((P, d), F-value) pair for the point
+    P/d, P int and d > 0; ``edges`` holds each 1-face as an ``Edge``, a
+    segment or a ray (a line with no 0-face is two rays).  ``f_range`` is
+    F(closure), None marking an unbounded end, and ``rays`` the signs of the
+    rays' slopes, both found once, from those two.
     """
 
     __slots__ = ()
@@ -145,23 +147,25 @@ class CanonicalComplex:
         off the cell's relative interior, and records ``skeleton`` and each
         cell's face and coface lists (``faces_of``, ``cofaces_of``) in its order.
         """
-        k = len(self.kernel)
+        k, n0, sigma = len(self.kernel), self.network.n0, integer_layers(self.network)[1]
+        kern = tuple(canon_constraint(v, 0) for v in self.kernel)
         order = sorted(self.cells.values(), key=lambda c: c.dimension)
         trie: dict = {}
         for r, c in enumerate(order):  # leaf: the cell's place in the pass and its label
             reduce(lambda node, s: node.setdefault(s, {}), c.label, trie)[None] = r, c.label
         self._faces: dict[Label, list[Label]] = {lab: [] for lab in self.cells}
         self._cofaces: dict[Label, list[Label]] = {}
-        points: dict[Label, tuple[Vec, Fraction]] = {}
+        points: dict[Label, tuple[tuple[IntVec, int], Fraction]] = {}
         edges: dict[Label, tuple[Edge, ...]] = {}
         self._skeleton: dict[Label, CellFaces] = {}
         for r, c in enumerate(order):
             lab, d, fs = c.label, c.dimension, [c.label, *self._faces[c.label]]
-            if d == k:
-                p = self._cut(c)[0]
-                points[lab] = (p, c.form_at(p))
+            if d == k:  # one point, over den, the lcm of the solve's n pivots
+                (p, den), _ = solve_integer(c.eqs + kern, n0)
+                points[lab] = (p, den), Fraction(sum(map(mul, c.form[0], p)) + c.form[1] * den,
+                                                 sigma * den)
             elif d == k + 1:
-                edges[lab] = self._edges(c, [points[f] for f in fs if f in points])
+                edges[lab] = _edges(c, [points[f][0] for f in fs if f in points], kern)
             faces = self._skeleton[lab] = CellFaces(
                 tuple(points[f] for f in fs if f in points),
                 tuple(e for f in fs for e in edges.get(f, ())),
@@ -169,8 +173,8 @@ class CanonicalComplex:
             w, den = _relint_point(faces)
             signs = [_sign(sum(map(mul, g, w)) + o * den) for g, o in c.eqs + c.stricts]
             if signs != [0] * len(c.eqs) + [1] * len(c.stricts):
-                w = tuple(Fraction(x, den) for x in w)
-                raise RuntimeError(f"witness {w} is off the relative interior of cell {lab}")
+                raise RuntimeError(f"witness {show_point((w, den))} is off the relative "
+                                   f"interior of cell {lab}")
             level = [trie]
             for s in lab:
                 level = ([n for m in level if (n := m.get(s))] if s
@@ -182,8 +186,10 @@ class CanonicalComplex:
 
     @cached_property
     def kernel(self) -> tuple[Vec, ...]:
-        """Basis of ker(W1): every cell and F are invariant along it."""
-        return tuple(nullspace_basis(self.network.layers[0].weights, self.network.n0))
+        """Basis of ker(W1), 1 at one free column each: cells and F are invariant along it."""
+        (a, _), *_ = integer_layers(self.network)[0]
+        (_, d), null = solve_integer([(row, 0) for row in a], self.network.n0)
+        return tuple(tuple(Fraction(x, d) for x in v) for v in null)
 
     @property
     def skeleton(self) -> dict[Label, CellFaces]:
@@ -198,25 +204,6 @@ class CanonicalComplex:
         """
         self.face_pairs  # noqa: B018  (the pass records the skeleton)
         return self._skeleton
-
-    def _edges(self, cell: LabeledCell, ends) -> tuple[Edge, ...]:
-        """The 1-face that a (k+1)-cell with the given minimal faces is."""
-        if len(ends) == 2:
-            (p, fp), (q, fq) = sorted(ends)
-            return (Edge(p, fp, tuple(b - a for a, b in zip(p, q)), fq - fp, True),)
-        base, (d,) = self._cut(cell)
-        if any(dot(g, d) < 0 for g, _ in cell.stricts):
-            d = tuple(-x for x in d)
-        rays = [d] if ends else [d, tuple(-x for x in d)]
-        p, fp = ends[0] if ends else (base, cell.form_at(base))
-        return tuple(Edge(p, fp, r, dot(cell.gradient, r), False) for r in rays)
-
-    def _cut(self, cell: LabeledCell) -> tuple[Vec, list[Vec]]:
-        """A point and a direction basis of the cell's affine hull cut by
-        the row space of W1."""
-        rows = [c for c, _ in cell.eqs] + list(self.kernel)
-        rhs = [-o for _, o in cell.eqs] + [0] * len(self.kernel)
-        return solve_linear(rows, rhs, self.network.n0)
 
     def faces_of(self, label: Label) -> list[Label]:
         """The cell's proper faces, lower dimensions first (``face_pairs``)."""
@@ -238,19 +225,39 @@ class CanonicalComplex:
         return tuple(sorted({self.skeleton[lab].points[0][1] for lab in self.flat_labels}))
 
 
+def _edges(cell: LabeledCell, ends, kern) -> tuple[Edge, ...]:
+    """The 1-face that a (k+1)-cell with the given minimal faces is: a
+    segment from the lexicographically smaller end, by cross-multiplication,
+    or rays along its hull cut by the kernel rows, oriented into the cell."""
+    g = cell.form[0]
+    if len(ends) == 2:
+        (p, a), (q, b) = ends
+        if [x * b for x in p] > [y * a for y in q]:
+            (p, a), (q, b) = (q, b), (p, a)
+        r = tuple(y * a - x * b for x, y in zip(p, q))
+        return (Edge((p, a), r, sum(map(mul, g, r)), True),)
+    base, (r,) = solve_integer(cell.eqs + kern, len(g))
+    if any(sum(map(mul, c, r)) < 0 for c, _ in cell.stricts):
+        r = tuple(-x for x in r)
+    rays = [r] if ends else [r, tuple(-x for x in r)]
+    return tuple(Edge(ends[0] if ends else base, v, sum(map(mul, g, v)), False) for v in rays)
+
+
 def _relint_point(faces: CellFaces) -> tuple[list[int], int]:
-    """The centroid of the 0-faces plus the sum of the ray directions, a
-    point of relint conv(V) + relint cone(R) for a cut cell conv(V) +
-    cone(R); the start of a line, which has no 0-face.  Summed on integers:
-    (numerators, one positive denominator)."""
-    pts = [p for p, _ in faces.points] or [faces.edges[0].start]
-    rays = [e.direction for e in faces.edges if not e.bounded] if faces.points else []
-    weighted = [(p, 1) for p in pts] + [(r, len(pts)) for r in rays]
-    dens = {x.denominator for v, _ in weighted for x in v}
-    den = lcm(*dens)
-    scale = {d: den // d for d in dens}  # one big division per denominator
-    ints = [[w * x.numerator * scale[x.denominator] for x in v] for v, w in weighted]
-    return [sum(col) for col in zip(*ints)], den * len(pts)
+    """(sum P_i + D sum R_j, D) with D = sum d_i, for the 0-faces P_i/d_i and
+    ray directions R_j of a cut cell conv(V) + cone(R): the 0-faces weighted
+    d_i/D plus the rays, a point of relint conv(V) + relint cone(R) with no
+    common denominator to find; the start of a line, which has no 0-face."""
+    if not faces.points:
+        return faces.edges[0].start
+    den = sum(d for (_, d), _ in faces.points)
+    rays = ([den * x for x in e.direction] for e in faces.edges if not e.bounded)
+    return [sum(col) for col in zip(*(p for (p, _), _ in faces.points), *rays)], den
+
+
+def show_point(p) -> str:
+    """An integer pair (P, d) printed as the point P/d: (1/2, -1/3)."""
+    return f"({', '.join(map(str, rational_point(p)))})"
 
 # ---------------------------------------------------------------------------
 # construction
@@ -345,7 +352,7 @@ def build_complex(net: Network) -> CanonicalComplex:
         basis = echelon([c for c, _ in eqs])
         dim, flat = n - len(basis[1]), spans(basis, g)
         grad, const = tuple(Fraction(x, sigma) for x in g), Fraction(k, sigma)
-        cells[label] = LabeledCell(label, eqs, ineqs, grad, const, flat, dim, lines)
+        cells[label] = LabeledCell(label, eqs, ineqs, grad, const, flat, dim, lines, (g, k))
     return CanonicalComplex(net, cells, witnesses)
 
 
@@ -428,19 +435,14 @@ def is_generic(net: Network) -> Check:
     dimension: k <= n0 of them in an affine subspace of codimension k (never
     empty, never degenerate), n0+1 of them in the empty set.  Deeper layers
     are checked cell by cell on the partial complex."""
-    n = net.n0
-    first = net.layers[0]
-    m1 = first.out_dim
-    for size in range(1, min(m1, n + 1) + 1):
-        for T in combinations(range(m1), size):
-            rows = [first.weights[i] for i in T]
-            rhs = [-first.bias[i] for i in T]
-            point, null = solve_linear(rows, rhs, n)
-            if size <= n:
-                if point is None or n - len(null) != size:
-                    return Check(False, f"hidden layer 0 nodes {T}: degenerate intersection")
-            elif point is not None:
-                return Check(False, f"hidden layer 0 nodes {T}: common point {point}")
+    n, ((a, b), *_) = net.n0, integer_layers(net)[0]
+    for size in range(1, min(len(b), n + 1) + 1):
+        for T in combinations(range(len(b)), size):
+            point, null = solve_integer([(a[i], b[i]) for i in T], n)
+            if size <= n and (point is None or n - len(null) != size):
+                return Check(False, f"hidden layer 0 nodes {T}: degenerate intersection")
+            if size > n and point is not None:
+                return Check(False, f"hidden layer 0 nodes {T}: common point {show_point(point)}")
     return _deep_genericity(net) if net.depth > 1 else Check(True)
 
 

@@ -1,12 +1,13 @@
 """Exact rational linear algebra and convex polyhedra.
 
-All arithmetic is exact; no floats enter any geometric predicate.  Linear
-algebra takes and returns rationals (fractions.Fraction), but row reduction
-and the feasibility test scale each input row to primitive integers once and
-eliminate on ints.  A linear constraint is a pair ``(coef, off)`` encoding the
-affine form ``<coef, x> + off`` and is stored in canonical integer form: every
-entry an int, gcd of all entries 1.  Equality constraints additionally have
-their first nonzero coefficient positive, so that a hyperplane has one key.
+All arithmetic is exact; no floats enter any geometric predicate.  Row
+reduction and the feasibility test scale each input row to primitive integers
+once and eliminate on ints; ``rref`` divides on return, and ``solve_integer``
+returns integer numerators over one denominator.  A linear constraint is a
+pair ``(coef, off)`` encoding the affine form ``<coef, x> + off`` and is
+stored in canonical integer form: every entry an int, gcd of all entries 1.
+Equality constraints additionally have their first nonzero coefficient
+positive, so that a hyperplane has one key.
 
 Polyhedra are kept in H-representation.  A ``Polyhedron`` is a closed set
 that the tests take as their reference; no program path builds one.  Its
@@ -104,23 +105,6 @@ def rank(rows) -> int:
     return len(echelon(rows)[1])
 
 
-def nullspace_basis(rows, n: int) -> list[Vec]:
-    """Basis of {x in Q^n : row . x = 0 for every row}."""
-    return _nullspace(*rref(rows), n)
-
-
-def _nullspace(red, pivots, n: int) -> list[Vec]:
-    """Nullspace basis read off a reduced row echelon form's free columns."""
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
 def spans(basis, target) -> bool:
     """Whether target lies in the row space of an ``echelon`` result: each
     reduced row clears its own pivot entry only, so nothing is left iff so."""
@@ -130,20 +114,31 @@ def spans(basis, target) -> bool:
     return not any(target)
 
 
-def solve_linear(rows, rhs, n: int) -> tuple[Vec | None, list[Vec]]:
-    """Solve rows . x = rhs exactly.
+def solve_integer(rows, n: int) -> tuple[tuple[IntVec, int] | None, list[IntVec]]:
+    """Solve <c, x> + o = 0 for the integer rows (c, o) over Q^n, fraction-free.
 
-    Returns (particular solution or None if inconsistent, nullspace basis),
-    from one elimination: the augmented system's reduced form is that of
-    ``rows`` with a right-hand column, plus [0 ... 0 | 1] when inconsistent.
-    """
-    red, pivots = rref([list(row) + [r] for row, r in zip(rows, rhs)])
-    if pivots and pivots[-1] == n:
-        return None, _nullspace(red, pivots[:-1], n)
-    x = [Fraction(0)] * n
-    for row, p in zip(red, pivots):
-        x[p] = row[n]
-    return tuple(x), _nullspace(red, pivots, n)
+    From one ``echelon``: (P, d) with d > 0, the solution x = P/d whose free
+    entries are 0, or None when the rows are inconsistent; and, per free
+    column, d times the nullspace vector with a 1 there.  d is the lcm of
+    the pivots, so each entry is an exact int quotient: no Fraction is made."""
+    mat, pivots = echelon([[*c, o] for c, o in rows])
+    consistent = n not in pivots
+    if not consistent:  # the last row is [0 ... 0 | 1], and no column n is left
+        mat, pivots = mat[:-1], pivots[:-1]
+    d = lcm(*(row[p] for row, p in zip(mat, pivots)))
+    cols = []
+    for j in (*(c for c in range(n) if c not in pivots), n):
+        v = [d * (i == j) for i in range(n)]
+        for row, p in zip(mat, pivots):
+            v[p] = -row[j] * (d // row[p])
+        cols.append(tuple(v))
+    *null, point = cols
+    return ((point, d) if consistent else None), null
+
+
+def rational_point(p) -> Vec:
+    """The point P/d of an integer pair (P, d), as Fractions."""
+    return tuple(Fraction(x, p[1]) for x in p[0])
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +354,18 @@ class Polyhedron:
                 "vertex enumeration on unpointed polyhedron; essentialize first"
             )
         eqs, stricts = self.relint_system
-        eq_rows = [c for c, _ in eqs]
-        eq_rhs = [-o for _, o in eqs]
-        need = self.n - rank(eq_rows)
         found = set()
-        for subset in combinations(stricts, need):
-            rows = eq_rows + [c for c, _ in subset]
-            rhs = eq_rhs + [-o for _, o in subset]
-            sol, null = solve_linear(rows, rhs, self.n)
-            if sol is not None and not null and self.contains(sol):
-                found.add(sol)
+        for subset in combinations(stricts, self.n - rank([c for c, _ in eqs])):
+            sol, null = solve_integer(eqs + subset, self.n)
+            if sol is not None and not null and self.contains(point := rational_point(sol)):
+                found.add(point)
         return sorted(found)
 
 
 def primitive_direction(v) -> Vec:
-    """Scale a nonzero rational vector to primitive integers, keeping direction."""
-    return tuple(Fraction(x) for x in _primitive_ints([Fraction(x) for x in v]))
+    """Scale a nonzero rational vector to primitive integers, keeping direction;
+    an int vector is only divided by its gcd."""
+    return tuple(Fraction(x) for x in _primitive_ints(list(v)))
 
 
 def canonical_line_direction(v) -> Vec:

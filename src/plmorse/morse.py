@@ -28,8 +28,9 @@ from .complexes import (
     build_complex,
     flat_cells,
     is_generic,
+    show_point,
 )
-from .geometry import Vec
+from .geometry import Vec, rational_point
 from .homology import CellularComplex, _trim
 from .network import FRACTION_SCHEMA, Network, fraction_to_json, has_inactive_region, object_schema
 
@@ -203,7 +204,7 @@ def _classify_zero_cell(cx: CanonicalComplex, label: Label) -> VertexClass:
     n = cx.network.n0
     if sum(1 for s in label if s == 0) != n:
         raise UnsupportedNetworkError(
-            f"vertex {p} lies on more than {n} hyperplanes; the network is not generic"
+            f"vertex {show_point(p)} lies on more than {n} hyperplanes; the network is not generic"
         )
     pairs: dict[frozenset, list[Label]] = {}
     for lab in cx.cofaces_of(label):
@@ -211,7 +212,7 @@ def _classify_zero_cell(cx: CanonicalComplex, label: Label) -> VertexClass:
             pairs.setdefault(frozenset(i for i, s in enumerate(lab) if s == 0), []).append(lab)
     if len(pairs) != n or any(len(g) != 2 for g in pairs.values()):
         raise UnsupportedNetworkError(
-            f"vertex {p} has an unpaired edge coface; the network is not generic"
+            f"vertex {show_point(p)} has an unpaired edge coface; the network is not generic"
         )
     # Near p, F is F(p) plus one PL function of each pair's coordinate, so
     # one pair along which F is strictly monotone makes p regular whatever
@@ -221,11 +222,12 @@ def _classify_zero_cell(cx: CanonicalComplex, label: Label) -> VertexClass:
         (a,), (b,) = (cx.skeleton[lab].edges for lab in group)
         slopes = [e.slope if e.start == p else -e.slope for e in (a, b)]
         away.append({(s > 0) - (s < 0) for s in slopes})
+    point = rational_point(p)
     if {-1, 1} in away:
-        return VertexClass(p, REGULAR)
+        return VertexClass(point, REGULAR)
     if any(0 in signs for signs in away):
-        return VertexClass(p, DEGENERATE)
-    return VertexClass(p, NONDEGENERATE, away.count({-1}))
+        return VertexClass(point, DEGENERATE)
+    return VertexClass(point, NONDEGENERATE, away.count({-1}))
 
 
 def _require_shallow_generic(cx: CanonicalComplex) -> None:

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 from .complexes import CanonicalComplex, edge_orientation, reference_direction
+from .geometry import rational_point
 
 _STYLE = (
     "  <style>\n"
@@ -28,7 +29,7 @@ _STYLE = (
 def viewport_box(cx: CanonicalComplex):
     """World-coordinate box (xmin, xmax, ymin, ymax) one unit around all vertices."""
     pad = Fraction(1)
-    points = [cx.skeleton[c.label].points[0][0] for c in cx.cells_of_dim(0)]
+    points = [rational_point(cx.skeleton[c.label].points[0][0]) for c in cx.cells_of_dim(0)]
     if not points:
         return (-pad, pad, -pad, pad)
     xs = [p[0] for p in points]
@@ -153,7 +154,7 @@ def render_svg(cx: CanonicalComplex, width: int = 480) -> str:
         parts.append(_arrowhead(mid, direction))
 
     for cell in cx.cells_of_dim(0):
-        x, y = canvas.to_px(cx.skeleton[cell.label].points[0][0])
+        x, y = canvas.to_px(rational_point(cx.skeleton[cell.label].points[0][0]))
         css = "flat-vertex" if cell.label in flats else "vertex"
         parts.append(f'  <circle class="{css}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" />\n')
 

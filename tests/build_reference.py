@@ -16,14 +16,10 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from plmorse.complexes import CanonicalComplex, LabeledCell, _sign
-from plmorse.geometry import (
-    canon_constraint,
-    dot,
-    feasible,
-    nullspace_basis,
-    rank,
-    solve_linear,
-)
+from plmorse.geometry import canon_constraint, dot, feasible, rank
+from plmorse.network import integer_layers
+
+from linear_reference import nullspace_basis, solve_linear
 
 
 def _in_span(target, rows) -> bool:
@@ -111,6 +107,7 @@ def build_complex(net) -> CanonicalComplex:
                             f"on the cell labeled {label}"
                         )
     out, work = next(stages)
+    sigma = integer_layers(net)[1]  # the program's form is (grad, const) times it
     cells = {}
     for label, eqs, ineqs, rows, offs in work:
         grad, const = _node_form(out.weights[0], out.bias[0], rows, offs)
@@ -120,7 +117,8 @@ def build_complex(net) -> CanonicalComplex:
         nonempty = feasible(n, eqs=eqs, gts=ineqs)  # tests the cell for emptiness
         dim = n - rank(eq_normals) if nonempty else -1
         lines = len(nullspace_basis([c for c, _ in eqs + ineqs], n))
-        cells[label] = LabeledCell(label, eqs, ineqs, grad, const, flat, dim, lines)
+        form = (tuple(x * sigma for x in grad), const * sigma)
+        cells[label] = LabeledCell(label, eqs, ineqs, grad, const, flat, dim, lines, form)
     return CanonicalComplex(net, cells, witnesses)
 
 

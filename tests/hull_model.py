@@ -21,9 +21,10 @@ for the ray edges of ``CanonicalComplex.skeleton``, and through them for
 from itertools import combinations
 
 from plmorse.compact import CompactModel, ModelCell
-from plmorse.geometry import dot, nullspace_basis, primitive_direction, rank, rref, solve_linear
+from plmorse.geometry import dot, primitive_direction, rank, rref
 from plmorse.homology import Triangulation
 
+from linear_reference import nullspace_basis, solve_linear
 from order_complex import from_maximal
 from piece_geometry import piece_geometry
 

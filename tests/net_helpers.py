@@ -4,8 +4,9 @@
 ``generic_line_counts`` is the closed-form census that
 ``plmorse.complexes.census`` is checked against; ``level_model`` builds the
 compact model of a level set the way ``plmorse.compact`` builds sublevel and
-superlevel models; the rest read a ``plmorse.network.Network`` pointwise or
-negate it.
+superlevel models; ``concurrent_rational_lines`` is a net whose three hidden
+lines meet at a point with non-integer coordinates; the rest read a
+``plmorse.network.Network`` pointwise or negate it.
 """
 
 from fractions import Fraction
@@ -53,6 +54,15 @@ def generic_line_counts(m: int) -> dict[str, int]:
         "unbounded_one_cells": 2 * m,
         "zero_cells": comb(m, 2),
     }
+
+
+def concurrent_rational_lines() -> Network:
+    """Hidden lines x = 1/2, y = 1/3 and x + y = 5/6, all through (1/2, 1/3)."""
+    return Network((
+        AffineLayer.make([[1, 0], [0, 1], [1, 1]],
+                         [Fraction(-1, 2), Fraction(-1, 3), Fraction(-5, 6)], "relu"),
+        AffineLayer.make([[1, 1, 1]], [0], "none"),
+    ))
 
 
 def level_model(cx: CanonicalComplex, c) -> CompactModel:

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 from plmorse import morse
 from plmorse.complexes import CanonicalComplex, Check, FlatComponent, build_complex, flat_cells
+from plmorse.geometry import rational_point
 from plmorse.network import Network
 
 
 def zero_cells(cx: CanonicalComplex) -> list:
-    """Each 0-cell's point and F-value, its one 0-face, sorted."""
-    return sorted(cx.skeleton[c.label].points[0] for c in cx.cells_of_dim(0))
+    """Each 0-cell's point, as Fractions, and F-value, its one 0-face, sorted."""
+    faces = (cx.skeleton[c.label].points[0] for c in cx.cells_of_dim(0))
+    return sorted((rational_point(p), f) for p, f in faces)
 
 
 def is_transversal(net: Network) -> Check:
@@ -37,6 +39,6 @@ def classify_vertex(cx: CanonicalComplex, point) -> morse.VertexClass:
     morse._require_shallow_generic(cx)
     p = tuple(Fraction(x) for x in point)
     for cell in cx.cells_of_dim(0):
-        if cx.skeleton[cell.label].points[0][0] == p:
+        if rational_point(cx.skeleton[cell.label].points[0][0]) == p:
             return morse._classify_zero_cell(cx, cell.label)
     raise ValueError(f"{p} is not a 0-cell of the complex")

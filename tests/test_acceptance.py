@@ -22,6 +22,7 @@ from plmorse.complexes import (
     is_generic,
 )
 from plmorse.ensembles import montecarlo_flat_cell, montecarlo_plmorse
+from plmorse.geometry import rational_point
 from plmorse.homology import CellularComplex, betti, grid_oracle, triangulate
 from plmorse.network import (
     AffineLayer,
@@ -161,7 +162,7 @@ def test_criterion_06_classification_vs_homology():
             for rec in morse.local_records(cx):
                 for lab in rec.labels:
                     if cx.cells[lab].dimension == 0:
-                        records[cx.skeleton[lab].points[0][0]] = rec
+                        records[rational_point(cx.skeleton[lab].points[0][0])] = rec
             for v in morse.classify_vertices(cx):
                 if v.kind == morse.REGULAR:
                     assert records[v.point].total == 0

@@ -16,7 +16,7 @@ from plmorse.compact import (
     sublevel_model,
     superlevel_model,
 )
-from plmorse.geometry import Polyhedron, canon_constraint, feasible, nullspace_basis, rank
+from plmorse.geometry import Polyhedron, canon_constraint, feasible, rank
 from plmorse.homology import (
     CellularComplex,
     SimplicialComplex,
@@ -38,6 +38,7 @@ from plmorse.network import (
 
 from fm_reference import contained
 from hull_model import bounded, hull_compact_part, polytope_faces, pulling_triangulation
+from linear_reference import nullspace_basis
 from net_helpers import ANALYZE_CORPUS_NETS, level_model
 from order_complex import carried_simplices
 from piece_geometry import interval_constraints, model_coordinates, piece_geometry

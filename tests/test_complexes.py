@@ -1,8 +1,10 @@
 """Complex construction, labels, flats, orientations, census, predicates."""
 
+import re
 import time
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 
 from plmorse import complexes
 from plmorse.complexes import (
-    CanonicalComplex,
     _deep_genericity,
     build_complex,
     census,
@@ -27,9 +28,8 @@ from plmorse.geometry import (
     dot,
     feasible,
     form_signs,
-    nullspace_basis,
     primitive_direction,
-    solve_linear,
+    rational_point,
     vec,
 )
 from plmorse.morse import analyze
@@ -48,11 +48,23 @@ import build_reference
 from face_reference import scan_faces
 from fm_reference import contained
 from hull_model import bounded, rays
-from net_helpers import ANALYZE_CORPUS_NETS, activation_pattern, generic_line_counts, negate
+from linear_reference import nullspace_basis, solve_linear
+from net_helpers import (
+    ANALYZE_CORPUS_NETS,
+    activation_pattern,
+    concurrent_rational_lines,
+    generic_line_counts,
+    negate,
+)
 from piece_geometry import cell_geometry
 from queries import is_transversal, zero_cells
 
 F = Fraction
+
+
+def form_at(cell, point) -> Fraction:
+    """F at a point of the cell's closure, from its rational form."""
+    return dot(cell.gradient, point) + cell.constant
 
 
 def n1_network():
@@ -263,11 +275,14 @@ def test_face_pairs_match_fm_containment_on_deep_nets(arch):
         }
         assert cx.face_pairs == want, (arch, seed)
         for faces in cx.skeleton.values():
-            ends = {p for p, _ in faces.points}
+            pts = [p for p, _ in faces.points]
             for e in faces.edges:
-                if e.bounded:
-                    end = tuple(a + d for a, d in zip(e.start, e.direction))
-                    assert e.start < end and {e.start, end} <= ends, (arch, seed)
+                if e.bounded:  # start P/a, and Q*a - P*b the direction to its end Q/b
+                    (p, a) = e.start
+                    ends = [(q, b) for q, b in pts
+                            if tuple(y * a - x * b for x, y in zip(p, q)) == e.direction]
+                    assert e.start in pts and len(ends) == 1, (arch, seed)
+                    assert rational_point(e.start) < rational_point(ends[0]), (arch, seed)
 
 
 def test_face_pairs_and_skeleton_make_no_feasibility_call(monkeypatch):
@@ -305,15 +320,16 @@ def test_face_pairs_test_each_cell_once(monkeypatch):
 
 
 def test_witness_outside_its_cell_is_named(monkeypatch):
-    cut = CanonicalComplex._cut
+    solve = complexes.solve_integer
 
-    def off_cell(self, cell):
-        point, basis = cut(self, cell)
-        return tuple(x + 1 for x in point), basis
+    def off_cell(rows, n):
+        (p, d), basis = solve(rows, n)
+        return (tuple(x + d for x in p), d), basis
 
-    monkeypatch.setattr(CanonicalComplex, "_cut", off_cell)
+    monkeypatch.setattr(complexes, "solve_integer", off_cell)
     cx = build_complex(n1_network())
-    with pytest.raises(RuntimeError, match=r"off the relative interior of cell \(0, 0\)"):
+    message = "witness (1, 1) is off the relative interior of cell (0, 0)"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
         cx.face_pairs
 
 
@@ -398,6 +414,11 @@ def test_genericity_verdicts():
     assert is_generic(n1_network())
 
 
+def test_genericity_witness_prints_a_rational_point():
+    res = is_generic(concurrent_rational_lines())
+    assert res.witness == "hidden layer 0 nodes (0, 1, 2): common point (1/2, 1/3)"
+
+
 def test_random_nets_generic_and_transversal():
     for seed in range(40):
         net = random_network((2, 3, 1), seed=seed)
@@ -428,7 +449,7 @@ def test_deep_network_cells_match_evaluation():
         assert lab in cx.cells
         cell = cx.cells[lab]
         assert cell_geometry(cell).contains(p)
-        assert cell.form_at(p) == net.evaluate(p)[0]
+        assert form_at(cell, p) == net.evaluate(p)[0]
 
 
 def test_coarse_bound_network_generic_transversal():
@@ -446,7 +467,7 @@ def test_sample_points_land_in_matching_cells(seed, p):
     lab = activation_pattern(net, p)
     assert lab in cx.cells
     assert cell_geometry(cx.cells[lab]).contains(p)
-    assert cx.cells[lab].form_at(p) == net.evaluate(p)[0]
+    assert form_at(cx.cells[lab], p) == net.evaluate(p)[0]
 
 
 def test_negation_duality_cells_and_orientations():
@@ -525,7 +546,8 @@ def _reference_corpus():
 
 
 def _cell_record(c):
-    return (c.label, c.eqs, c.stricts, c.gradient, c.constant, c.dimension, c.flat, c.lineality)
+    return (c.label, c.eqs, c.stricts, c.gradient, c.constant, c.dimension, c.flat, c.lineality,
+            c.form)
 
 
 @pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in _reference_corpus()])
@@ -570,11 +592,66 @@ def test_skeleton_points_and_flat_levels_match_hull_solutions(net):
     cx = build_complex(net)
     for c in cx.cells_of_dim(0):
         p = _hull_solution(c)
-        assert cx.skeleton[c.label].points == ((p, c.form_at(p)),)
-    want = {lab: cx.cells[lab].form_at(_hull_solution(cx.cells[lab])) for lab in cx.flat_labels}
+        ((q, f),) = cx.skeleton[c.label].points
+        assert rational_point(q) == p and f == form_at(c, p)
+    want = {lab: form_at(cx.cells[lab], _hull_solution(cx.cells[lab])) for lab in cx.flat_labels}
     assert cx.nontransversal_thresholds == tuple(sorted(set(want.values())))
     for comp in flat_cells(cx):
         assert {want[lab] for lab in comp.labels} == {comp.level}
+
+
+def _fraction_skeleton(cx):
+    """Reference for the integer skeleton: each minimal cell's point, its
+    hull equalities and the kernel solved over Fraction, and each 1-face as
+    (start, direction, slope, bounded), a segment from its smaller end with
+    direction and slope its end's point and F-value less its start's, or a
+    ray along the hull's nullspace, oriented into the cell."""
+    k, n = len(cx.kernel), cx.network.n0
+
+    def cut(c):
+        rows = [g for g, _ in c.eqs] + list(cx.kernel)
+        return solve_linear(rows, [-o for _, o in c.eqs] + [0] * k, n)
+
+    points = {c.label: cut(c)[0] for c in cx.cells_of_dim(k)}
+    edges = {}
+    for c in cx.cells_of_dim(k + 1):
+        ends = sorted(points[f] for f in cx.faces_of(c.label) if f in points)
+        if len(ends) == 2:
+            p, q = ends
+            rise = form_at(c, q) - form_at(c, p)
+            edges[c.label] = [(p, tuple(b - a for a, b in zip(p, q)), rise, True)]
+            continue
+        base, (d,) = cut(c)
+        if any(dot(g, d) < 0 for g, _ in c.stricts):
+            d = tuple(-x for x in d)
+        rays = [d] if ends else [d, tuple(-x for x in d)]
+        edges[c.label] = [(ends[0] if ends else base, r, dot(c.gradient, r), False) for r in rays]
+    return points, edges
+
+
+@pytest.mark.parametrize("net", [
+    *(pytest.param(net, id=name) for name, net in _reference_corpus()),
+    *(pytest.param(make(), id=f"corpus {name}") for name, make in ANALYZE_CORPUS_NETS.items()),
+])
+def test_integer_skeleton_matches_fraction_route(net):
+    """Each 0-face (P, d) is the Fraction solution P/d, with d > 0 and the
+    least such; each 1-face starts where the Fraction route's does, its
+    integer direction is a positive multiple of that route's, and its
+    integer slope has the sign of F's change along it."""
+    cx = build_complex(net)
+    points, edges = _fraction_skeleton(cx)
+    for lab, want in points.items():
+        (((p, d), f),) = cx.skeleton[lab].points
+        assert d > 0 and rational_point((p, d)) == want and f == form_at(cx.cells[lab], want)
+        assert d == lcm(*(x.denominator for x in want)) and all(type(x) is int for x in p)
+    for lab, want in edges.items():
+        got = cx.skeleton[lab].edges
+        assert len(got) == len(want), lab
+        for e, (start, direction, slope, bounded) in zip(got, want):
+            assert rational_point(e.start) == start and e.bounded == bounded, lab
+            assert primitive_direction(e.direction) == primitive_direction(direction), lab
+            assert all(type(x) is int for x in (*e.direction, e.slope)), lab
+            assert (e.slope > 0) - (e.slope < 0) == (slope > 0) - (slope < 0), lab
 
 
 def test_hand_nets_reach_their_corners():

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,11 @@ from plmorse.geometry import (
     echelon,
     feasible,
     form_signs,
-    nullspace_basis,
     primitive_direction,
     rank,
+    rational_point,
     rref,
-    solve_linear,
+    solve_integer,
     spans,
     strict_feasible,
     vec,
@@ -34,6 +35,7 @@ from fm_reference import feasible as fraction_feasible
 from fm_reference import integer_feasible
 from fm_reference import rref as fraction_rref
 from hull_model import bounded, rays
+from linear_reference import nullspace_basis, solve_linear
 
 F = Fraction
 
@@ -161,6 +163,34 @@ def test_solve_linear_matches_two_eliminations(system):
         assert [dot(row, sol) for row in rows] == [F(r) for r in rhs]
     assert all(dot(row, v) == 0 for row in rows for v in null)
     assert rank(rows) + len(null) == n
+
+
+@settings(max_examples=600, deadline=None)
+@given(linear_systems())
+def test_integer_solve_matches_fraction_solve(system):
+    """The fraction-free solve gives the Fraction solve's solution as P/d and
+    its nullspace basis as integer vectors over the same d.  d is a multiple
+    of the solution's common denominator, and that denominator itself when
+    the solution is unique."""
+    rows, rhs, n = system
+    want, null = solve_linear(rows, rhs, n)
+    got, ints = solve_integer([canon_constraint(row, -r) for row, r in zip(rows, rhs)], n)
+    assert (got is None) == (want is None)
+    if got is not None:
+        (p, d), den = got, lcm(*(x.denominator for x in want))
+        assert d > 0 and rational_point(got) == want and d % den == 0
+        assert null or d == den
+        assert all(type(x) is int for x in p)
+        assert [tuple(F(x, d) for x in v) for v in ints] == null
+
+
+def test_integer_solve_edge_cases():
+    identity = [(1, 0), (0, 1)]
+    assert solve_integer([], 2) == (((0, 0), 1), identity)
+    assert solve_integer([((0, 0), 0)], 2) == (((0, 0), 1), identity)
+    assert solve_integer([((0, 0), 1)], 2) == (None, identity)
+    assert solve_integer([((2, 0), -1), ((0, 3), -1)], 2) == (((3, 2), 6), [])
+    assert solve_integer([((1, 1), 0), ((1, 1), -1)], 2) == (None, [(-1, 1)])
 
 
 def test_solve_linear_eliminates_once(monkeypatch):
@@ -586,6 +616,8 @@ def test_normal_span_and_lineality_are_complements():
 
 def test_primitive_direction():
     assert primitive_direction((F(2, 3), F(-4, 3))) == vec((1, -2))
+    assert primitive_direction((6, -4, 0)) == vec((3, -2, 0))
+    assert all(type(x) is F for x in primitive_direction((6, -4)))
     assert canonical_line_direction((0, F(-1, 2))) == vec((0, 1))
 
 

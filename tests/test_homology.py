@@ -50,8 +50,11 @@ F = Fraction
 
 def model_of(poly: Polyhedron):
     """The polytope with all its faces, by the hull model."""
-    cell = LabeledCell((1,), poly.eqs, poly.ges, (F(0),) * poly.n, F(0), True, poly.dim, 0)
-    faces = CellFaces(tuple((v, F(0)) for v in poly.vertices), ())
+    cell = LabeledCell((1,), poly.eqs, poly.ges, (F(0),) * poly.n, F(0), True, poly.dim, 0,
+                       ((0,) * poly.n, 0))
+    dens = [math.lcm(*(x.denominator for x in v)) for v in poly.vertices]
+    faces = CellFaces(tuple(((tuple(int(x * d) for x in v), d), F(0))
+                            for v, d in zip(poly.vertices, dens)), ())
     piece = RefinedCell(cell, (None, None), 0, faces)
     return hull_compact_part([piece])
 

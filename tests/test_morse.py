@@ -19,6 +19,7 @@ from plmorse.compact import (
     superlevel_model,
 )
 from plmorse.complexes import build_complex, flat_cells
+from plmorse.geometry import rational_point
 from plmorse.homology import (
     SimplicialComplex,
     SimplicialPair,
@@ -44,7 +45,7 @@ from plmorse.network import (
 
 import order_complex
 from order_complex import carried_simplices
-from net_helpers import ANALYZE_CORPUS_NETS
+from net_helpers import ANALYZE_CORPUS_NETS, concurrent_rational_lines
 from queries import classify_vertex, local_h_complexity
 from stable_reference import two_model_measures
 from strip_reference import strip_epsilon
@@ -422,7 +423,7 @@ def test_isolated_vertex_ranks_match_classification(arch):
             continue
         for comp in flat_cells(cx):
             if isolated(cx, comp):
-                v = classes[cx.skeleton[comp.labels[0]].points[0][0]]
+                v = classes[rational_point(cx.skeleton[comp.labels[0]].points[0][0])]
                 want = {REGULAR: (), NONDEGENERATE: (0,) * (v.index or 0) + (1,)}[v.kind]
                 assert local_h_complexity(cx, comp).ranks == want, (seed, v)
                 checked += 1
@@ -630,6 +631,15 @@ def test_classify_rejects_deep_and_nongeneric():
     cx = build_complex(three_line_net([2, -3, 1]))
     with pytest.raises(ValueError, match="not a 0-cell"):
         classify_vertex(cx, (5, 5))
+
+
+def test_vertex_messages_print_rational_points():
+    """A vertex on three lines is named by its rational coordinates."""
+    cx = build_complex(concurrent_rational_lines())
+    (v,) = cx.cells_of_dim(0)
+    message = "vertex (1/2, 1/3) lies on more than 2 hyperplanes"
+    with pytest.raises(UnsupportedNetworkError, match=re.escape(message)):
+        morse._classify_zero_cell(cx, v.label)
 
 
 def test_is_pl_morse_depth2():
